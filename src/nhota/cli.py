@@ -170,7 +170,7 @@ def run_config_of(cfg: ExperimentConfig, u: Optional[float] = None) -> RunConfig
         p=cfg.p, M0=cfg.M0, Mtilde=cfg.Mtilde, theta=cfg.theta,
         u=cfg.u if u is None else u, u_min=cfg.u_min,
         max_outer=cfg.max_outer, stop_f=cfg.stop_f, stop_stat=cfg.stop_stat,
-        seed=cfg.seed, max_inner=cfg.max_inner, step_guess=cfg.step_guess,
+        max_inner=cfg.max_inner, step_guess=cfg.step_guess,
         max_doublings=cfg.max_doublings,
     )
 

@@ -25,6 +25,11 @@ class OracleFailure(RuntimeError):
     """An oracle callback returned a non-finite value."""
 
 
+class OracleContractError(OracleFailure, ValueError):
+    """An oracle callback returned a value of the wrong shape or structure,
+    such as a gradient of the wrong length or an asymmetric Hessian."""
+
+
 def as_vector(x, dim: int | None = None) -> Vector:
     """Convert to a 1-D float64 array, rejecting non-finite entries."""
     v = np.atleast_1d(np.asarray(x, dtype=float))

@@ -68,7 +68,6 @@ class RunConfig:
     max_outer: int = 1000
     stop_f: float = 1e-3
     stop_stat: float = 1e-3
-    seed: int = 0
     max_inner: int = 500
     step_guess: float = 1.0
     max_doublings: int = 60

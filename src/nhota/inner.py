@@ -144,10 +144,17 @@ def solve_subproblem(
 
     Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the decrease
     guarantee is preserved).  Each iteration backtracks the step size by
-    halving from ``step_guess`` until the standard sufficient-decrease test
-    holds and m does not increase, takes the prox step, and keeps the
-    witness subgradient p = (y_t - y_{t+1})/alpha - model_grad(y_t), which
-    lies in dh(y_{t+1}) by the prox optimality condition.
+    halving until the standard sufficient-decrease test holds and m does not
+    increase, takes the prox step, and keeps the witness subgradient
+    p = (y_t - y_{t+1})/alpha - model_grad(y_t), which lies in dh(y_{t+1})
+    by the prox optimality condition.  The first search starts at
+    ``step_guess``; each later one is warm-started at
+    min(step_guess, 2 * alpha_prev), where alpha_prev is the step accepted
+    on the previous iteration, so a step size near 1/L is found once per
+    call rather than re-searched from ``step_guess`` every iteration (the
+    carried step of Nesterov's composite gradient method and of FISTA's
+    backtracking).  The doubling lets the step grow back where the model is
+    flatter.
 
     Stops when the residual clears theta*||y - x||^p plus the working-
     precision floor ``residual_floor(center)`` (the residual is computed from
@@ -217,8 +224,9 @@ def solve_subproblem(
             "was measured", iterations=t,
         )
 
+    alpha = step_guess
     for t in range(1, max_inner + 1):
-        alpha = step_guess
+        alpha = min(step_guess, 2.0 * alpha)
         frozen = False
         while True:
             y_new = np.asarray(h.prox(y - alpha * g_reg, alpha), dtype=float)

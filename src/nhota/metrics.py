@@ -40,18 +40,26 @@ class RateFit:
     window: tuple[int, int]
 
 
-def _r2(resid_ss: float, total_ss: float) -> float:
-    if total_ss == 0.0:
+# A target whose root-mean-square spread about its mean is below this
+# fraction of its largest magnitude is constant: the mean of identical logs
+# is not exact in floating point, and r^2 measured against that roundoff is
+# arbitrary.
+_FLAT_RTOL = 1e-12
+
+
+def _r2(target: np.ndarray, pred: np.ndarray) -> float:
+    """Coefficient of determination of pred for target; 1.0 for a constant target."""
+    dev = target - np.mean(target)
+    total_ss = float(dev @ dev)
+    if total_ss <= target.size * (_FLAT_RTOL * float(np.max(np.abs(target)))) ** 2:
         return 1.0  # constant target, fit is exact
-    return 1.0 - resid_ss / total_ss
+    return 1.0 - float(np.sum((target - pred) ** 2)) / total_ss
 
 
 def _loglog_fit(kk: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
     lx, ly = np.log(kk), np.log(vals)
     slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    return float(slope), float(intercept), _r2(float(np.sum((ly - pred) ** 2)),
-                                               float(np.sum((ly - np.mean(ly)) ** 2)))
+    return float(slope), float(intercept), _r2(ly, slope * lx + intercept)
 
 
 def rate_fit(series, window: Optional[tuple[int, int]] = None) -> RateFit:
@@ -135,8 +143,7 @@ def kl_probe(
     ld = np.log(delta[1:stop])
 
     slope_lin, icept_lin = np.polyfit(kk, ld, 1)
-    pred = slope_lin * kk + icept_lin
-    r2_lin = _r2(float(np.sum((ld - pred) ** 2)), float(np.sum((ld - np.mean(ld)) ** 2)))
+    r2_lin = _r2(ld, slope_lin * kk + icept_lin)
 
     slope_pow, _, r2_pow = _loglog_fit(kk, delta[1:stop])
 

@@ -88,8 +88,10 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
         F(x)    = 1/(2m) sum r_i^2
         grad    = 2/m sum (s_i^2 - y_i) s_i a_i
         hess    = 2/m sum (3 s_i^2 - y_i) a_i a_i^T
-    Evaluations reduce over rows in a fixed order, so results are
-    deterministic for identical inputs.
+    Results are deterministic for identical inputs at a fixed BLAS thread
+    count.  The products with A go through BLAS, whose reduction order
+    depends on the number of threads, so another thread count can change
+    the last bits of every value and with them a solver's trajectory.
     """
     x = as_vector(x, dim=data.n)
     s = data.A @ x

@@ -20,13 +20,17 @@ import numpy as np
 from .core import (
     CapabilityError,
     Matrix,
+    OracleContractError,
     OracleFailure,
     SmoothOracle,
     Vector,
     as_vector,
 )
 
-HESS_SYMMETRY_ATOL = 1e-12  # absolute per-entry tolerance on hess(x)
+# Per-entry tolerance on hess(x) - hess(x).T, relative to max(1, max|H|): a
+# Hessian formed as a matrix product is symmetric only to roundoff at the
+# scale of its own entries.
+HESS_SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,18 +61,25 @@ class ModelCenter:
             raise OracleFailure(f"F(x) is non-finite at x = {x!r}")
         gx = np.asarray(oracle.grad(x), dtype=float)
         if gx.shape != x.shape:
-            raise ValueError(f"gradient shape {gx.shape} != point shape {x.shape}")
+            raise OracleContractError(f"gradient shape {gx.shape} != point shape {x.shape}")
         if not np.all(np.isfinite(gx)):
             raise OracleFailure("gradient is non-finite")
         Hx = None
         if p == 2:
             Hx = np.asarray(oracle.hess(x), dtype=float)
             if Hx.shape != (oracle.dim, oracle.dim):
-                raise ValueError(f"Hessian shape {Hx.shape} != ({oracle.dim}, {oracle.dim})")
+                raise OracleContractError(
+                    f"Hessian shape {Hx.shape} != ({oracle.dim}, {oracle.dim})"
+                )
             if not np.all(np.isfinite(Hx)):
                 raise OracleFailure("Hessian is non-finite")
-            if np.max(np.abs(Hx - Hx.T)) > HESS_SYMMETRY_ATOL:
-                raise ValueError("Hessian is not symmetric to within 1e-12 per entry")
+            asym = float(np.max(np.abs(Hx - Hx.T)))
+            tol = HESS_SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(Hx))))
+            if asym > tol:
+                raise OracleContractError(
+                    f"Hessian is not symmetric: max |H - H^T| = {asym:.3e} "
+                    f"exceeds {HESS_SYMMETRY_RTOL:g} * max(1, max|H|) = {tol:.3e}"
+                )
         return cls(x=x, fx=fx, gx=gx, Hx=Hx, p=p)
 
 

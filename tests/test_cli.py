@@ -224,6 +224,20 @@ def test_main_solver_failure_exit_two(tmp_path, capsys):
     assert "run failure" in capsys.readouterr().err
 
 
+def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
+    # gen_variance = 50 grows the Hessian entries until its product roundoff
+    # exceeds any absolute symmetry bound; the run must get past the oracle
+    # check and end in a documented solver failure, not a traceback
+    text = (
+        "problem = phase_retrieval\ngen_variance = 50\n"
+        f"out_dir = {tmp_path / 'big'}\n"
+    )
+    path = write(tmp_path, text)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failure") and err.count("\n") == 1
+
+
 def test_main_check_failure_exit_three(monkeypatch, capsys):
     fake = [checks.CheckResult(name="always_red", passed=False, detail="boom")]
     monkeypatch.setattr(checks, "check_suite", lambda scale="quick": fake)

@@ -1,5 +1,8 @@
 """Inexact subproblem solver: certified stops, witnesses, and stall handling."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,36 @@ def test_inner_failure_on_starved_budget():
     with pytest.raises(InnerSolveFailure) as excinfo:
         solve_subproblem(prob, center, M=1e-4, theta=1e-6, max_inner=1)
     assert excinfo.value.iterations >= 1
+
+
+def test_backtracking_carries_the_step_size_between_iterations():
+    # step_guess far above 1/L: restarting every search at step_guess costs
+    # about log2(step_guess * L) prox calls per inner iteration, while a
+    # carried step pays that descent once and then at most a few per iteration
+    prob, data, x0 = gen_diag_quad_l1(20, seed=3)
+    calls = 0
+    prox = prob.nonsmooth.prox
+
+    def counted_prox(v, tau):
+        nonlocal calls
+        calls += 1
+        return prox(v, tau)
+
+    prob = replace(prob, nonsmooth=replace(prob.nonsmooth, prox=counted_prox))
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    M, theta, step_guess = 1.0, 1e-3, 1e3
+    y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta,
+                                        step_guess=step_guess)
+    assert cert.valid and not cert.stalled
+    assert cert.inner_iters >= 5
+    # curvature of the p=2 model along the path: Hessian diag(d) plus the
+    # regularizer's M * ||y - x||
+    L = float(data.d.max()) + M * cert.step_norm
+    assert calls <= 3 * cert.inner_iters + math.ceil(math.log2(step_guess * L)) + 1
+    fresh = certify(prob, center, y, M=M, theta=theta)
+    assert fresh.valid and fresh.decrease_ok
+    assert abs(fresh.residual - cert.residual) <= 1e-12 * max(1.0, cert.residual)
+    assert fresh.threshold == cert.threshold and fresh.step_norm == cert.step_norm
 
 
 def test_worse_warm_start_is_ignored():

@@ -143,6 +143,14 @@ def test_kl_probe_short_series_is_inconclusive():
     assert probe.kind == "inconclusive"
 
 
+@pytest.mark.parametrize("level", [0.3, 0.5, 1.0])
+def test_kl_probe_flat_series_is_inconclusive(level):
+    # a plateau does not decay; the roundoff in mean(log level) must not
+    # turn it into a geometric fit
+    probe = kl_probe(np.full(201, level), f_star=0.0)
+    assert probe.kind == "inconclusive"
+
+
 def test_kl_probe_stops_at_the_positive_floor():
     # decay that lands exactly on f_star: the window must exclude the zeros
     series = np.concatenate([2.0 ** -np.arange(0, 30, dtype=float), np.zeros(5)])

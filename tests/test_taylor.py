@@ -156,6 +156,25 @@ def test_from_oracle_rejects_asymmetric_hessian():
         ModelCenter.from_oracle(bad, np.zeros(2), p=2)
 
 
+@pytest.mark.parametrize("scale, rel_asym, accepted", [
+    (1e4, 1e-6, False),   # real asymmetry stays an error at any scale
+    (1e4, 4e-16, True),   # product roundoff (2 ulps) at its own scale passes
+    (1e-3, 1e-10, True),  # below unit scale the bound is 1e-12 absolute
+    (1e-3, 1e-8, False),
+])
+def test_hessian_symmetry_tolerance_is_relative(scale, rel_asym, accepted):
+    H = scale * np.array([[2.0, 1.0], [1.0 + rel_asym, 3.0]])
+    oracle = SmoothOracle(
+        dim=2, order=2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
+        hess=lambda x: H,
+    )
+    if accepted:
+        assert ModelCenter.from_oracle(oracle, np.zeros(2), p=2).Hx is not None
+    else:
+        with pytest.raises(OracleFailure):
+            ModelCenter.from_oracle(oracle, np.zeros(2), p=2)
+
+
 def test_from_oracle_rejects_nonfinite_values():
     nan_value = SmoothOracle(
         dim=1, order=1, value=lambda x: float("nan"), grad=lambda x: np.zeros(1)
