@@ -25,13 +25,10 @@ import numpy as np
 
 from .core import CompositeProblem, OracleFailure, Vector, as_vector
 from .inner import (
-    DEGENERATE_RESIDUAL,
-    DEGENERATE_STEP_RTOL,
     InnerSolveFailure,
     StepCertificate,
-    center_stationarity,
+    center_is_stationary,
     solve_subproblem,
-    stationarity_resolution,
 )
 from .taylor import ModelCenter, taylor_grad
 
@@ -139,13 +136,13 @@ def try_step(
     failure or a failed acceptance test doubles M and retries, seeding the
     next solve with the rejected candidate.
 
-    A solve that stalled at the floating-point floor (``cert.stalled``), or
-    returned a degenerate step, forces a decision: if the center's own
-    stationarity residual is within working precision
-    (``stationarity_resolution``), the result is flagged ``stationary`` and
-    the driver stops at the center; otherwise the candidate — typically the
-    model minimizer pinned down as far as floats allow — goes through the
-    ordinary acceptance test like any other step.
+    A solve that stalled at the floating-point floor or returned a
+    degenerate step (``cert.stalled``) forces a decision: if the center is
+    stationary to working precision (``center_is_stationary``), the result
+    is flagged ``stationary`` and the driver stops at the center; otherwise
+    the candidate — typically the model minimizer pinned down as far as
+    floats allow — goes through the ordinary acceptance test like any other
+    step.
     Raises ``LineSearchFailure`` after ``config.max_doublings`` doublings.
     """
     if not M_in > 0:
@@ -153,8 +150,6 @@ def try_step(
     M = M_in
     warm = None
     total_inner = 0
-    x_norm = float(np.linalg.norm(center.x))
-    resolution = max(DEGENERATE_RESIDUAL, stationarity_resolution(center))
     for i in range(config.max_doublings + 1):
         try:
             y, cert, witness = solve_subproblem(
@@ -170,13 +165,7 @@ def try_step(
         f_cand = problem.f(y)
         if np.isnan(f_cand):
             raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
-        degenerate = (
-            cert.step_norm <= DEGENERATE_STEP_RTOL * (1.0 + x_norm)
-            and cert.residual <= DEGENERATE_RESIDUAL
-        )
-        if (cert.stalled or degenerate) and center_stationarity(
-            problem, center
-        ) <= resolution:
+        if cert.stalled and center_is_stationary(problem, center):
             return TryStepResult(y, cert, witness, M, i, total_inner, f_cand,
                                  stationary=True)
         if accept_test(R, f_cand, cert.step_norm, config.Mtilde, config.p):

@@ -6,7 +6,11 @@ A returned point y is acceptable when
   (1) m(y) <= f(x)                                   (model decrease), and
   (2) dist(0, model_grad(y) + dh(y)) <= theta*||y - x||^p   (residual).
 
-Condition (1) holds by construction: the proximal gradient iteration below
+For p = 1 the subproblem f(x) + g.(y - x) + M/2 ||y - x||^2 + h(y) is
+solved in closed form: its exact minimizer is the single prox step
+prox_{h/M}(x - g/M) (Nesterov's composite gradient mapping), and both
+conditions are checked on that point in floating point.  For p = 2,
+condition (1) holds by construction: the proximal gradient iteration below
 starts at y0 = x, where m(x) = f(x) exactly, and never increases m.
 Condition (2) is certified either through the exact subdifferential distance
 (when h provides one) or through the prox-step witness subgradient.
@@ -22,9 +26,10 @@ import numpy as np
 from .core import CompositeProblem, Vector
 from .taylor import ModelCenter, model_grad, model_value
 
-# A candidate this close to the center with this small a residual means the
-# center itself is stationary; the driver stops rather than looping on
-# zero-length steps.
+# A candidate this close to the center with this small a residual is a
+# degenerate step: its certificate is marked stalled, so the driver asks
+# whether the center itself is stationary rather than looping on zero-length
+# steps.
 DEGENERATE_STEP_RTOL = 1e-14
 DEGENERATE_RESIDUAL = 1e-10
 
@@ -69,11 +74,11 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     fixed-point residual ||x - prox_h(x - grad F(x))|| stands in: it is zero
     exactly at stationary points and continuous in x.
 
-    The driver compares this against ``stationarity_resolution(center)`` to
-    decide whether a stalled inner solve means the *center* is stationary to
-    working precision (stop) or merely that the model minimizer has been
-    pinned down as far as floats allow (treat the candidate as an ordinary
-    step and let the acceptance test decide).
+    ``center_is_stationary`` compares this against the working-precision
+    resolution to decide whether a stalled inner solve means the *center* is
+    stationary (stop) or merely that the model minimizer has been pinned
+    down as far as floats allow (treat the candidate as an ordinary step and
+    let the acceptance test decide).
     """
     h = problem.nonsmooth
     if h.subdiff_dist is not None:
@@ -82,8 +87,24 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     return float(np.linalg.norm(center.x - z))
 
 
+def _stall_resolution(center: ModelCenter) -> float:
+    """Residual at or below which a stalled solve, or the center itself,
+    counts as stationary to working precision."""
+    return max(DEGENERATE_RESIDUAL, stationarity_resolution(center))
+
+
+def center_is_stationary(problem: CompositeProblem, center: ModelCenter) -> bool:
+    """Whether the center is stationary to working precision.
+
+    The driver asks this of every ``stalled`` certificate: if so it stops at
+    the center; otherwise the candidate goes through the acceptance test.
+    """
+    return center_stationarity(problem, center) <= _stall_resolution(center)
+
+
 class InnerSolveFailure(RuntimeError):
-    """The iteration budget ran out before a certificate was reached."""
+    """No certificate was reached: the iteration budget ran out, or the
+    solve stalled with a residual above working precision."""
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
@@ -101,10 +122,11 @@ class StepCertificate:
 
     ``stalled`` marks a solve that ended because floating point ran out of
     room rather than because the threshold was met: the iterate froze with
-    the residual at or below ``stationarity_resolution(center)``.  Such a
-    candidate is the model minimizer to working precision, but its residual
-    may sit far above theta*||y - x||^p, so the caller must not treat the
-    threshold as certified.
+    the residual at or below ``stationarity_resolution(center)``, or the step
+    collapsed onto the center (a degenerate step).  Such a candidate is the
+    model minimizer to working precision, but its residual may sit far above
+    theta*||y - x||^p, so the caller must not treat the threshold as
+    certified; ``center_is_stationary`` decides whether to stop there.
     """
 
     decrease_ok: bool
@@ -131,6 +153,67 @@ def _residual(problem: CompositeProblem, g_reg: Vector, y: Vector,
     return float(np.linalg.norm(g_reg + witness))
 
 
+def _degenerate(center: ModelCenter, step_norm: float, res: float) -> bool:
+    """The step collapsed onto the center with a negligible residual."""
+    return res <= DEGENERATE_RESIDUAL and step_norm <= DEGENERATE_STEP_RTOL * (
+        1.0 + float(np.linalg.norm(center.x))
+    )
+
+
+def _certified(center: ModelCenter, y: Vector, res: float, thr: float,
+               step_norm: float, iters: int, witness: Optional[Vector]):
+    """A certified solve, marked stalled when the step is degenerate."""
+    cert = StepCertificate(True, res, thr, step_norm, iters,
+                           stalled=_degenerate(center, step_norm, res))
+    return y, cert, witness
+
+
+def _stalled_or_fail(center: ModelCenter, y: Vector, res: float, thr: float,
+                     step_norm: float, iters: int, witness: Optional[Vector],
+                     why: str, decrease_ok: bool = True):
+    """A solve that ended without a certificate.
+
+    A residual at or below the working-precision resolution means the model
+    minimizer has been located as precisely as double precision allows: y
+    is returned with the certificate marked ``stalled``.  A larger residual
+    raises ``InnerSolveFailure``; the driver responds by doubling M.
+    """
+    resolution = _stall_resolution(center)
+    if res <= resolution:
+        cert = StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True)
+        return y, cert, witness
+    raise InnerSolveFailure(
+        f"{why}: residual {res:.3e} above the working-precision resolution "
+        f"{resolution:.3e} (threshold {thr:.3e})", iterations=iters,
+    )
+
+
+def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
+                       M: float, theta: float):
+    """The p = 1 subproblem in closed form: y = prox_{h/M}(x - g/M).
+
+    The prox optimality condition puts the witness M(x - y) - g in dh(y),
+    so the model gradient g + M(y - x) plus the witness is zero up to
+    roundoff.  Both certificate conditions are still tested in floating
+    point; a point that fails either goes through the same stall rule as
+    the p = 2 iteration.
+    """
+    h = problem.nonsmooth
+    x, g = center.x, center.gx
+    y = np.asarray(h.prox(x - g / M, 1.0 / M), dtype=float)
+    witness = M * (x - y) - g
+    res = _residual(problem, model_grad(center, y, M), y, witness)
+    step_norm = float(np.linalg.norm(y - x))
+    thr = theta * step_norm
+    decrease_ok = (model_value(center, y, M) + float(h.value(y))
+                   <= center.fx + float(h.value(x)))
+    if decrease_ok and res <= thr + residual_floor(center):
+        return _certified(center, y, res, thr, step_norm, 1, witness)
+    return _stalled_or_fail(center, y, res, thr, step_norm, 1, witness,
+                            "closed-form prox step not certified",
+                            decrease_ok=decrease_ok)
+
+
 def solve_subproblem(
     problem: CompositeProblem,
     center: ModelCenter,
@@ -140,8 +223,15 @@ def solve_subproblem(
     step_guess: float = 1.0,
     warm: Optional[Vector] = None,
 ) -> tuple[Vector, StepCertificate, Optional[Vector]]:
-    """Proximal gradient on the regularized model until certified.
+    """Certified approximate minimizer of the regularized model plus h.
 
+    For p = 1 the minimizer is exact and takes one prox call: y =
+    prox_{h/M}(x - g/M), certified with the witness M(x - y) - g and the
+    same threshold and model-decrease tests as below; the certificate
+    reports one inner iteration.  It does not depend on a start point or a
+    step size, so ``max_inner``, ``step_guess`` and ``warm`` are ignored.
+
+    For p = 2, proximal gradient on the regularized model until certified.
     Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the decrease
     guarantee is preserved).  Each iteration backtracks the step size by
     halving until the standard sufficient-decrease test holds and m does not
@@ -160,7 +250,8 @@ def solve_subproblem(
     precision floor ``residual_floor(center)`` (the residual is computed from
     near-cancelling O(||grad||) terms and cannot honestly resolve below that
     scale), or when the candidate has collapsed onto the center to machine
-    precision (the center is then stationary and the driver terminates).
+    precision.  Every such degenerate step, for either p, comes back marked
+    ``stalled``.
 
     Near the model minimizer the iteration can stall: model-value differences
     round to zero, so no step size produces a float-visible decrease and the
@@ -169,9 +260,10 @@ def solve_subproblem(
     as precisely as double precision allows; the point is returned with the
     certificate marked ``stalled`` and the driver decides what it means —
     stop if the center itself is stationary to working precision
-    (``center_stationarity``), otherwise put the candidate through the
+    (``center_is_stationary``), otherwise put the candidate through the
     ordinary acceptance test.  A stall or budget exhaustion with a larger
     residual raises ``InnerSolveFailure``; the driver responds by doubling M.
+    The p = 1 step is held to the same rule when either of its tests fails.
 
     Returns (y, certificate, witness); witness is None when the certificate
     came from the exact subdifferential distance at y = y0.
@@ -180,10 +272,11 @@ def solve_subproblem(
         raise ValueError(f"theta must be positive, got {theta}")
     if not step_guess > 0:
         raise ValueError(f"step_guess must be positive, got {step_guess}")
+    p = center.p
+    if p == 1:
+        return _solve_first_order(problem, center, M, theta)
     h = problem.nonsmooth
     x = center.x
-    p = center.p
-    x_norm = float(np.linalg.norm(x))
     f_center = center.fx + float(h.value(x))
 
     y = x.copy()
@@ -206,10 +299,8 @@ def solve_subproblem(
         res = _residual(problem, g_reg, y, None)
         thr = theta * step_norm**p
         if res <= thr + floor:
-            cert = StepCertificate(True, res, thr, step_norm, 0)
-            return y, cert, None
+            return _certified(center, y, res, thr, step_norm, 0, None)
 
-    resolution = max(DEGENERATE_RESIDUAL, stationarity_resolution(center))
     last: Optional[tuple[float, float, float, Optional[Vector]]] = None
 
     def stalled_state(t: int) -> tuple[float, float, float, Optional[Vector]]:
@@ -244,14 +335,8 @@ def solve_subproblem(
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
             res, thr, step_norm, witness = stalled_state(t)
-            if res <= resolution:
-                cert = StepCertificate(True, res, thr, step_norm, t, stalled=True)
-                return y, cert, witness
-            raise InnerSolveFailure(
-                f"inner iterate stalled at residual {res:.3e} above the "
-                f"working-precision resolution {resolution:.3e} "
-                f"(threshold {thr:.3e}) at iteration {t}", iterations=t,
-            )
+            return _stalled_or_fail(center, y, res, thr, step_norm, t, witness,
+                                    f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
         y, m_smooth, m_total = y_new, ms_new, mt_new
 
@@ -259,21 +344,12 @@ def solve_subproblem(
         step_norm = float(np.linalg.norm(y - x))
         res = _residual(problem, g_reg, y, witness)
         thr = theta * step_norm**p
-        if res <= thr + floor:
-            return y, StepCertificate(True, res, thr, step_norm, t), witness
-        if step_norm <= DEGENERATE_STEP_RTOL * (1.0 + x_norm) and res <= DEGENERATE_RESIDUAL:
-            cert = StepCertificate(True, res, thr, step_norm, t, stalled=True)
-            return y, cert, witness
+        if res <= thr + floor or _degenerate(center, step_norm, res):
+            return _certified(center, y, res, thr, step_norm, t, witness)
         last = (res, thr, step_norm, witness)
 
-    if res <= resolution:
-        cert = StepCertificate(True, res, thr, step_norm, max_inner, stalled=True)
-        return y, cert, witness
-    raise InnerSolveFailure(
-        f"no certificate within {max_inner} inner iterations "
-        f"(last residual {res:.3e} vs threshold {thr:.3e})",
-        iterations=max_inner,
-    )
+    return _stalled_or_fail(center, y, res, thr, step_norm, max_inner, witness,
+                            f"no certificate within {max_inner} inner iterations")
 
 
 def certify(

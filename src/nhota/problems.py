@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -81,7 +82,8 @@ def gen_phase_retrieval(
     return phase_retrieval_problem(data), data, x0
 
 
-def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
+def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int,
+                 out: Optional[Matrix] = None):
     """Value (order 0), gradient (1) or dense Hessian (2) of the smooth part.
 
     With s_i = a_i.x and residual r_i = y_i - s_i^2:
@@ -92,6 +94,13 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
     count.  The products with A go through BLAS, whose reduction order
     depends on the number of threads, so another thread count can change
     the last bits of every value and with them a solver's trajectory.
+
+    ``out``, for order 2, is an m-by-n float array that receives the
+    weighted rows (3 s_i^2 - y_i) a_i before the product.  Reusing one keeps
+    each Hessian from allocating and freeing an m-by-n temporary; the
+    allocator keeps such freed blocks resident, so a run's peak memory would
+    otherwise depend on how they happen to be laid out.  The Hessian's bytes
+    are the same either way.
     """
     x = as_vector(x, dim=data.n)
     s = data.A @ x
@@ -103,18 +112,26 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
         return (2.0 / data.m) * (data.A.T @ w)
     if order == 2:
         w = 3.0 * s**2 - data.y
-        return (2.0 / data.m) * ((data.A * w[:, None]).T @ data.A)
+        rows = np.multiply(data.A, w[:, None], out=out)
+        return (2.0 / data.m) * (rows.T @ data.A)
     raise ValueError(f"order must be 0, 1 or 2, got {order}")
 
 
 def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
-    """Wrap instance data as a CompositeProblem with second-order oracles."""
+    """Wrap instance data as a CompositeProblem with second-order oracles.
+
+    The Hessian callback reuses one m-by-n scratch array (see
+    ``phase_oracle``), so concurrent Hessian calls on one problem are not
+    supported.  The array is untouched, and costs no resident memory, until
+    the first Hessian is evaluated.
+    """
+    rows = np.empty(data.A.shape)
     smooth = SmoothOracle(
         dim=data.n,
         order=2,
         value=lambda x: phase_oracle(data, x, 0),
         grad=lambda x: phase_oracle(data, x, 1),
-        hess=lambda x: phase_oracle(data, x, 2),
+        hess=lambda x: phase_oracle(data, x, 2, out=rows),
     )
     return CompositeProblem(smooth=smooth, nonsmooth=l1_term(data.lam))
 
@@ -195,14 +212,17 @@ def diag_quad_problem(data: DiagQuadL1Data) -> CompositeProblem:
 
 
 def data_hash(data) -> str:
-    """SHA-256 over the instance arrays, for checking runs share identical data."""
+    """SHA-256 over the instance arrays, for checking runs share identical data.
+
+    The arrays' buffers are hashed in place; no byte copy of A is made.
+    """
     hasher = hashlib.sha256()
     if isinstance(data, PhaseRetrievalData):
-        hasher.update(np.ascontiguousarray(data.A).tobytes())
-        hasher.update(np.ascontiguousarray(data.y).tobytes())
+        hasher.update(np.ascontiguousarray(data.A))
+        hasher.update(np.ascontiguousarray(data.y))
     elif isinstance(data, DiagQuadL1Data):
-        hasher.update(np.ascontiguousarray(data.d).tobytes())
-        hasher.update(np.ascontiguousarray(data.c).tobytes())
+        hasher.update(np.ascontiguousarray(data.d))
+        hasher.update(np.ascontiguousarray(data.c))
     else:
         raise TypeError(f"unsupported data type {type(data)!r}")
     return hasher.hexdigest()

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhota import (
     CompositeProblem,
@@ -138,20 +139,24 @@ def test_inner_failure_on_starved_budget():
     assert excinfo.value.iterations >= 1
 
 
+def with_prox_counter(problem: CompositeProblem) -> tuple[CompositeProblem, list]:
+    """Same problem with h.prox wrapped; the list collects one entry per call."""
+    calls = []
+    prox = problem.nonsmooth.prox
+
+    def counted_prox(v, tau):
+        calls.append(tau)
+        return prox(v, tau)
+
+    return replace(problem, nonsmooth=replace(problem.nonsmooth, prox=counted_prox)), calls
+
+
 def test_backtracking_carries_the_step_size_between_iterations():
     # step_guess far above 1/L: restarting every search at step_guess costs
     # about log2(step_guess * L) prox calls per inner iteration, while a
     # carried step pays that descent once and then at most a few per iteration
     prob, data, x0 = gen_diag_quad_l1(20, seed=3)
-    calls = 0
-    prox = prob.nonsmooth.prox
-
-    def counted_prox(v, tau):
-        nonlocal calls
-        calls += 1
-        return prox(v, tau)
-
-    prob = replace(prob, nonsmooth=replace(prob.nonsmooth, prox=counted_prox))
+    prob, calls = with_prox_counter(prob)
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     M, theta, step_guess = 1.0, 1e-3, 1e3
     y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta,
@@ -161,11 +166,60 @@ def test_backtracking_carries_the_step_size_between_iterations():
     # curvature of the p=2 model along the path: Hessian diag(d) plus the
     # regularizer's M * ||y - x||
     L = float(data.d.max()) + M * cert.step_norm
-    assert calls <= 3 * cert.inner_iters + math.ceil(math.log2(step_guess * L)) + 1
+    assert len(calls) <= 3 * cert.inner_iters + math.ceil(math.log2(step_guess * L)) + 1
     fresh = certify(prob, center, y, M=M, theta=theta)
     assert fresh.valid and fresh.decrease_ok
     assert abs(fresh.residual - cert.residual) <= 1e-12 * max(1.0, cert.residual)
     assert fresh.threshold == cert.threshold and fresh.step_norm == cert.step_norm
+
+
+@pytest.mark.parametrize("exact_h", [True, False])
+@pytest.mark.parametrize("M", [1e-3, 0.1, 1e3])
+def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
+    # p = 1: the minimizer of fx + g.d + M/2 ||d||^2 + lam ||y||_1 is the soft
+    # threshold of v = x - g/M at lam/M, whatever M is
+    prob, data, x0 = gen_diag_quad_l1(20, seed=3)
+    if not exact_h:
+        prob = without_subdiff(prob)
+    prob, calls = with_prox_counter(prob)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=1)
+    theta = 0.1
+    y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
+    assert len(calls) == 1
+    v = x0 - center.gx / M
+    expected = np.sign(v) * np.maximum(np.abs(v) - data.lam / M, 0.0)
+    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert cert.valid and not cert.stalled and cert.inner_iters == 1
+    fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
+    assert fresh.valid and fresh.decrease_ok
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(["phase", "diag"]),
+    exact_h=st.booleans(),
+    seed=st.integers(0, 10_000),
+    log_scale=st.floats(-3.0, 3.0),
+    lam=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    log_M=st.floats(-6.0, 6.0),
+)
+def test_first_order_step_certifies_across_scales(family, exact_h, seed,
+                                                   log_scale, lam, log_M):
+    # the closed-form p = 1 step must certify from scratch whatever the
+    # instance's scale, l1 weight or M, with exact or witness-only residuals
+    scale, M, theta = 10.0**log_scale, 10.0**log_M, 0.1
+    if family == "phase":
+        prob, _, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=0.5, lam=lam)
+    else:
+        prob, _, x0 = gen_diag_quad_l1(20, seed=seed, lam=lam, c_std=2.0 * scale)
+    x0 = scale * x0
+    if not exact_h:
+        prob = without_subdiff(prob)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=1)
+    y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
+    assert not cert.stalled and cert.inner_iters == 1
+    fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
+    assert fresh.decrease_ok and fresh.valid
 
 
 def test_worse_warm_start_is_ignored():

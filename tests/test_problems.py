@@ -1,5 +1,7 @@
 """Seeded problem generators: formulas, draw order, closed forms, round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nhota import (
     save_phase_retrieval,
     subdiff_dist_l1,
 )
-from nhota.problems import DiagQuadL1Data, data_hash, diag_quad_problem
+from nhota.problems import DiagQuadL1Data, data_hash, diag_quad_problem, phase_oracle
 
 
 def fd_grad(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -106,6 +108,20 @@ def test_phase_hessian_against_two_loop_reference():
     assert np.max(np.abs(H - H_ref)) <= 1e-10 * max(1.0, np.max(np.abs(H_ref)))
 
 
+def test_phase_hessian_scratch_reuse_keeps_bytes_and_results():
+    # the problem's Hessian callback reuses one m-by-n scratch array: its
+    # output must match a fresh-temporary evaluation bit for bit, and a later
+    # call must not overwrite an earlier result
+    prob, data, x0 = gen_phase_retrieval(7, 30, seed=11, noise_scale=0.5)
+    x1 = x0 + 0.3
+    H0 = prob.smooth.hess(x0)
+    H0_before = H0.copy()
+    H1 = prob.smooth.hess(x1)
+    assert np.array_equal(H0, H0_before)
+    assert np.array_equal(H0, phase_oracle(data, x0, 2))
+    assert np.array_equal(H1, phase_oracle(data, x1, 2))
+
+
 def test_phase_generator_determinism():
     a = gen_phase_retrieval(6, 18, seed=9, noise_scale=1.0)
     b = gen_phase_retrieval(6, 18, seed=9, noise_scale=1.0)
@@ -191,6 +207,15 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(x0_2, x0)
     assert data_hash(data) == data_hash(data2)
     assert prob2.f(x0) == prob2.f(x0_2)
+
+
+def test_data_hash_is_sha256_of_the_array_bytes():
+    _, data, _ = gen_phase_retrieval(6, 18, seed=14, noise_scale=0.5)
+    expected = hashlib.sha256(data.A.tobytes() + data.y.tobytes()).hexdigest()
+    assert data_hash(data) == expected
+    _, diag, _ = gen_diag_quad_l1(6, seed=1)
+    expected = hashlib.sha256(diag.d.tobytes() + diag.c.tobytes()).hexdigest()
+    assert data_hash(diag) == expected
 
 
 def test_data_hash_distinguishes_instances():
