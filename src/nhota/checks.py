@@ -2,7 +2,13 @@
 
 Every check is small, independent, and reports one pass/fail line with a
 margin.  The "quick" scale finishes in well under a minute; "full" adds
-desk-scale problem sizes.
+desk-scale problem sizes.  ``CHECKS`` is the one registry: ``nhota check``
+runs it, and the test suite runs each quick-scale check as its own test.
+
+The reference oracles the checks measure against (central differences, the
+grid prox, the grid subdifferential distance, and the outer loop that
+re-certifies every accepted step) live here once; the acceptance criteria
+in the tests call these same copies.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OracleFailure, l1_term, prox_l1, subdiff_dist_l1
+from .core import OracleFailure, SmoothOracle, prox_l1, subdiff_dist_l1
 from .driver import (
     RunConfig,
     check_reference_descent,
@@ -24,14 +30,17 @@ from .driver import (
     update_reference,
 )
 from .inner import InnerSolveFailure, certify, solve_subproblem
-from .metrics import kl_probe, min_prefix, rate_fit, remainder_check, stationarity
+from .metrics import kl_probe, rate_fit, remainder_check, stationarity
 from .problems import (
+    DiagQuadL1Data,
     data_hash,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
 )
 from .taylor import ModelCenter, model_grad, model_value, taylor_grad, taylor_value
+
+SCALES = ("quick", "full")
 
 
 @dataclass(frozen=True)
@@ -50,22 +59,52 @@ def render_results(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-def _fd_grad(fun: Callable, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fun(x + e) - fun(x - e)) / (2 * h)
-    return g
+# name -> check(scale) -> (passed, detail), in report order
+CHECKS: dict[str, Callable[[str], tuple[bool, str]]] = {}
+FULL_ONLY = ("desk_scale_phase_retrieval",)
 
 
-def _fd_jac(fun: Callable, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _named(name: str, scaled: bool = False):
+    """Register a check; only a ``scaled`` check receives the scale."""
+    def register(fn):
+        CHECKS[name] = fn if scaled else (lambda scale: fn())
+        return fn
+    return register
+
+
+def check_names(scale: str = "quick") -> list[str]:
+    if scale not in SCALES:
+        raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
+    return [name for name in CHECKS if scale == "full" or name not in FULL_ONLY]
+
+
+def run_check(name: str, scale: str = "quick") -> CheckResult:
+    try:
+        passed, detail = CHECKS[name](scale)
+    except Exception as exc:  # a crashed check is a failed check
+        passed, detail = False, f"raised {exc!r}"
+    return CheckResult(name=name, passed=passed, detail=detail)
+
+
+def check_suite(scale: str = "quick") -> list[CheckResult]:
+    """Run every named check; ``scale`` is "quick" or "full"."""
+    return [run_check(name, scale) for name in check_names(scale)]
+
+
+# ---------------------------------------------------------- reference oracles
+
+
+def fd_jac(fun: Callable, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central differences: column j is (fun(x + h e_j) - fun(x - h e_j)) / 2h.
+
+    For a scalar ``fun`` the result is the gradient.
+    """
     cols = []
-    for i in range(x.size):
+    for j in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2 * h))
-    return np.stack(cols, axis=1)
+        e[j] = h
+        cols.append((np.asarray(fun(x + e), float) - np.asarray(fun(x - e), float)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def _rel_err(a, b) -> float:
@@ -73,33 +112,156 @@ def _rel_err(a, b) -> float:
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
 
 
+def fd_errors(problem, points) -> tuple[float, float, float]:
+    """Largest relative central-difference gap of grad and of hess, and the
+    largest Hessian asymmetry max|H - H^T|, over ``points``."""
+    smooth = problem.smooth
+    grad_err = hess_err = asym = 0.0
+    for x in points:
+        g, H = smooth.grad(x), smooth.hess(x)
+        grad_err = max(grad_err, _rel_err(fd_jac(smooth.value, x), g))
+        hess_err = max(hess_err, _rel_err(fd_jac(smooth.grad, x), H))
+        asym = max(asym, float(np.max(np.abs(H - H.T))))
+    return grad_err, hess_err, asym
+
+
+def grid_prox_1d(v: float, tau: float, step: float = 1e-4) -> float:
+    """Brute-force argmin of tau*|y| + (1/2)(y - v)^2 on a grid over [-2, 2]."""
+    ys = np.arange(-2.0, 2.0 + step, step)
+    return float(ys[np.argmin(tau * np.abs(ys) + 0.5 * (ys - v) ** 2)])
+
+
+def random_prox_pairs(seed: int, count: int) -> list[tuple[float, float]]:
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.05, 1.0)))
+            for _ in range(count)]
+
+
+def prox_grid_gap(pairs) -> float:
+    """Largest |prox_l1(v, tau) - grid argmin| over (v, tau) pairs."""
+    return max(abs(float(prox_l1(np.array([v]), tau)[0]) - grid_prox_1d(v, tau))
+               for v, tau in pairs)
+
+
+def grid_subdiff_dist(g, x, lam: float) -> float:
+    """dist(0, g + lam*s), s in the product of subgradient intervals, by
+    per-coordinate refined grid search (the objective is separable, so
+    coordinates minimize independently)."""
+    total = 0.0
+    for gi, xi in zip(np.asarray(g, float), np.asarray(x, float)):
+        if xi != 0.0:
+            total += (gi + lam * np.sign(xi)) ** 2
+            continue
+        lo, hi = -1.0, 1.0
+        for _ in range(8):
+            ss = np.linspace(lo, hi, 101)
+            vals = np.abs(gi + lam * ss)
+            j = int(np.argmin(vals))
+            width = (hi - lo) / 100
+            lo, hi = max(-1.0, ss[j] - width), min(1.0, ss[j] + width)
+        total += float(vals[j]) ** 2
+    return float(np.sqrt(total))
+
+
+def random_subdiff_cases(seed: int, count: int) -> list:
+    """(g, x, lam) with 1-3 coordinates, each x_i zero with probability 1/2."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.5] = 0.0
+        cases.append((rng.normal(size=n), x, float(rng.uniform(0.05, 1.0))))
+    return cases
+
+
+def subdiff_grid_gap(cases) -> float:
+    """Largest |subdiff_dist_l1 - grid enumeration| over (g, x, lam) cases."""
+    return max(abs(subdiff_dist_l1(g, x, lam) - grid_subdiff_dist(g, x, lam))
+               for g, x, lam in cases)
+
+
+def recertify_run(problem, x0, cfg: RunConfig) -> tuple[int, list[str]]:
+    """Drive the outer loop step by step and re-certify every accepted step.
+
+    A fresh ``certify`` must show the model decrease and a residual at most
+    theta*||s||^p + 1e-8.  Returns (steps checked, failure lines).
+    """
+    x, R, M = x0, problem.f(x0), cfg.M0
+    checked, failures = 0, []
+    for k in range(cfg.max_outer):
+        if problem.f(x) <= cfg.stop_f or stationarity(problem, x) <= cfg.stop_stat:
+            break
+        center = ModelCenter.from_oracle(problem.smooth, x, cfg.p)
+        step = try_step(problem, center, R, M, cfg)
+        if step.stationary:
+            break
+        fresh = certify(problem, center, step.y, step.M_used, cfg.theta,
+                        witness_p=step.witness)
+        checked += 1
+        if not fresh.decrease_ok:
+            failures.append(f"k={k}: model decrease failed")
+        bound = cfg.theta * fresh.step_norm**cfg.p
+        if fresh.residual > bound + 1e-8:
+            failures.append(f"k={k}: residual {fresh.residual:.3e} above "
+                            f"threshold {bound:.3e} + 1e-8")
+        x = step.y
+        R = update_reference(R, step.f_cand, cfg.u_at(k + 1))
+        M = max(step.M_used / 2.0, cfg.M0)
+    return checked, failures
+
+
+def random_quadratic(n: int, seed: int) -> SmoothOracle:
+    """F(x) = x.Hx/2 + b.x with H = AA^T + I, A and b standard normal."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    H = A @ A.T + np.eye(n)
+    b = rng.normal(size=n)
+    return SmoothOracle(
+        dim=n,
+        order=2,
+        value=lambda x: 0.5 * float(x @ (H @ x)) + float(b @ x),
+        grad=lambda x: H @ x + b,
+        hess=lambda x: H,
+    )
+
+
 # ---------------------------------------------------------------- core checks
 
 
+@_named("prox_soft_threshold_examples")
 def _check_prox_examples() -> tuple[bool, str]:
+    exact = np.array_equal(prox_l1(np.array([3.0, -0.5, 0.0]), 1.0),
+                           np.array([2.0, 0.0, 0.0]))
     got = prox_l1(np.array([3.0, -3.0, 0.2]), 1.0)
     err = float(np.max(np.abs(got - np.array([2.0, -2.0, 0.0]))))
     got2 = prox_l1(np.array([0.7]), 0.5)
     err = max(err, abs(float(got2[0]) - 0.2))
-    return err <= 1e-15, f"max deviation {err:.1e}"
+    return exact and err <= 1e-15, (
+        f"max deviation {err:.1e}, exact case {'ok' if exact else 'wrong'}"
+    )
 
 
+@_named("prox_tiny_tau_identity")
 def _check_prox_tiny_tau() -> tuple[bool, str]:
-    v = np.array([1.0, -2.0, 0.0, 0.3])
-    err = float(np.max(np.abs(prox_l1(v, 1e-300) - v)))
+    err = 0.0
+    for v in (np.array([1.0, -2.0, 0.0, 0.3]), np.array([0.3, -1.7, 0.0, 4.2])):
+        err = max(err, float(np.max(np.abs(prox_l1(v, 1e-300) - v))))
     return err <= 1e-12, f"max deviation {err:.1e}"
 
 
+@_named("prox_grid_agreement")
 def _check_prox_grid() -> tuple[bool, str]:
-    grid = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
-    worst = 0.0
-    for v, tau in [(0.7, 0.5), (-1.3, 0.4), (0.2, 0.9), (1.5, 1e-3)]:
-        obj = tau * np.abs(grid) + 0.5 * (grid - v) ** 2
-        best = grid[np.argmin(obj)]
-        worst = max(worst, abs(best - float(prox_l1(np.array([v]), tau)[0])))
-    return worst <= 2e-4, f"max gap to grid argmin {worst:.2e}"
+    pairs = [(0.7, 0.5), (-1.3, 0.4), (0.2, 0.9), (1.5, 1e-3)] + random_prox_pairs(1, 40)
+    worst = prox_grid_gap(pairs)
+    oracle = abs(grid_prox_1d(0.7, 0.5) - 0.2)
+    return max(worst, oracle) <= 2e-4, (
+        f"max gap to grid argmin {worst:.2e} over {len(pairs)} pairs; "
+        f"grid oracle off the worked example by {oracle:.1e}"
+    )
 
 
+@_named("prox_nonexpansive")
 def _check_prox_nonexpansive() -> tuple[bool, str]:
     rng = np.random.default_rng(11)
     worst = -np.inf
@@ -111,6 +273,7 @@ def _check_prox_nonexpansive() -> tuple[bool, str]:
     return worst <= 1e-12, f"max ||Pa-Pb|| - ||a-b|| = {worst:.2e}"
 
 
+@_named("prox_optimality_vs_perturbations")
 def _check_prox_optimality() -> tuple[bool, str]:
     rng = np.random.default_rng(12)
     v = rng.normal(size=6)
@@ -125,16 +288,24 @@ def _check_prox_optimality() -> tuple[bool, str]:
     return worst <= 1e-12, f"max f(prox) - f(perturbed) = {worst:.2e}"
 
 
+@_named("subdiff_dist_examples")
 def _check_subdiff_examples() -> tuple[bool, str]:
+    a = np.array  # (g, x, lam, expected, tolerance); tolerance 0 means exact
     cases = [
-        (np.array([-0.5, 0.2]), np.array([2.0, 0.0]), 0.5, 0.0),
-        (np.array([1.0]), np.array([1.0]), 0.5, 1.5),
-        (np.array([0.8]), np.array([0.0]), 0.5, 0.3),
+        (a([-0.5, 0.2]), a([2.0, 0.0]), 0.5, 0.0, 1e-15),
+        (a([1.0]), a([1.0]), 0.5, 1.5, 1e-15),
+        (a([0.8]), a([0.0]), 0.5, 0.3, 1e-15),
+        (a([-0.5]), a([1.0]), 0.5, 0.0, 0.0),
+        (a([2.0]), a([0.0]), 0.5, 1.5, 0.0),
+        (a([-0.2]), a([1.0]), 0.5, 0.3, 1e-15),
+        (a([-0.5, 2.0, -0.2]), a([1.0, 0.0, 1.0]), 0.5, np.sqrt(1.5**2 + 0.3**2), 1e-14),
     ]
-    worst = max(abs(subdiff_dist_l1(g, x, lam) - want) for g, x, lam, want in cases)
-    return worst <= 1e-15, f"max example error {worst:.1e}"
+    errs = [abs(subdiff_dist_l1(g, x, lam) - want) for g, x, lam, want, _ in cases]
+    ok = all(err <= tol for err, (*_, tol) in zip(errs, cases))
+    return ok, f"max example error {max(errs):.1e}"
 
 
+@_named("subdiff_zero_iff_prox_fixed_point")
 def _check_subdiff_zero_iff_opt() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
     lam = 0.3
@@ -150,36 +321,11 @@ def _check_subdiff_zero_iff_opt() -> tuple[bool, str]:
     return ok, "prox fixed points give 0; off-optimal points give > 0"
 
 
-def _refined_grid_dist(g: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """Brute-force dist(0, g + lam*s), s in the product of subgradient
-    intervals, by per-coordinate refined grid search (the objective is
-    separable, so coordinates minimize independently)."""
-    total = 0.0
-    for gi, xi in zip(g, x):
-        if xi != 0.0:
-            total += (gi + lam * np.sign(xi)) ** 2
-            continue
-        lo, hi = -1.0, 1.0
-        for _ in range(8):
-            ss = np.linspace(lo, hi, 101)
-            vals = np.abs(gi + lam * ss)
-            j = int(np.argmin(vals))
-            width = (hi - lo) / 100
-            lo, hi = max(-1.0, ss[j] - width), min(1.0, ss[j] + width)
-        total += float(vals[j]) ** 2
-    return float(np.sqrt(total))
-
-
+@_named("subdiff_grid_enumeration")
 def _check_subdiff_grid() -> tuple[bool, str]:
-    rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(25):
-        n = int(rng.integers(1, 4))
-        x = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.normal(size=n))
-        g = rng.normal(size=n)
-        lam = float(rng.uniform(0.05, 1.0))
-        worst = max(worst, abs(subdiff_dist_l1(g, x, lam) - _refined_grid_dist(g, x, lam)))
-    return worst <= 1e-10, f"max gap to grid enumeration {worst:.2e}"
+    cases = random_subdiff_cases(14, 25) + random_subdiff_cases(2, 30)
+    worst = subdiff_grid_gap(cases)
+    return worst <= 1e-10, f"max gap to grid enumeration {worst:.2e} over {len(cases)} cases"
 
 
 # -------------------------------------------------------------- taylor checks
@@ -192,33 +338,48 @@ def _quartic_problem():
     return phase_retrieval_problem(data), x0
 
 
+@_named("taylor_matches_finite_differences")
 def _check_taylor_fd() -> tuple[bool, str]:
     problem, x0 = _quartic_problem()
-    worst = 0.0
+    y0 = x0 + 0.3 * np.arange(1, 7) / 7.0
+    cases = [(problem.smooth, x0, y0, p, 2.5) for p in (1, 2)]
+    quadratic = random_quadratic(6, seed=8)
+    rng = np.random.default_rng(9)
     for p in (1, 2):
-        center = ModelCenter.from_oracle(problem.smooth, x0, p)
-        y = x0 + 0.3 * np.arange(1, 7) / 7.0
-        worst = max(worst, _rel_err(_fd_grad(lambda t: taylor_value(center, t), y),
-                                    taylor_grad(center, y)))
-        worst = max(worst, _rel_err(_fd_grad(lambda t: model_value(center, t, 2.5), y),
-                                    model_grad(center, y, 2.5)))
-    return worst <= 1e-6, f"max relative FD error {worst:.2e}"
-
-
-def _check_taylor_exact_quadratic() -> tuple[bool, str]:
-    _, data, x0 = gen_diag_quad_l1(8, seed=3)
-    from .problems import diag_quad_problem
-
-    problem = diag_quad_problem(data)
-    center = ModelCenter.from_oracle(problem.smooth, x0, 2)
-    rng = np.random.default_rng(15)
+        for _ in range(10):
+            x = rng.normal(size=6)
+            y = x + rng.normal(scale=0.5, size=6)
+            cases.append((quadratic, x, y, p, float(rng.uniform(0.5, 20.0))))
     worst = 0.0
-    for _ in range(20):
-        y = x0 + rng.normal(size=8)
-        worst = max(worst, abs(taylor_value(center, y) - float(problem.smooth.value(y))))
-    return worst <= 1e-10, f"max |T_2 - F| on a quadratic = {worst:.2e}"
+    for oracle, x, y, p, M in cases:
+        center = ModelCenter.from_oracle(oracle, x, p)
+        worst = max(worst, _rel_err(fd_jac(lambda t: taylor_value(center, t), y),
+                                    taylor_grad(center, y)))
+        worst = max(worst, _rel_err(fd_jac(lambda t: model_value(center, t, M), y),
+                                    model_grad(center, y, M)))
+    return worst <= 1e-6, f"max relative FD error {worst:.2e} over {len(cases)} cases"
 
 
+@_named("taylor_exact_on_quadratics")
+def _check_taylor_exact_quadratic() -> tuple[bool, str]:
+    problem, _, x0 = gen_diag_quad_l1(8, seed=3)
+    rng = np.random.default_rng(15)
+    pairs = [(problem.smooth, x0, x0 + rng.normal(size=8)) for _ in range(20)]
+    quadratic = random_quadratic(5, seed=6)
+    rng = np.random.default_rng(7)
+    pairs += [(quadratic, rng.normal(size=5), rng.normal(size=5)) for _ in range(10)]
+    worst_v = worst_g = 0.0
+    for oracle, x, y in pairs:
+        center = ModelCenter.from_oracle(oracle, x, 2)
+        worst_v = max(worst_v, abs(taylor_value(center, y) - float(oracle.value(y))))
+        worst_g = max(worst_g, float(np.max(np.abs(taylor_grad(center, y) - oracle.grad(y)))))
+    return max(worst_v, worst_g) <= 1e-10, (
+        f"on quadratics max |T_2 - F| = {worst_v:.2e}, "
+        f"max |grad T_2 - grad F| = {worst_g:.2e}"
+    )
+
+
+@_named("model_regularization_monotone")
 def _check_model_reg_monotone() -> tuple[bool, str]:
     problem, x0 = _quartic_problem()
     center = ModelCenter.from_oracle(problem.smooth, x0, 2)
@@ -233,48 +394,54 @@ def _check_model_reg_monotone() -> tuple[bool, str]:
 # ------------------------------------------------------------ problem checks
 
 
+def _phase_fd_errors(cases) -> tuple[float, float, float]:
+    """``fd_errors`` maxima over phase instances (n, m, seed, point seed,
+    point std), ten random points each."""
+    worst = np.zeros(3)
+    for n, m, seed, point_seed, std in cases:
+        problem, _, _ = gen_phase_retrieval(n, m, seed=seed, noise_scale=1.0)
+        rng = np.random.default_rng(point_seed)
+        points = [rng.normal(0.0, std, size=n) for _ in range(10)]
+        worst = np.maximum(worst, fd_errors(problem, points))
+    return tuple(float(w) for w in worst)
+
+
+@_named("phase_gradient_finite_differences")
 def _check_phase_grad_fd() -> tuple[bool, str]:
-    problem, _, _ = gen_phase_retrieval(8, 40, seed=5, noise_scale=1.0)
-    rng = np.random.default_rng(16)
-    worst = 0.0
-    for _ in range(10):
-        x = rng.normal(size=8)
-        worst = max(worst, _rel_err(problem.smooth.grad(x),
-                                    _fd_grad(problem.smooth.value, x, h=1e-6)))
-    return worst <= 1e-5, f"max relative FD error {worst:.2e}"
+    grad_err, _, _ = _phase_fd_errors([(8, 40, 5, 16, 1.0), (8, 32, 3, 30, 0.8)])
+    return grad_err <= 1e-5, f"max relative FD error {grad_err:.2e}"
 
 
+@_named("phase_hessian_finite_differences")
 def _check_phase_hess_fd() -> tuple[bool, str]:
-    problem, _, _ = gen_phase_retrieval(8, 40, seed=5, noise_scale=1.0)
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(10):
-        x = rng.normal(size=8)
-        worst = max(worst, _rel_err(problem.smooth.hess(x),
-                                    _fd_jac(problem.smooth.grad, x, h=1e-6)))
-    return worst <= 1e-5, f"max relative FD error {worst:.2e}"
+    _, hess_err, asym = _phase_fd_errors([(8, 40, 5, 17, 1.0), (6, 24, 4, 31, 0.8)])
+    return hess_err <= 1e-5 and asym <= 1e-12, (
+        f"max relative FD error {hess_err:.2e}, asymmetry {asym:.1e}"
+    )
 
 
+@_named("phase_hessian_two_loop_reference")
 def _check_phase_hess_reference() -> tuple[bool, str]:
-    _, data, _ = gen_phase_retrieval(5, 20, seed=6, noise_scale=0.5)
-    from .problems import phase_oracle
-
-    rng = np.random.default_rng(18)
-    x = rng.normal(size=5)
-    H = phase_oracle(data, x, 2)
-    ref = np.zeros((5, 5))
-    for i in range(data.m):
-        a = data.A[i]
-        s = float(a @ x)
-        w = (2.0 / data.m) * (3.0 * s * s - data.y[i])
-        for j in range(5):
-            for l in range(5):
-                ref[j, l] += w * a[j] * a[l]
-    sym = float(np.max(np.abs(H - H.T)))
-    err = float(np.max(np.abs(H - ref)))
+    err = sym = 0.0
+    for m, seed, point_seed in ((20, 6, 18), (12, 5, 32)):
+        problem, data, _ = gen_phase_retrieval(5, m, seed=seed, noise_scale=0.5)
+        x = np.random.default_rng(point_seed).normal(size=5)
+        H = problem.smooth.hess(x)
+        # H = (2/m) * sum_i (3 s_i^2 - y_i) a_i a_i^T, built entry by entry
+        ref = np.zeros((5, 5))
+        for i in range(data.m):
+            a = data.A[i]
+            s = float(a @ x)
+            w = (2.0 / data.m) * (3.0 * s * s - data.y[i])
+            for j in range(5):
+                for l in range(5):
+                    ref[j, l] += w * a[j] * a[l]
+        sym = max(sym, float(np.max(np.abs(H - H.T))))
+        err = max(err, float(np.max(np.abs(H - ref))))
     return err <= 1e-10 and sym <= 1e-12, f"entrywise gap {err:.1e}, asymmetry {sym:.1e}"
 
 
+@_named("generation_determinism")
 def _check_generation_determinism() -> tuple[bool, str]:
     _, d1, x1 = gen_phase_retrieval(7, 23, seed=42, noise_scale=1.0)
     _, d2, x2 = gen_phase_retrieval(7, 23, seed=42, noise_scale=1.0)
@@ -283,18 +450,20 @@ def _check_generation_determinism() -> tuple[bool, str]:
         and np.array_equal(d1.z, d2.z) and np.array_equal(d1.noise, d2.noise)
         and np.array_equal(x1, x2) and data_hash(d1) == data_hash(d2)
     )
+    a, b, c = (gen_phase_retrieval(6, 18, seed=s, noise_scale=1.0) for s in (9, 9, 10))
+    same = same and data_hash(a[1]) == data_hash(b[1]) and np.array_equal(a[2], b[2])
+    differs = data_hash(a[1]) != data_hash(c[1])
     _, q1, _ = gen_diag_quad_l1(9, seed=4)
     _, q2, _ = gen_diag_quad_l1(9, seed=4)
     same = same and np.array_equal(q1.d, q2.d) and np.array_equal(q1.c, q2.c)
-    return same, "regeneration is bit-identical"
+    return same and differs, "regeneration is bit-identical; another seed changes the hash"
 
 
+@_named("diag_exact_solution")
 def _check_diag_exact_solution() -> tuple[bool, str]:
-    from .problems import DiagQuadL1Data
-
     data = DiagQuadL1Data(d=np.array([1.0]), c=np.array([2.0]), lam=0.5)
     x_star, f_star = exact_solution_diag(data)
-    ok = abs(x_star[0] - 1.5) <= 1e-15 and abs(f_star - 0.875) <= 1e-15
+    ok = x_star[0] == 1.5 and f_star == 0.875
     problem, data2, _ = gen_diag_quad_l1(30, seed=8)
     xs, _ = exact_solution_diag(data2)
     d = stationarity(problem, xs)
@@ -323,30 +492,19 @@ def _small_instances(count: int, seed: int = 100):
         yield problem, x0, int(rng.integers(1, 3))
 
 
+@_named("certificate_soundness")
 def _check_certificate_soundness() -> tuple[bool, str]:
-    worst = -np.inf
     count = 0
     for problem, x0, p in _small_instances(30, seed=101):
         config = RunConfig(p=p, stop_f=-np.inf, stop_stat=-1.0, max_outer=3)
-        center = ModelCenter.from_oracle(problem.smooth, x0, p)
-        R = problem.f(x0)
-        M = config.M0
-        for _ in range(3):
-            step = try_step(problem, center, R, M, config)
-            re_cert = certify(problem, center, step.y, step.M_used, config.theta,
-                              witness_p=step.witness)
-            if not re_cert.valid and re_cert.residual > re_cert.threshold + 1e-8:
-                return False, f"invalid certificate (residual {re_cert.residual:.3e})"
-            worst = max(worst, abs(re_cert.residual - step.cert.residual))
-            count += 1
-            if step.cert.step_norm < 1e-12:
-                break
-            R = update_reference(R, step.f_cand, 0.5)
-            center = ModelCenter.from_oracle(problem.smooth, step.y, p)
-            M = max(step.M_used / 2.0, config.M0)
-    return True, f"{count} accepted steps re-certified; max residual gap {worst:.1e}"
+        checked, failures = recertify_run(problem, x0, config)
+        if failures:
+            return False, failures[0]
+        count += checked
+    return True, f"{count} accepted steps re-certified (slack 1e-8)"
 
 
+@_named("inner_monotone_and_witness")
 def _check_inner_monotone_witness() -> tuple[bool, str]:
     problem, _, x0 = gen_phase_retrieval(6, 30, seed=9, noise_scale=1.0, lam=0.05)
     lam = 0.05
@@ -381,6 +539,7 @@ def _seeded_runs(scale: str):
                 yield "diag", seed, p, u, nhota_run(problem, x0, cfg), cfg
 
 
+@_named("reference_descent_invariants", scaled=True)
 def _check_reference_invariants(scale: str) -> tuple[bool, str]:
     runs = 0
     for name, seed, p, u, trace, cfg in _seeded_runs(scale):
@@ -391,23 +550,32 @@ def _check_reference_invariants(scale: str) -> tuple[bool, str]:
     return True, f"reference descent and level set: clean over {runs} runs"
 
 
+@_named("monotone_objective_at_u1")
 def _check_monotone_u1() -> tuple[bool, str]:
-    problem, _, x0 = gen_phase_retrieval(10, 60, seed=3, noise_scale=1.0)
-    cfg = RunConfig(p=2, u=1.0, max_outer=40, stop_f=-np.inf, stop_stat=-1.0)
-    trace = nhota_run(problem, x0, cfg)
-    f_vals = trace.f_values()
-    r_vals = trace.r_values()
-    mono = bool(np.all(np.diff(f_vals) <= 0.0))
-    tied = float(np.max(np.abs(r_vals - f_vals)))
-    return mono and tied == 0.0, (
-        f"objective monotone over {trace.iterations()} steps, max |R - f| = {tied:.1e}"
+    runs = [
+        (gen_phase_retrieval(10, 60, seed=3, noise_scale=1.0),
+         dict(stop_f=-np.inf, stop_stat=-1.0)),
+        (gen_phase_retrieval(8, 40, seed=2, noise_scale=0.5), {}),
+    ]
+    ok, steps, tied = True, [], 0.0
+    for (problem, _, x0), stops in runs:
+        trace = nhota_run(problem, x0, RunConfig(p=2, u=1.0, max_outer=40, **stops))
+        f_vals, r_vals = trace.f_values(), trace.r_values()
+        tied = max(tied, float(np.max(np.abs(r_vals - f_vals))))
+        ok = ok and len(trace.rows) > 0 and bool(np.all(np.diff(f_vals) <= 0.0))
+        steps.append(str(trace.iterations()))
+    return ok and tied == 0.0, (
+        f"objective monotone over {' and '.join(steps)} steps, max |R - f| = {tied:.1e}"
     )
 
 
+@_named("fault_injection_catches_corruption")
 def _check_fault_injection() -> tuple[bool, str]:
     """A corrupted acceptance test (Mtilde sign flipped) must be caught by
     the reference-descent checker; this guards the checker itself.  Seed 3
-    is a run where the corrupted rule provably admits an uphill step."""
+    is a run where the corrupted rule provably admits an uphill step.  The
+    checker must also pass a clean run and flag one of its reference values
+    pushed above its predecessor."""
     problem, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
     p, Mtilde, u = 2, 10.0, 1.0
     config = RunConfig(p=p, Mtilde=Mtilde, u=u, max_outer=12,
@@ -446,27 +614,40 @@ def _check_fault_injection() -> tuple[bool, str]:
         np.array(f_vals), np.array(r_vals), np.array(steps),
         u_min=config.u_min, Mtilde=Mtilde, p=p,
     )
-    return len(violations) > 0, f"checker flagged {len(violations)} violations as it must"
+
+    problem, _, x0 = gen_diag_quad_l1(12, seed=5)
+    cfg = RunConfig(p=2, u=0.5, max_outer=30)
+    trace = nhota_run(problem, x0, cfg)
+    f_vals, r_vals, steps = trace.f_values(), trace.r_values(), trace.step_norms()
+    clean = check_reference_descent(f_vals, r_vals, steps, cfg.u_min, cfg.Mtilde, cfg.p)
+    r_vals[len(r_vals) // 2] = r_vals[len(r_vals) // 2 - 1] + 1.0
+    raised = check_reference_descent(f_vals, r_vals, steps, cfg.u_min, cfg.Mtilde, cfg.p)
+    return len(violations) > 0 and not clean and len(raised) > 0, (
+        f"checker flagged {len(violations)} violations of the corrupted rule and "
+        f"{len(raised)} of a raised reference value, {len(clean)} on a clean run"
+    )
 
 
 # ------------------------------------------------------------- metric checks
 
 
+@_named("rate_fit_power_law")
 def _check_rate_fit() -> tuple[bool, str]:
-    k = np.arange(60, dtype=float)
-    series = np.empty_like(k)
-    series[0] = 1.0
-    series[1:] = k[1:] ** (-2.0 / 3.0)
-    fit = rate_fit(series)
-    err = abs(fit.slope + 2.0 / 3.0)
-    # independent secant estimate across the window endpoints
-    a, b = fit.window[0], fit.window[1] - 1
-    secant = (np.log(series[b]) - np.log(series[a])) / (np.log(b) - np.log(a))
-    return err <= 1e-6 and abs(fit.slope - secant) <= 1e-3 and fit.r2 >= 1.0 - 1e-12, (
-        f"slope {fit.slope:.8f}, secant gap {abs(fit.slope - secant):.1e}, r2 {fit.r2:.6f}"
+    ok, worst_secant = True, 0.0
+    for scale, exponent, size in ((1.0, -2.0 / 3.0, 60), (3.0, -1.7, 50)):
+        series = np.concatenate(([1.0], scale * np.arange(1, size, dtype=float) ** exponent))
+        fit = rate_fit(series)
+        # independent secants: across the window endpoints and across k = 10..40
+        for a, b in ((fit.window[0], fit.window[1] - 1), (10, 40)):
+            secant = (np.log(series[b]) - np.log(series[a])) / (np.log(b) - np.log(a))
+            worst_secant = max(worst_secant, abs(fit.slope - secant))
+        ok = ok and abs(fit.slope - exponent) <= 1e-6 and fit.r2 >= 1.0 - 1e-12
+    return ok and worst_secant <= 1e-3, (
+        f"slopes exact to 1e-6 on k^-2/3 and 3k^-1.7, secant gap {worst_secant:.1e}"
     )
 
 
+@_named("kl_probe_synthetic")
 def _check_kl_probe() -> tuple[bool, str]:
     k = np.arange(40, dtype=float)
     lin = kl_probe(2.0 ** (-k), f_star=0.0)
@@ -479,6 +660,7 @@ def _check_kl_probe() -> tuple[bool, str]:
     )
 
 
+@_named("remainder_bound_phase", scaled=True)
 def _check_remainder_phase(scale: str) -> tuple[bool, str]:
     if scale == "quick":
         problem, _, x0 = gen_phase_retrieval(8, 40, seed=7, noise_scale=1.0)
@@ -498,6 +680,7 @@ def _check_remainder_phase(scale: str) -> tuple[bool, str]:
     )
 
 
+@_named("remainder_bound_diag")
 def _check_remainder_diag() -> tuple[bool, str]:
     problem, _, x0 = gen_diag_quad_l1(50, seed=5)
     ok = True
@@ -509,6 +692,7 @@ def _check_remainder_diag() -> tuple[bool, str]:
     return ok, "; ".join(detail)
 
 
+@_named("lipschitz_constant_grows_with_box")
 def _check_lipschitz_growth() -> tuple[bool, str]:
     """The empirical derivative Lipschitz constant must grow with the box,
     confirming why a fixed global constant is not usable here."""
@@ -519,6 +703,7 @@ def _check_lipschitz_growth() -> tuple[bool, str]:
     return grew, f"L_hat {reps[0].L_hat:.2f} at radius 1 -> {reps[1].L_hat:.2f} at radius 8"
 
 
+@_named("stationarity_perturbation_envelope")
 def _check_stationarity_perturbation() -> tuple[bool, str]:
     problem, _, x0 = gen_phase_retrieval(8, 40, seed=10, noise_scale=1.0, lam=0.05)
     rng = np.random.default_rng(19)
@@ -534,6 +719,7 @@ def _check_stationarity_perturbation() -> tuple[bool, str]:
     return worst <= 1e-12, f"max excess over perturbation envelope {worst:.2e}"
 
 
+@_named("diag_quad_convergence")
 def _check_diag_convergence() -> tuple[bool, str]:
     problem, data, x0 = gen_diag_quad_l1(30, seed=6)
     _, f_star = exact_solution_diag(data)
@@ -543,6 +729,7 @@ def _check_diag_convergence() -> tuple[bool, str]:
     return gap <= 1e-8, f"f - f* = {gap:.2e} after {trace.iterations()} iterations"
 
 
+@_named("trace_and_summary_files")
 def _check_trace_files() -> tuple[bool, str]:
     from .cli import ExperimentConfig, run_experiment
     from .driver import TRACE_HEADER
@@ -563,6 +750,7 @@ def _check_trace_files() -> tuple[bool, str]:
     )
 
 
+@_named("desk_scale_phase_retrieval")
 def _check_desk_scale() -> tuple[bool, str]:
     problem, _, x0 = gen_phase_retrieval(100, 1000, seed=1, noise_scale=1.0)
     cfg = RunConfig(p=2, u=0.5, max_outer=500, stop_f=1e-3, stop_stat=1e-3)
@@ -572,51 +760,3 @@ def _check_desk_scale() -> tuple[bool, str]:
         f"status {trace.status} after {trace.iterations()} iterations, "
         f"final stationarity {trace.stat_final:.2e}"
     )
-
-
-def check_suite(scale: str = "quick") -> list[CheckResult]:
-    """Run every named check; ``scale`` is "quick" or "full"."""
-    if scale not in ("quick", "full"):
-        raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
-    named: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-        ("prox_soft_threshold_examples", _check_prox_examples),
-        ("prox_tiny_tau_identity", _check_prox_tiny_tau),
-        ("prox_grid_agreement", _check_prox_grid),
-        ("prox_nonexpansive", _check_prox_nonexpansive),
-        ("prox_optimality_vs_perturbations", _check_prox_optimality),
-        ("subdiff_dist_examples", _check_subdiff_examples),
-        ("subdiff_zero_iff_prox_fixed_point", _check_subdiff_zero_iff_opt),
-        ("subdiff_grid_enumeration", _check_subdiff_grid),
-        ("taylor_matches_finite_differences", _check_taylor_fd),
-        ("taylor_exact_on_quadratics", _check_taylor_exact_quadratic),
-        ("model_regularization_monotone", _check_model_reg_monotone),
-        ("phase_gradient_finite_differences", _check_phase_grad_fd),
-        ("phase_hessian_finite_differences", _check_phase_hess_fd),
-        ("phase_hessian_two_loop_reference", _check_phase_hess_reference),
-        ("generation_determinism", _check_generation_determinism),
-        ("diag_exact_solution", _check_diag_exact_solution),
-        ("certificate_soundness", _check_certificate_soundness),
-        ("inner_monotone_and_witness", _check_inner_monotone_witness),
-        ("reference_descent_invariants", lambda: _check_reference_invariants(scale)),
-        ("monotone_objective_at_u1", _check_monotone_u1),
-        ("fault_injection_catches_corruption", _check_fault_injection),
-        ("rate_fit_power_law", _check_rate_fit),
-        ("kl_probe_synthetic", _check_kl_probe),
-        ("remainder_bound_phase", lambda: _check_remainder_phase(scale)),
-        ("remainder_bound_diag", _check_remainder_diag),
-        ("lipschitz_constant_grows_with_box", _check_lipschitz_growth),
-        ("stationarity_perturbation_envelope", _check_stationarity_perturbation),
-        ("diag_quad_convergence", _check_diag_convergence),
-        ("trace_and_summary_files", _check_trace_files),
-    ]
-    if scale == "full":
-        named.append(("desk_scale_phase_retrieval", _check_desk_scale))
-
-    results = []
-    for name, fn in named:
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {exc!r}"
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
-    return results

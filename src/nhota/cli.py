@@ -195,7 +195,7 @@ def _write_summary(path: Path, entries: dict) -> None:
 
 
 def _summary_entries(cfg: ExperimentConfig, runcfg: RunConfig, trace: IterateTrace,
-                     problem: CompositeProblem, data, wall_total: float) -> dict:
+                     problem: CompositeProblem, digest: str, wall_total: float) -> dict:
     entries = {
         "status": trace.status,
         "iterations": trace.iterations(),
@@ -207,7 +207,7 @@ def _summary_entries(cfg: ExperimentConfig, runcfg: RunConfig, trace: IterateTra
         "p": runcfg.p,
         "u": runcfg.u,
         "seed": cfg.seed,
-        "data_hash": data_hash(data),
+        "data_hash": digest,
         "wall_millis_total": wall_total,
     }
     if problem.known_opt is not None:
@@ -238,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     runcfg = run_config_of(cfg)
     trace, wall = _run_to_files(problem, x0, runcfg, out / "trace.csv")
     _write_summary(out / "summary.txt",
-                   _summary_entries(cfg, runcfg, trace, problem, data, wall))
+                   _summary_entries(cfg, runcfg, trace, problem, data_hash(data), wall))
     return trace
 
 
@@ -252,13 +252,14 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, data, x0 = build_problem(cfg)
+    digest = data_hash(data)
     traces: dict[float, IterateTrace] = {}
     for u in cfg.u_list:
         tag = f"u{u:g}"
         runcfg = run_config_of(cfg, u=u)
         trace, wall = _run_to_files(problem, x0, runcfg, out / f"trace_{tag}.csv")
         _write_summary(out / f"summary_{tag}.txt",
-                       _summary_entries(cfg, runcfg, trace, problem, data, wall))
+                       _summary_entries(cfg, runcfg, trace, problem, digest, wall))
         traces[u] = trace
 
     columns: dict[float, tuple[np.ndarray, np.ndarray]] = {

@@ -272,6 +272,8 @@ def solve_subproblem(
         raise ValueError(f"theta must be positive, got {theta}")
     if not step_guess > 0:
         raise ValueError(f"step_guess must be positive, got {step_guess}")
+    if max_inner < 1:
+        raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     p = center.p
     if p == 1:
         return _solve_first_order(problem, center, M, theta)
@@ -292,6 +294,10 @@ def solve_subproblem(
     g_reg = model_grad(center, y, M)
     floor = residual_floor(center)
 
+    # res, thr, step_norm and witness always describe the current iterate y;
+    # with an opaque h no residual exists until the first prox step.
+    res: Optional[float] = None
+    witness: Optional[Vector] = None
     # The start point may already be certified (e.g. a stationary center,
     # or a warm start that survived an M increase).
     if h.subdiff_dist is not None:
@@ -300,20 +306,6 @@ def solve_subproblem(
         thr = theta * step_norm**p
         if res <= thr + floor:
             return _certified(center, y, res, thr, step_norm, 0, None)
-
-    last: Optional[tuple[float, float, float, Optional[Vector]]] = None
-
-    def stalled_state(t: int) -> tuple[float, float, float, Optional[Vector]]:
-        """(res, thr, step_norm, witness) at the current, frozen iterate."""
-        if h.subdiff_dist is not None:
-            s_n = float(np.linalg.norm(y - x))
-            return _residual(problem, g_reg, y, None), theta * s_n**p, s_n, None
-        if last is not None:
-            return last
-        raise InnerSolveFailure(
-            f"iterate frozen at inner iteration {t} before any residual "
-            "was measured", iterations=t,
-        )
 
     alpha = step_guess
     for t in range(1, max_inner + 1):
@@ -334,7 +326,11 @@ def solve_subproblem(
         if not frozen:
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
-            res, thr, step_norm, witness = stalled_state(t)
+            if res is None:
+                raise InnerSolveFailure(
+                    f"iterate frozen at inner iteration {t} before any residual "
+                    "was measured", iterations=t,
+                )
             return _stalled_or_fail(center, y, res, thr, step_norm, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
@@ -346,7 +342,6 @@ def solve_subproblem(
         thr = theta * step_norm**p
         if res <= thr + floor or _degenerate(center, step_norm, res):
             return _certified(center, y, res, thr, step_norm, t, witness)
-        last = (res, thr, step_norm, witness)
 
     return _stalled_or_fail(center, y, res, thr, step_norm, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")

@@ -33,6 +33,22 @@ from .core import (
 HESS_SYMMETRY_RTOL = 1e-12
 
 
+# Rows per block in ``_max_asymmetry``: blocks of at most this many entries
+# (64 KB) stay small heap temporaries instead of n-by-n ones.
+_SYMMETRY_BLOCK_ENTRIES = 8192
+
+
+def _max_asymmetry(H: Matrix) -> float:
+    """max |H - H^T|, one block of rows at a time."""
+    n = H.shape[0]
+    rows = max(1, _SYMMETRY_BLOCK_ENTRIES // n)
+    worst = 0.0
+    for i in range(0, n, rows):
+        d = H[i:i + rows] - H[:, i:i + rows].T
+        worst = max(worst, float(d.max()), -float(d.min()))
+    return worst
+
+
 @dataclass(frozen=True)
 class ModelCenter:
     """Cached derivatives of F at an expansion point x.
@@ -73,8 +89,8 @@ class ModelCenter:
                 )
             if not np.all(np.isfinite(Hx)):
                 raise OracleFailure("Hessian is non-finite")
-            asym = float(np.max(np.abs(Hx - Hx.T)))
-            tol = HESS_SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(Hx))))
+            asym = _max_asymmetry(Hx)
+            tol = HESS_SYMMETRY_RTOL * max(1.0, float(Hx.max()), -float(Hx.min()))
             if asym > tol:
                 raise OracleContractError(
                     f"Hessian is not symmetric: max |H - H^T| = {asym:.3e} "

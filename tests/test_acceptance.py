@@ -2,7 +2,10 @@
 
 Every criterion test prints exactly one "CRITERION n: PASS|FAIL — detail"
 line before asserting, so the harness log always carries the verdict even
-when pytest captures the output.  Tolerances are pinned here and nowhere else.
+when pytest captures the output.  Inputs and tolerances are pinned here and
+nowhere else; the reference oracles the criteria measure against (central
+differences, the grid prox, the grid subdifferential distance, and the
+re-certifying outer loop) are the one copy in ``nhota.checks``.
 """
 
 import time
@@ -11,22 +14,23 @@ import numpy as np
 import pytest
 
 from nhota import (
-    ModelCenter,
     RunConfig,
-    certify,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
     kl_probe,
     min_prefix,
     nhota_run,
-    prox_l1,
     rate_fit,
     remainder_check,
-    stationarity,
-    subdiff_dist_l1,
-    try_step,
-    update_reference,
+)
+from nhota.checks import (
+    fd_errors,
+    prox_grid_gap,
+    random_prox_pairs,
+    random_subdiff_cases,
+    recertify_run,
+    subdiff_grid_gap,
 )
 
 DISABLED = dict(stop_f=-np.inf, stop_stat=0.0)
@@ -223,28 +227,9 @@ def test_criterion_6_certificate_soundness():
             problem, _, x0 = gen_diag_quad_l1(n, seed=seed)
         p = int(rng.choice([1, 2]))
         u = float(rng.choice([0.05, 0.5, 1.0]))
-        cfg = RunConfig(p=p, u=u, max_outer=60)
-
-        x, R, M = x0, problem.f(x0), cfg.M0
-        for k in range(cfg.max_outer):
-            if problem.f(x) <= cfg.stop_f or stationarity(problem, x) <= cfg.stop_stat:
-                break
-            center = ModelCenter.from_oracle(problem.smooth, x, p)
-            step = try_step(problem, center, R, M, cfg)
-            if step.stationary:
-                break
-            fresh = certify(problem, center, step.y, step.M_used, cfg.theta,
-                            witness_p=step.witness)
-            checked += 1
-            if not fresh.decrease_ok:
-                failures.append(f"i={i} k={k}: model decrease failed")
-            if fresh.residual > cfg.theta * fresh.step_norm**p + 1e-8:
-                failures.append(
-                    f"i={i} k={k}: residual {fresh.residual:.3e} above "
-                    f"threshold {cfg.theta * fresh.step_norm**p:.3e} + 1e-8")
-            x = step.y
-            R = update_reference(R, step.f_cand, cfg.u_at(k + 1))
-            M = max(step.M_used / 2.0, cfg.M0)
+        steps, fails = recertify_run(problem, x0, RunConfig(p=p, u=u, max_outer=60))
+        checked += steps
+        failures += [f"i={i} {line}" for line in fails]
     ok = not failures and checked > 0
     report(6, ok, f"{checked} accepted steps re-certified across 100 "
                   f"instances, {len(failures)} failures (slack 1e-8)")
@@ -254,67 +239,13 @@ def test_criterion_6_certificate_soundness():
 # -------------------------------------------------------------- criterion 7
 
 
-def grid_prox_1d(v: float, tau: float, step: float = 1e-4) -> float:
-    ys = np.arange(-2.0, 2.0 + step, step)
-    return float(ys[np.argmin(tau * np.abs(ys) + 0.5 * (ys - v) ** 2)])
-
-
-def grid_subdiff_dist(g, x, lam: float) -> float:
-    total = 0.0
-    for gi, xi in zip(np.asarray(g, float), np.asarray(x, float)):
-        if xi != 0.0:
-            total += (gi + lam * np.sign(xi)) ** 2
-            continue
-        lo, hi = -1.0, 1.0
-        best = np.inf
-        for _ in range(4):
-            ss = np.linspace(lo, hi, 1001)
-            vals = np.abs(gi + lam * ss)
-            j = int(np.argmin(vals))
-            best = float(vals[j])
-            width = (hi - lo) / 1000.0
-            lo, hi = max(-1.0, ss[j] - width), min(1.0, ss[j] + width)
-        total += best**2
-    return float(np.sqrt(total))
-
-
 def test_criterion_7_oracle_correctness():
     problem, _, _ = gen_phase_retrieval(10, 40, seed=5, noise_scale=1.0)
     rng = np.random.default_rng(123)
-    grad_err = hess_err = 0.0
-    h = 1e-6
-    for _ in range(10):
-        x = rng.normal(0.0, 0.8, size=10)
-        g = problem.smooth.grad(x)
-        H = problem.smooth.hess(x)
-        fd_g = np.empty(10)
-        fd_H = np.empty((10, 10))
-        for j in range(10):
-            e = np.zeros(10)
-            e[j] = h
-            fd_g[j] = (problem.smooth.value(x + e) - problem.smooth.value(x - e)) / (2 * h)
-            fd_H[:, j] = (problem.smooth.grad(x + e) - problem.smooth.grad(x - e)) / (2 * h)
-        grad_err = max(grad_err, np.linalg.norm(fd_g - g) / max(1.0, np.linalg.norm(g)))
-        hess_err = max(hess_err, np.linalg.norm(fd_H - H) / max(1.0, np.linalg.norm(H)))
-
-    prox_err = abs(float(prox_l1(np.array([0.7]), 0.5)[0]) - grid_prox_1d(0.7, 0.5))
-    prox_rng = np.random.default_rng(124)
-    for _ in range(40):
-        v = float(prox_rng.uniform(-1.5, 1.5))
-        tau = float(prox_rng.uniform(0.05, 1.0))
-        got = float(prox_l1(np.array([v]), tau)[0])
-        prox_err = max(prox_err, abs(got - grid_prox_1d(v, tau)))
-
-    sub_err = 0.0
-    sub_rng = np.random.default_rng(125)
-    for _ in range(25):
-        n = int(sub_rng.integers(1, 4))
-        x = sub_rng.normal(size=n)
-        x[sub_rng.random(n) < 0.5] = 0.0
-        g = sub_rng.normal(size=n)
-        lam = float(sub_rng.uniform(0.05, 1.0))
-        sub_err = max(sub_err, abs(subdiff_dist_l1(g, x, lam)
-                                   - grid_subdiff_dist(g, x, lam)))
+    points = [rng.normal(0.0, 0.8, size=10) for _ in range(10)]
+    grad_err, hess_err, _ = fd_errors(problem, points)
+    prox_err = prox_grid_gap([(0.7, 0.5)] + random_prox_pairs(124, 40))
+    sub_err = subdiff_grid_gap(random_subdiff_cases(125, 25))
 
     ok = grad_err <= 1e-5 and hess_err <= 1e-5 and prox_err <= 2e-4 and sub_err <= 1e-10
     report(7, ok, f"FD grad err {grad_err:.2e}, FD hess err {hess_err:.2e} "

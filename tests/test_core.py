@@ -1,9 +1,7 @@
 """Vector plumbing, the l1 prox, and the exact l1 subdifferential distance.
 
-Grid oracles here are deliberately independent of the closed forms they
-check: the prox oracle minimizes the prox objective over a dense 1-D grid,
-and the subdifferential oracle enumerates the subgradient box with nested
-grid refinement.
+The worked examples and the grid-oracle agreement of the prox and the
+subdifferential distance are named checks in ``nhota.checks``.
 """
 
 import numpy as np
@@ -18,44 +16,6 @@ from nhota import (
     subdiff_dist_l1,
 )
 from nhota.core import as_vector
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def grid_prox_1d(v: float, tau: float, lo=-2.0, hi=2.0, step=1e-4) -> float:
-    """Brute-force argmin of tau*|y| + (1/2)(y - v)^2 on a dense grid."""
-    ys = np.arange(lo, hi + step, step)
-    obj = tau * np.abs(ys) + 0.5 * (ys - v) ** 2
-    return float(ys[np.argmin(obj)])
-
-
-def grid_subdiff_dist(g, x, lam: float, rounds: int = 4, pts: int = 1001) -> float:
-    """dist(0, g + lam*d||x||_1) by per-coordinate nested grid refinement.
-
-    Coordinates with x_i != 0 have the singleton subgradient lam*sign(x_i);
-    coordinates at zero are minimized over s in [-1, 1] by refining a grid
-    around the best point until the value is resolved below 1e-10.
-    """
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for gi, xi in zip(g, x):
-        if xi != 0.0:
-            total += (gi + lam * np.sign(xi)) ** 2
-            continue
-        lo, hi = -1.0, 1.0
-        best = None
-        for _ in range(rounds):
-            ss = np.linspace(lo, hi, pts)
-            vals = np.abs(gi + lam * ss)
-            j = int(np.argmin(vals))
-            best = float(vals[j])
-            width = (hi - lo) / (pts - 1)
-            lo = max(-1.0, ss[j] - width)
-            hi = min(1.0, ss[j] + width)
-        total += best**2
-    return float(np.sqrt(total))
 
 
 # -------------------------------------------------------------- as_vector
@@ -81,17 +41,6 @@ def test_as_vector_rejects_bad_input():
 # ---------------------------------------------------------------- prox_l1
 
 
-def test_prox_l1_worked_example():
-    out = prox_l1(np.array([3.0, -0.5, 0.0]), 1.0)
-    assert np.array_equal(out, np.array([2.0, 0.0, 0.0]))
-
-
-def test_prox_l1_tiny_tau_is_near_identity():
-    v = np.array([0.3, -1.7, 0.0, 4.2])
-    out = prox_l1(v, 1e-300)
-    assert np.max(np.abs(out - v)) <= 1e-12
-
-
 def test_prox_l1_rejects_nonpositive_tau():
     with pytest.raises(ValueError):
         prox_l1(np.array([1.0]), 0.0)
@@ -110,43 +59,7 @@ def test_prox_l1_shrinks_toward_zero():
         assert np.array_equal(np.sign(out[nz]), np.sign(v[nz]))
 
 
-def test_prox_l1_matches_grid_oracle():
-    assert abs(grid_prox_1d(0.7, 0.5) - 0.2) <= 2e-4
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        v = float(rng.uniform(-1.5, 1.5))
-        tau = float(rng.uniform(0.05, 1.0))
-        got = float(prox_l1(np.array([v]), tau)[0])
-        assert abs(got - grid_prox_1d(v, tau)) <= 2e-4
-
-
 # --------------------------------------------------------- subdiff_dist_l1
-
-
-def test_subdiff_dist_l1_worked_examples():
-    # interior coordinate, subgradient cancels the gradient exactly
-    assert subdiff_dist_l1(np.array([-0.5]), np.array([1.0]), 0.5) == 0.0
-    # zero coordinate, interval [-lam, lam] absorbs part of g
-    assert subdiff_dist_l1(np.array([2.0]), np.array([0.0]), 0.5) == 1.5
-    # nonzero coordinate, fixed subgradient lam*sign(x)
-    assert abs(subdiff_dist_l1(np.array([-0.2]), np.array([1.0]), 0.5) - 0.3) <= 1e-15
-    # all three combined
-    got = subdiff_dist_l1(
-        np.array([-0.5, 2.0, -0.2]), np.array([1.0, 0.0, 1.0]), 0.5
-    )
-    assert abs(got - np.sqrt(1.5**2 + 0.3**2)) <= 1e-14
-
-
-def test_subdiff_dist_l1_matches_grid_enumeration():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        x = rng.normal(0.0, 1.0, size=n)
-        x[rng.random(n) < 0.5] = 0.0
-        g = rng.normal(0.0, 1.0, size=n)
-        lam = float(rng.uniform(0.05, 1.0))
-        got = subdiff_dist_l1(g, x, lam)
-        assert abs(got - grid_subdiff_dist(g, x, lam)) <= 1e-10
 
 
 def test_subdiff_dist_l1_validation():

@@ -240,6 +240,8 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         solve_subproblem(prob, center, M=1.0, theta=0.1, step_guess=0.0)
     with pytest.raises(ValueError):
+        solve_subproblem(prob, center, M=1.0, theta=0.1, max_inner=0)
+    with pytest.raises(ValueError):
         certify(prob, center, np.zeros(1), M=1.0, theta=-1.0)
 
 

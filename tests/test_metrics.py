@@ -97,14 +97,6 @@ def test_rate_fit_matches_independent_least_squares():
     assert abs(fit.intercept - coef[1]) <= 1e-10
 
 
-def test_rate_fit_agrees_with_secant_on_pure_powers():
-    # for v_k = C k^s, the two-point secant equals the fitted slope
-    series = np.concatenate([[1.0], 3.0 * np.arange(1, 50, dtype=float) ** -1.7])
-    fit = rate_fit(series)
-    secant = (np.log(series[40]) - np.log(series[10])) / (np.log(40) - np.log(10))
-    assert abs(fit.slope - secant) <= 1e-3
-
-
 def test_rate_fit_validation():
     good = 1.0 / np.arange(1, 20, dtype=float)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhota import CapabilityError, ModelCenter, OracleFailure, SmoothOracle
+from nhota.checks import random_quadratic
 from nhota.taylor import model_grad, model_value, taylor_grad, taylor_value
 
 FACT = {1: 1.0, 2: 2.0, 3: 6.0}
@@ -18,30 +19,6 @@ def quartic_1d() -> SmoothOracle:
         grad=lambda x: np.array([4.0 * x[0] ** 3]),
         hess=lambda x: np.array([[12.0 * x[0] ** 2]]),
     )
-
-
-def random_quadratic(n: int, seed: int) -> SmoothOracle:
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, n))
-    H = A @ A.T + np.eye(n)
-    b = rng.normal(size=n)
-
-    return SmoothOracle(
-        dim=n,
-        order=2,
-        value=lambda x: 0.5 * float(x @ (H @ x)) + float(b @ x),
-        grad=lambda x: H @ x + b,
-        hess=lambda x: H,
-    )
-
-
-def fd_grad(fun, y: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    out = np.empty_like(y)
-    for i in range(len(y)):
-        e = np.zeros_like(y)
-        e[i] = h
-        out[i] = (fun(y + e) - fun(y - e)) / (2.0 * h)
-    return out
 
 
 # ------------------------------------------------------ hand-worked values
@@ -91,36 +68,6 @@ def test_model_minus_taylor_is_the_regularizer():
             reg = M / FACT[p + 1] * np.linalg.norm(y - x) ** (p + 1)
             got = model_value(center, y, M) - taylor_value(center, y)
             assert abs(got - reg) <= 1e-12 * max(1.0, abs(reg))
-
-
-def test_second_order_taylor_is_exact_on_quadratics():
-    oracle = random_quadratic(5, seed=6)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = rng.normal(size=5)
-        y = rng.normal(size=5)
-        center = ModelCenter.from_oracle(oracle, x, p=2)
-        assert abs(taylor_value(center, y) - oracle.value(y)) <= 1e-10
-        assert np.max(np.abs(taylor_grad(center, y) - oracle.grad(y))) <= 1e-10
-
-
-def test_gradients_match_finite_differences():
-    oracle = random_quadratic(6, seed=8)
-    rng = np.random.default_rng(9)
-    for p in (1, 2):
-        for _ in range(10):
-            x = rng.normal(size=6)
-            y = x + rng.normal(scale=0.5, size=6)
-            M = float(rng.uniform(0.5, 20.0))
-            center = ModelCenter.from_oracle(oracle, x, p=p)
-
-            gt = taylor_grad(center, y)
-            fd = fd_grad(lambda z: taylor_value(center, z), y.copy())
-            assert np.linalg.norm(fd - gt) <= 1e-6 * max(1.0, np.linalg.norm(gt))
-
-            gm = model_grad(center, y, M)
-            fdm = fd_grad(lambda z: model_value(center, z, M), y.copy())
-            assert np.linalg.norm(fdm - gm) <= 1e-6 * max(1.0, np.linalg.norm(gm))
 
 
 def test_model_grad_at_center_is_gx():
