@@ -16,27 +16,9 @@ from .core import (
     prox_l1,
     subdiff_dist_l1,
 )
-from .driver import (
-    IterateTrace,
-    LineSearchFailure,
-    RunConfig,
-    TraceRow,
-    accept_test,
-    nhota_run,
-    try_step,
-    update_reference,
-)
+from .driver import IterateTrace, LineSearchFailure, RunConfig, nhota_run
 from .inner import InnerSolveFailure, StepCertificate, certify, solve_subproblem
-from .metrics import (
-    DecayClassification,
-    RateFit,
-    RemainderReport,
-    kl_probe,
-    min_prefix,
-    rate_fit,
-    remainder_check,
-    stationarity,
-)
+from .metrics import kl_probe, min_prefix, rate_fit, remainder_check, stationarity
 from .problems import (
     DiagQuadL1Data,
     PhaseRetrievalData,
@@ -49,14 +31,13 @@ from .problems import (
     phase_retrieval_problem,
     save_phase_retrieval,
 )
-from .taylor import ModelCenter, model_grad, model_value, taylor_grad, taylor_value
+from .taylor import ModelCenter
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError",
     "CompositeProblem",
-    "DecayClassification",
     "DiagQuadL1Data",
     "InnerSolveFailure",
     "IterateTrace",
@@ -65,13 +46,9 @@ __all__ = [
     "NonsmoothTerm",
     "OracleFailure",
     "PhaseRetrievalData",
-    "RateFit",
-    "RemainderReport",
     "RunConfig",
     "SmoothOracle",
     "StepCertificate",
-    "TraceRow",
-    "accept_test",
     "certify",
     "diag_quad_problem",
     "exact_solution_diag",
@@ -81,8 +58,6 @@ __all__ = [
     "l1_term",
     "load_phase_retrieval",
     "min_prefix",
-    "model_grad",
-    "model_value",
     "nhota_run",
     "phase_oracle",
     "phase_retrieval_problem",
@@ -93,8 +68,4 @@ __all__ = [
     "solve_subproblem",
     "stationarity",
     "subdiff_dist_l1",
-    "taylor_grad",
-    "taylor_value",
-    "try_step",
-    "update_reference",
 ]

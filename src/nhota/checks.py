@@ -634,29 +634,38 @@ def _check_fault_injection() -> tuple[bool, str]:
 @_named("rate_fit_power_law")
 def _check_rate_fit() -> tuple[bool, str]:
     ok, worst_secant = True, 0.0
-    for scale, exponent, size in ((1.0, -2.0 / 3.0, 60), (3.0, -1.7, 50)):
+    for scale, exponent, size in ((1.0, -2.0 / 3.0, 60), (3.0, -1.7, 50),
+                                  (1.0, -2.0 / 3.0, 200)):
         series = np.concatenate(([1.0], scale * np.arange(1, size, dtype=float) ** exponent))
         fit = rate_fit(series)
         # independent secants: across the window endpoints and across k = 10..40
         for a, b in ((fit.window[0], fit.window[1] - 1), (10, 40)):
             secant = (np.log(series[b]) - np.log(series[a])) / (np.log(b) - np.log(a))
             worst_secant = max(worst_secant, abs(fit.slope - secant))
-        ok = ok and abs(fit.slope - exponent) <= 1e-6 and fit.r2 >= 1.0 - 1e-12
+        ok = (ok and abs(fit.slope - exponent) <= 1e-6 and fit.r2 >= 1.0 - 1e-12
+              and fit.window == (3, size))
     return ok and worst_secant <= 1e-3, (
-        f"slopes exact to 1e-6 on k^-2/3 and 3k^-1.7, secant gap {worst_secant:.1e}"
+        f"slopes exact to 1e-6 on k^-2/3 (60 and 200 points) and 3k^-1.7, "
+        f"secant gap {worst_secant:.1e}"
     )
 
 
 @_named("kl_probe_synthetic")
 def _check_kl_probe() -> tuple[bool, str]:
-    k = np.arange(40, dtype=float)
-    lin = kl_probe(2.0 ** (-k), f_star=0.0)
-    sub = kl_probe(np.concatenate(([2.0], (k[1:]) ** (-2.0))), f_star=0.0)
-    ok = (lin.kind == "linear" and sub.kind == "sublinear"
-          and abs(sub.beta - 2.0) <= 0.1)
-    return ok, (
-        f"2^-k -> {lin.kind} (rho {lin.rho:.3f}); k^-2 -> {sub.kind} "
-        f"(beta {sub.beta:.3f})"
+    # 2^-k must read as geometric with rho = 1/2 and k^-2 as a power law with
+    # beta = 2; slot k = 0 of the power series is a throwaway head
+    k = np.arange(1, 60, dtype=float)
+    rho_err = beta_err = 0.0
+    for size, power in ((40, np.r_[2.0, k[:39] ** -2.0]), (60, np.r_[1.5, 1.0 / k**2])):
+        lin = kl_probe(2.0 ** -np.arange(size, dtype=float), f_star=0.0)
+        sub = kl_probe(power, f_star=0.0)
+        if (lin.kind, lin.beta, sub.kind, sub.rho) != ("linear", None, "sublinear", None):
+            return False, f"{size} points: 2^-k -> {lin.kind}, k^-2 -> {sub.kind}"
+        rho_err = max(rho_err, abs(lin.rho - 0.5))
+        beta_err = max(beta_err, abs(sub.beta - 2.0))
+    return rho_err <= 1e-9 and beta_err <= 1e-6, (
+        f"2^-k linear, k^-2 sublinear on 40 and 60 points; rho error "
+        f"{rho_err:.1e}, beta error {beta_err:.1e}"
     )
 
 
@@ -689,6 +698,13 @@ def _check_remainder_diag() -> tuple[bool, str]:
         rep = remainder_check(problem, x0, radius=1.0, samples=60, p=p, pairs=100)
         ok = ok and rep.passed
         detail.append(f"p={p}: margin {rep.margin:.2e}, L_hat {rep.L_hat:.2e}")
+    # constant Hessian: no third derivative, so p=2 is exact up to roundoff
+    problem, _, _ = gen_diag_quad_l1(8, seed=3)
+    rep = remainder_check(problem, np.zeros(8), radius=1.0, samples=100)
+    ok = (ok and rep.passed and rep.L_hat <= 1e-10
+          and rep.margin >= 0.0 and rep.grad_margin >= 0.0)
+    detail.append(f"n=8 at 0, p=2: L_hat {rep.L_hat:.2e}, margins "
+                  f"{rep.margin:.2e} / {rep.grad_margin:.2e}")
     return ok, "; ".join(detail)
 
 

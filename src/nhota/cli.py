@@ -44,6 +44,9 @@ from .problems import (
 
 SEED_ENV_VAR = "NHOTA_SEED"
 
+# Solver failures that end a run with exit code 2.
+_RUN_FAILURES = (LineSearchFailure, InnerSolveFailure, OracleFailure)
+
 
 class ConfigError(ValueError):
     """Bad config file: unknown key, unparsable value, or invalid combination."""
@@ -186,7 +189,6 @@ def _fitted_slope(trace: IterateTrace) -> float:
         return float("nan")
 
 
-
 def _write_summary(path: Path, entries: dict) -> None:
     with open(path, "w") as fh:
         for key, value in entries.items():
@@ -194,8 +196,34 @@ def _write_summary(path: Path, entries: dict) -> None:
                      else f"{key}={value}\n")
 
 
-def _summary_entries(cfg: ExperimentConfig, runcfg: RunConfig, trace: IterateTrace,
-                     problem: CompositeProblem, digest: str, wall_total: float) -> dict:
+def _run_to_files(cfg: ExperimentConfig, runcfg: RunConfig, problem: CompositeProblem,
+                  x0, digest: str, trace_path: Path, summary_path: Path) -> IterateTrace:
+    """Execute one run, streaming (and flushing) trace rows as they happen,
+    then write its summary.  A run that ends in one of ``_RUN_FAILURES``
+    still gets a summary, with status ``failed:<exception class>`` and the
+    number of rows streamed; the exception is re-raised.
+    """
+    t0 = time.perf_counter()
+    rows = 0
+    ident = {"problem": cfg.problem, "p": runcfg.p, "u": runcfg.u, "seed": cfg.seed,
+             "data_hash": digest}
+    with open(trace_path, "w") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        fh.flush()
+
+        def sink(row):
+            nonlocal rows
+            fh.write(format_trace_row(row) + "\n")
+            fh.flush()
+            rows += 1
+
+        try:
+            trace = nhota_run(problem, x0, runcfg, row_sink=sink)
+        except _RUN_FAILURES as exc:
+            _write_summary(summary_path, {"status": f"failed:{type(exc).__name__}",
+                                          "iterations": rows, **ident})
+            raise
+    wall = (time.perf_counter() - t0) * 1000.0
     entries = {
         "status": trace.status,
         "iterations": trace.iterations(),
@@ -203,31 +231,13 @@ def _summary_entries(cfg: ExperimentConfig, runcfg: RunConfig, trace: IterateTra
         "final_stationarity": float("nan") if trace.stat_final is None else trace.stat_final,
         "stationarity_kind": trace.stationarity_kind,
         "fitted_slope": _fitted_slope(trace),
-        "problem": cfg.problem,
-        "p": runcfg.p,
-        "u": runcfg.u,
-        "seed": cfg.seed,
-        "data_hash": digest,
-        "wall_millis_total": wall_total,
+        **ident,
+        "wall_millis_total": wall,
     }
     if problem.known_opt is not None:
         entries["final_f_gap"] = trace.f_final - problem.known_opt[1]
-    return entries
-
-
-def _run_to_files(problem, x0, runcfg, trace_path: Path) -> tuple[IterateTrace, float]:
-    """Execute one run, streaming (and flushing) trace rows as they happen."""
-    t0 = time.perf_counter()
-    with open(trace_path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        fh.flush()
-
-        def sink(row):
-            fh.write(format_trace_row(row) + "\n")
-            fh.flush()
-
-        trace = nhota_run(problem, x0, runcfg, row_sink=sink)
-    return trace, (time.perf_counter() - t0) * 1000.0
+    _write_summary(summary_path, entries)
+    return trace
 
 
 def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
@@ -235,11 +245,8 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, data, x0 = build_problem(cfg)
-    runcfg = run_config_of(cfg)
-    trace, wall = _run_to_files(problem, x0, runcfg, out / "trace.csv")
-    _write_summary(out / "summary.txt",
-                   _summary_entries(cfg, runcfg, trace, problem, data_hash(data), wall))
-    return trace
+    return _run_to_files(cfg, run_config_of(cfg), problem, x0, data_hash(data),
+                         out / "trace.csv", out / "summary.txt")
 
 
 def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
@@ -247,7 +254,8 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
 
     Writes trace_u<...>.csv and summary_u<...>.txt per run plus a wide
     comparison.csv holding, for each u, the objective and stationarity at
-    every iterate (blank after a run has stopped).
+    every iterate (blank after a run has stopped).  A failed run writes its
+    summary and ends the sweep.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,11 +264,8 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
     traces: dict[float, IterateTrace] = {}
     for u in cfg.u_list:
         tag = f"u{u:g}"
-        runcfg = run_config_of(cfg, u=u)
-        trace, wall = _run_to_files(problem, x0, runcfg, out / f"trace_{tag}.csv")
-        _write_summary(out / f"summary_{tag}.txt",
-                       _summary_entries(cfg, runcfg, trace, problem, digest, wall))
-        traces[u] = trace
+        traces[u] = _run_to_files(cfg, run_config_of(cfg, u=u), problem, x0, digest,
+                                  out / f"trace_{tag}.csv", out / f"summary_{tag}.txt")
 
     columns: dict[float, tuple[np.ndarray, np.ndarray]] = {
         u: (t.f_values(), t.stationarity_values()) for u, t in traces.items()
@@ -339,7 +344,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (LineSearchFailure, InnerSolveFailure, OracleFailure) as exc:
+    except _RUN_FAILURES as exc:
         print(f"run failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -28,6 +28,7 @@ from .inner import (
     InnerSolveFailure,
     StepCertificate,
     center_is_stationary,
+    center_stationarity,
     solve_subproblem,
 )
 from .taylor import ModelCenter, taylor_grad
@@ -145,8 +146,6 @@ def try_step(
     step.
     Raises ``LineSearchFailure`` after ``config.max_doublings`` doublings.
     """
-    if not M_in > 0:
-        raise ValueError(f"M_in must be positive, got {M_in}")
     M = M_in
     warm = None
     total_inner = 0
@@ -292,7 +291,7 @@ def check_reference_descent(
     return out
 
 
-def _stationarity_bound(problem, center, next_center, cert, M_used) -> float:
+def _stationarity_bound(center, next_center, cert, M_used) -> float:
     """Computable upper bound on dist(0, df(x_{k+1})) from the certificate.
 
     Triangle inequality: the true gradient error ||grad F(y) - grad T_p(y)||
@@ -332,7 +331,7 @@ def nhota_run(
     if not np.isfinite(fk):
         raise OracleFailure("f(x0) is not finite")
     R = fk
-    stat: Optional[float] = float(h.subdiff_dist(center.gx, x)) if exact_stat else None
+    stat: Optional[float] = center_stationarity(problem, center) if exact_stat else None
     trace.stat_initial = stat
 
     M = config.M0
@@ -366,10 +365,8 @@ def nhota_run(
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, u_next)
         next_center = ModelCenter.from_oracle(problem.smooth, y, config.p)
-        if exact_stat:
-            new_stat = float(h.subdiff_dist(next_center.gx, y))
-        else:
-            new_stat = _stationarity_bound(problem, center, next_center, cert, step.M_used)
+        new_stat = (center_stationarity(problem, next_center) if exact_stat
+                    else _stationarity_bound(center, next_center, cert, step.M_used))
         wall = (time.perf_counter() - t0) * 1000.0
 
         row = TraceRow(

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CompositeProblem, Vector
-from .taylor import ModelCenter, model_grad, model_value
+from .core import CompositeProblem, OracleContractError, Vector
+from .taylor import ModelCenter, _model, model_grad, model_value
 
 # A candidate this close to the center with this small a residual is a
 # degenerate step: its certificate is marked stalled, so the driver asks
@@ -65,6 +65,15 @@ def stationarity_resolution(center: ModelCenter) -> float:
     return _SQRT_EPS * scale
 
 
+def _prox(problem: CompositeProblem, v: Vector, tau: float) -> Vector:
+    """h.prox(v, tau) as a float array, checked to have v's shape: the model
+    kernel does no validation and would broadcast any other shape."""
+    y = np.asarray(problem.nonsmooth.prox(v, tau), dtype=float)
+    if y.shape != v.shape:
+        raise OracleContractError(f"prox returned shape {y.shape} for a {v.shape} input")
+    return y
+
+
 def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float:
     """Stationarity residual of the center itself: dist(0, grad F(x) + dh(x)).
 
@@ -83,7 +92,7 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     h = problem.nonsmooth
     if h.subdiff_dist is not None:
         return float(h.subdiff_dist(center.gx, center.x))
-    z = np.asarray(h.prox(center.x - center.gx, 1.0), dtype=float)
+    z = _prox(problem, center.x - center.gx, 1.0)
     return float(np.linalg.norm(center.x - z))
 
 
@@ -200,13 +209,13 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     """
     h = problem.nonsmooth
     x, g = center.x, center.gx
-    y = np.asarray(h.prox(x - g / M, 1.0 / M), dtype=float)
+    y = _prox(problem, x - g / M, 1.0 / M)
     witness = M * (x - y) - g
-    res = _residual(problem, model_grad(center, y, M), y, witness)
+    m_smooth, g_reg = _model(center, y, M)
+    res = _residual(problem, g_reg, y, witness)
     step_norm = float(np.linalg.norm(y - x))
     thr = theta * step_norm
-    decrease_ok = (model_value(center, y, M) + float(h.value(y))
-                   <= center.fx + float(h.value(x)))
+    decrease_ok = m_smooth + float(h.value(y)) <= center.fx + float(h.value(x))
     if decrease_ok and res <= thr + residual_floor(center):
         return _certified(center, y, res, thr, step_norm, 1, witness)
     return _stalled_or_fail(center, y, res, thr, step_norm, 1, witness,
@@ -229,7 +238,8 @@ def solve_subproblem(
     prox_{h/M}(x - g/M), certified with the witness M(x - y) - g and the
     same threshold and model-decrease tests as below; the certificate
     reports one inner iteration.  It does not depend on a start point or a
-    step size, so ``max_inner``, ``step_guess`` and ``warm`` are ignored.
+    step size, so ``max_inner``, ``step_guess`` and ``warm`` are validated
+    but not used.
 
     For p = 2, proximal gradient on the regularized model until certified.
     Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the decrease
@@ -274,6 +284,12 @@ def solve_subproblem(
         raise ValueError(f"step_guess must be positive, got {step_guess}")
     if max_inner < 1:
         raise ValueError(f"max_inner must be at least 1, got {max_inner}")
+    if not M > 0:
+        raise ValueError(f"M must be positive, got {M}")
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        if warm.shape != center.x.shape:
+            raise ValueError(f"warm shape {warm.shape} != center shape {center.x.shape}")
     p = center.p
     if p == 1:
         return _solve_first_order(problem, center, M, theta)
@@ -281,17 +297,15 @@ def solve_subproblem(
     x = center.x
     f_center = center.fx + float(h.value(x))
 
-    y = x.copy()
-    m_smooth = center.fx  # model_value(center, x, M) == fx exactly
-    m_total = f_center
+    y, m_smooth, m_total = x.copy(), center.fx, f_center  # the model is fx at x
+    g_reg = None
     if warm is not None:
-        warm = np.asarray(warm, dtype=float)
-        ms = model_value(center, warm, M)
+        ms, g_warm = _model(center, warm, M)
         mt = ms + float(h.value(warm))
         if np.isfinite(mt) and mt <= f_center:
-            y, m_smooth, m_total = warm.copy(), ms, mt
-
-    g_reg = model_grad(center, y, M)
+            y, m_smooth, m_total, g_reg = warm.copy(), ms, mt, g_warm
+    if g_reg is None:
+        g_reg = _model(center, y, M)[1]
     floor = residual_floor(center)
 
     # res, thr, step_norm and witness always describe the current iterate y;
@@ -312,9 +326,9 @@ def solve_subproblem(
         alpha = min(step_guess, 2.0 * alpha)
         frozen = False
         while True:
-            y_new = np.asarray(h.prox(y - alpha * g_reg, alpha), dtype=float)
+            y_new = _prox(problem, y - alpha * g_reg, alpha)
             d = y_new - y
-            ms_new = model_value(center, y_new, M)
+            ms_new, g_new = _model(center, y_new, M)
             if ms_new <= m_smooth + float(g_reg @ d) + float(d @ d) / (2.0 * alpha):
                 mt_new = ms_new + float(h.value(y_new))
                 if mt_new <= m_total:
@@ -334,9 +348,7 @@ def solve_subproblem(
             return _stalled_or_fail(center, y, res, thr, step_norm, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
-        y, m_smooth, m_total = y_new, ms_new, mt_new
-
-        g_reg = model_grad(center, y, M)
+        y, m_smooth, m_total, g_reg = y_new, ms_new, mt_new, g_new
         step_norm = float(np.linalg.norm(y - x))
         res = _residual(problem, g_reg, y, witness)
         thr = theta * step_norm**p

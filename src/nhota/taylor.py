@@ -99,50 +99,50 @@ class ModelCenter:
         return cls(x=x, fx=fx, gx=gx, Hx=Hx, p=p)
 
 
-def _displacement(center: ModelCenter, y: Vector) -> Vector:
+def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:
+    """Value and gradient of T_p(.; x) + M/(p+1)! * ||. - x||^(p+1) at y.
+
+    Both come from one displacement d = y - x and one H.d; the
+    regularization gradient is M/p! * ||d||^(p-1) * d.  M = 0 gives the bare
+    Taylor polynomial.  No validation: callers check their inputs first.
+    """
+    d = y - center.x
+    r = float(np.linalg.norm(d))
+    p = center.p
+    value, grad = center.fx + float(center.gx @ d), center.gx
+    if p == 2:
+        Hd = center.Hx @ d
+        value, grad = value + 0.5 * float(d @ Hd), grad + Hd
+    return (value + M / factorial(p + 1) * r ** (p + 1),
+            grad + (M / factorial(p)) * r ** (p - 1) * d)
+
+
+def _checked(center: ModelCenter, y: Vector,
+             M: Optional[float] = None) -> tuple[float, Vector]:
+    """``_model`` at a validated y; without M, the bare Taylor polynomial."""
+    if M is not None and not M > 0:
+        raise ValueError(f"M must be positive, got {M}")
     y = np.asarray(y, dtype=float)
     if y.shape != center.x.shape:
         raise ValueError(f"point shape {y.shape} != center shape {center.x.shape}")
-    return y - center.x
+    return _model(center, y, 0.0 if M is None else M)
 
 
 def taylor_value(center: ModelCenter, y: Vector) -> float:
     """T_p(y; x): the pure Taylor polynomial, no regularization, no h."""
-    d = _displacement(center, y)
-    val = center.fx + float(center.gx @ d)
-    if center.p == 2:
-        val += 0.5 * float(d @ (center.Hx @ d))
-    return val
+    return _checked(center, y)[0]
 
 
 def taylor_grad(center: ModelCenter, y: Vector) -> Vector:
     """Gradient of T_p(.; x) at y."""
-    d = _displacement(center, y)
-    if center.p == 2:
-        return center.gx + center.Hx @ d
-    return center.gx.copy()
+    return _checked(center, y)[1]
 
 
 def model_value(center: ModelCenter, y: Vector, M: float) -> float:
-    """T_p(y; x) + M/(p+1)! * ||y - x||^(p+1)."""
-    if not M > 0:
-        raise ValueError(f"M must be positive, got {M}")
-    d = _displacement(center, y)
-    reg = M / factorial(center.p + 1) * float(np.linalg.norm(d)) ** (center.p + 1)
-    return taylor_value(center, y) + reg
+    """T_p(y; x) + M/(p+1)! * ||y - x||^(p+1), for M > 0."""
+    return _checked(center, y, M)[0]
 
 
 def model_grad(center: ModelCenter, y: Vector, M: float) -> Vector:
-    """Gradient of the regularized model at y.
-
-    The regularization contributes M/p! * ||y-x||^(p-1) * (y-x); for p = 1
-    the power ||y-x||^0 is taken as 1 so the term is just M*(y-x), and at
-    y = x the gradient reduces to the cached gx for either p.
-    """
-    if not M > 0:
-        raise ValueError(f"M must be positive, got {M}")
-    d = _displacement(center, y)
-    g = taylor_grad(center, y)
-    if center.p == 1:
-        return g + M * d
-    return g + (M / factorial(center.p)) * float(np.linalg.norm(d)) ** (center.p - 1) * d
+    """Gradient of the regularized model at y, for M > 0."""
+    return _checked(center, y, M)[1]

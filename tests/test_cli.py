@@ -227,7 +227,8 @@ def test_main_solver_failure_exit_two(tmp_path, capsys):
 def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
     # gen_variance = 50 grows the Hessian entries until its product roundoff
     # exceeds any absolute symmetry bound; the run must get past the oracle
-    # check and end in a documented solver failure, not a traceback
+    # check and end in a documented solver failure, not a traceback, and
+    # still leave a summary that says how it failed
     text = (
         "problem = phase_retrieval\ngen_variance = 50\n"
         f"out_dir = {tmp_path / 'big'}\n"
@@ -236,6 +237,11 @@ def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("run failure") and err.count("\n") == 1
+    rows = len((tmp_path / "big" / "trace.csv").read_text().splitlines()) - 1
+    summary = (tmp_path / "big" / "summary.txt").read_text()
+    _, data, _ = build_problem(parse_config(path))
+    assert rows > 0 and summary.startswith(f"status=failed:LineSearchFailure\niterations={rows}\n")
+    assert "\nseed=0\n" in summary and f"\ndata_hash={data_hash(data)}\n" in summary
 
 
 def test_main_check_failure_exit_three(monkeypatch, capsys):

@@ -6,36 +6,23 @@ import pytest
 from nhota import (
     ModelCenter,
     RunConfig,
-    SmoothOracle,
-    CompositeProblem,
-    accept_test,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
-    l1_term,
     nhota_run,
-    try_step,
-    update_reference,
 )
 from nhota.driver import (
     STATUS_CRITERION,
     STATUS_MAX_ITERS,
     STATUS_STATIONARY,
     TRACE_HEADER,
+    accept_test,
     check_reference_descent,
     format_trace_row,
+    try_step,
+    update_reference,
 )
-
-
-def quadratic_1d(target: float) -> CompositeProblem:
-    smooth = SmoothOracle(
-        dim=1,
-        order=2,
-        value=lambda x: 0.5 * float((x[0] - target) ** 2),
-        grad=lambda x: np.array([x[0] - target]),
-        hess=lambda x: np.array([[1.0]]),
-    )
-    return CompositeProblem(smooth=smooth, nonsmooth=l1_term(0.0))
+from support import quadratic_1d
 
 
 # --------------------------------------------------- reference & acceptance

@@ -11,8 +11,6 @@ from nhota import (
     CompositeProblem,
     InnerSolveFailure,
     ModelCenter,
-    NonsmoothTerm,
-    SmoothOracle,
     certify,
     gen_diag_quad_l1,
     gen_phase_retrieval,
@@ -25,25 +23,12 @@ from nhota.inner import (
     stationarity_resolution,
 )
 from nhota.taylor import model_value
-
-
-def quadratic_1d(target: float) -> CompositeProblem:
-    """F(t) = (1/2)(t - target)^2 with no nonsmooth part."""
-    smooth = SmoothOracle(
-        dim=1,
-        order=2,
-        value=lambda x: 0.5 * float((x[0] - target) ** 2),
-        grad=lambda x: np.array([x[0] - target]),
-        hess=lambda x: np.array([[1.0]]),
-    )
-    return CompositeProblem(smooth=smooth, nonsmooth=l1_term(0.0))
+from support import quadratic_1d
 
 
 def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
     """Same problem, but h no longer reports exact subdifferential distances."""
-    h = problem.nonsmooth
-    opaque = NonsmoothTerm(value=h.value, prox=h.prox, subdiff_dist=None)
-    return CompositeProblem(smooth=problem.smooth, nonsmooth=opaque)
+    return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))
 
 
 def test_quadratic_reaches_exact_minimizer():
@@ -173,6 +158,28 @@ def test_backtracking_carries_the_step_size_between_iterations():
     assert fresh.threshold == cert.threshold and fresh.step_norm == cert.step_norm
 
 
+def test_one_hessian_product_per_trial_point():
+    # the model's value and gradient come from one H @ d: one product per
+    # prox call (one trial point each), one at the start, one for a warm start
+    products = []
+
+    class CountingMatrix(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return self.view(np.ndarray) @ other
+
+    prob, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
+    prob, prox_calls = with_prox_counter(prob)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    center = replace(center, Hx=center.Hx.view(CountingMatrix))
+    warm, cert, _ = solve_subproblem(prob, center, M=1.0, theta=0.1)
+    assert cert.inner_iters > 10 and 0 < len(products) <= len(prox_calls) + 1
+    for start in (warm, warm + 1e3):  # a warm start that is kept, one that is not
+        del prox_calls[:], products[:]
+        solve_subproblem(prob, center, M=2.0, theta=0.1, warm=start)
+        assert 0 < len(products) <= len(prox_calls) + 2
+
+
 @pytest.mark.parametrize("exact_h", [True, False])
 @pytest.mark.parametrize("M", [1e-3, 0.1, 1e3])
 def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
@@ -241,41 +248,39 @@ def test_parameter_validation():
         solve_subproblem(prob, center, M=1.0, theta=0.1, step_guess=0.0)
     with pytest.raises(ValueError):
         solve_subproblem(prob, center, M=1.0, theta=0.1, max_inner=0)
+    for M in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            solve_subproblem(prob, center, M=M, theta=0.1)
+    # a one-entry warm start would broadcast silently against a 3-vector
+    # center, and an opaque h has no subdifferential check to trip over it
+    diag, _, x0 = gen_diag_quad_l1(3, seed=0)
+    diag = without_subdiff(diag)
+    center3 = ModelCenter.from_oracle(diag.smooth, x0, p=2)
+    with pytest.raises(ValueError):
+        solve_subproblem(diag, center3, M=1.0, theta=0.1, warm=np.zeros(1))
+    # so would a prox callback that returns the wrong shape
+    short = replace(diag, nonsmooth=replace(diag.nonsmooth, prox=lambda v, tau: v[:1]))
+    for p in (1, 2):
+        with pytest.raises(ValueError):
+            solve_subproblem(short, ModelCenter.from_oracle(diag.smooth, x0, p=p),
+                             M=1.0, theta=0.1)
     with pytest.raises(ValueError):
         certify(prob, center, np.zeros(1), M=1.0, theta=-1.0)
 
 
 def test_center_stationarity_exact_path():
-    # h knows its subdifferential: distance is subdiff_dist(gx, x) exactly
-    lam = 0.3
-    smooth = SmoothOracle(
-        dim=1,
-        order=2,
-        value=lambda x: 0.5 * float(x[0] ** 2) + 1.2 * float(x[0]),
-        grad=lambda x: np.array([x[0] + 1.2]),
-        hess=lambda x: np.array([[1.0]]),
-    )
-    prob = CompositeProblem(smooth=smooth, nonsmooth=l1_term(lam))
-    center = ModelCenter.from_oracle(smooth, np.array([0.5]), p=2)
-    # g = 1.7 at x = 0.5 > 0: distance is |1.7 + 0.3| = 2.0
+    # h knows its subdifferential: distance is subdiff_dist(gx, x) exactly;
+    # g = 1.7 at x = 0.5 > 0, so the distance is |1.7 + 0.3| = 2.0
+    prob = replace(quadratic_1d(-1.2), nonsmooth=l1_term(0.3))
+    center = ModelCenter.from_oracle(prob.smooth, np.array([0.5]), p=2)
     assert abs(center_stationarity(prob, center) - 2.0) <= 1e-14
 
 
 def test_center_stationarity_prox_fallback():
     # without subdiff_dist: unit prox-gradient fixed-point residual
     # ||x - prox_h(x - g, 1)||; here prox_l1(0.5 - 1.7, 0.3) = -0.9
-    lam = 0.3
-    smooth = SmoothOracle(
-        dim=1,
-        order=2,
-        value=lambda x: 0.5 * float(x[0] ** 2) + 1.2 * float(x[0]),
-        grad=lambda x: np.array([x[0] + 1.2]),
-        hess=lambda x: np.array([[1.0]]),
-    )
-    prob = without_subdiff(
-        CompositeProblem(smooth=smooth, nonsmooth=l1_term(lam))
-    )
-    center = ModelCenter.from_oracle(smooth, np.array([0.5]), p=2)
+    prob = without_subdiff(replace(quadratic_1d(-1.2), nonsmooth=l1_term(0.3)))
+    center = ModelCenter.from_oracle(prob.smooth, np.array([0.5]), p=2)
     assert abs(center_stationarity(prob, center) - 1.4) <= 1e-14
 
 

@@ -20,17 +20,7 @@ from nhota import (
     stationarity,
     subdiff_dist_l1,
 )
-
-
-def quartic_1d() -> CompositeProblem:
-    smooth = SmoothOracle(
-        dim=1,
-        order=2,
-        value=lambda x: float(x[0] ** 4),
-        grad=lambda x: np.array([4.0 * x[0] ** 3]),
-        hess=lambda x: np.array([[12.0 * x[0] ** 2]]),
-    )
-    return CompositeProblem(smooth=smooth, nonsmooth=l1_term(0.0))
+from support import quartic_1d
 
 
 # ------------------------------------------------------------- stationarity
@@ -70,15 +60,6 @@ def test_min_prefix():
 # ----------------------------------------------------------------- rate_fit
 
 
-def test_rate_fit_recovers_exact_power_law():
-    k = np.arange(0, 200, dtype=float)
-    series = np.concatenate([[1.0], k[1:] ** (-2.0 / 3.0)])
-    fit = rate_fit(series)
-    assert abs(fit.slope - (-2.0 / 3.0)) <= 1e-6
-    assert fit.r2 >= 1.0 - 1e-12
-    assert fit.window == (3, 200)
-
-
 def test_rate_fit_constant_series_has_zero_slope():
     fit = rate_fit(np.full(20, 7.5))
     assert abs(fit.slope) <= 1e-12
@@ -112,24 +93,6 @@ def test_rate_fit_validation():
 # ----------------------------------------------------------------- kl_probe
 
 
-def test_kl_probe_labels_geometric_decay_linear():
-    series = 2.0 ** -np.arange(0, 60, dtype=float)
-    probe = kl_probe(series, f_star=0.0)
-    assert probe.kind == "linear"
-    assert abs(probe.rho - 0.5) <= 1e-9
-    assert probe.beta is None
-
-
-def test_kl_probe_labels_power_decay_sublinear():
-    # series position j is iterate k = j, so the k = 0 slot is filled with
-    # a throwaway head and the fit sees exactly k^-2 from k = 1
-    series = np.concatenate([[1.5], 1.0 / np.arange(1, 60, dtype=float) ** 2])
-    probe = kl_probe(series, f_star=0.0)
-    assert probe.kind == "sublinear"
-    assert abs(probe.beta - 2.0) <= 1e-6
-    assert probe.rho is None
-
-
 def test_kl_probe_short_series_is_inconclusive():
     probe = kl_probe(np.array([8.0, 4.0, 2.0, 1.0]), f_star=0.0)
     assert probe.kind == "inconclusive"
@@ -161,14 +124,6 @@ def test_kl_probe_accepts_full_traces():
 
 
 # ----------------------------------------------------------- remainder_check
-
-
-def test_remainder_quadratic_is_exact():
-    prob, _, _ = gen_diag_quad_l1(8, seed=3)
-    report = remainder_check(prob, np.zeros(8), radius=1.0, samples=100)
-    assert report.passed
-    assert report.L_hat <= 1e-10  # constant Hessian: no third derivative
-    assert report.margin >= 0.0 and report.grad_margin >= 0.0
 
 
 def test_remainder_quartic_1d_second_order():

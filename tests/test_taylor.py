@@ -6,19 +6,9 @@ import pytest
 from nhota import CapabilityError, ModelCenter, OracleFailure, SmoothOracle
 from nhota.checks import random_quadratic
 from nhota.taylor import model_grad, model_value, taylor_grad, taylor_value
+from support import quartic_1d
 
 FACT = {1: 1.0, 2: 2.0, 3: 6.0}
-
-
-def quartic_1d() -> SmoothOracle:
-    """F(t) = t^4 with exact derivatives."""
-    return SmoothOracle(
-        dim=1,
-        order=2,
-        value=lambda x: float(x[0] ** 4),
-        grad=lambda x: np.array([4.0 * x[0] ** 3]),
-        hess=lambda x: np.array([[12.0 * x[0] ** 2]]),
-    )
 
 
 # ------------------------------------------------------ hand-worked values
@@ -27,26 +17,26 @@ def quartic_1d() -> SmoothOracle:
 def test_taylor_value_quartic_by_hand():
     # F(t) = t^4 at x = 1: F = 1, F' = 4, F'' = 12.
     # T_2(1.1) = 1 + 4*(0.1) + 6*(0.01) = 1.46
-    center = ModelCenter.from_oracle(quartic_1d(), np.array([1.0]), p=2)
+    center = ModelCenter.from_oracle(quartic_1d().smooth, np.array([1.0]), p=2)
     assert abs(taylor_value(center, np.array([1.1])) - 1.46) <= 1e-12
 
 
 def test_model_value_quartic_by_hand():
     # regularizer with M = 6, p = 2 adds 6/3! * 0.1^3 = 0.001
-    center = ModelCenter.from_oracle(quartic_1d(), np.array([1.0]), p=2)
+    center = ModelCenter.from_oracle(quartic_1d().smooth, np.array([1.0]), p=2)
     assert abs(model_value(center, np.array([1.1]), 6.0) - 1.461) <= 1e-12
 
 
 def test_taylor_grad_quartic_by_hand():
     # dT_2(1.1) = 4 + 12*0.1 = 5.2; model adds M/p! * ||d||^(p-1) * d = 3*0.1*0.1
-    center = ModelCenter.from_oracle(quartic_1d(), np.array([1.0]), p=2)
+    center = ModelCenter.from_oracle(quartic_1d().smooth, np.array([1.0]), p=2)
     assert abs(taylor_grad(center, np.array([1.1]))[0] - 5.2) <= 1e-12
     assert abs(model_grad(center, np.array([1.1]), 6.0)[0] - 5.23) <= 1e-12
 
 
 def test_first_order_model_is_linear_plus_reg():
     # p = 1: T_1(y) = F(x) + g.(y-x); model adds M/2 ||y-x||^2, grad M*(y-x)
-    center = ModelCenter.from_oracle(quartic_1d(), np.array([1.0]), p=1)
+    center = ModelCenter.from_oracle(quartic_1d().smooth, np.array([1.0]), p=1)
     assert center.Hx is None
     assert abs(taylor_value(center, np.array([1.1])) - 1.4) <= 1e-12
     assert abs(model_value(center, np.array([1.1]), 6.0) - 1.43) <= 1e-12
@@ -136,7 +126,7 @@ def test_from_oracle_rejects_nonfinite_values():
 
 
 def test_model_requires_positive_M():
-    center = ModelCenter.from_oracle(quartic_1d(), np.array([1.0]), p=2)
+    center = ModelCenter.from_oracle(quartic_1d().smooth, np.array([1.0]), p=2)
     with pytest.raises(ValueError):
         model_value(center, np.array([1.1]), 0.0)
     with pytest.raises(ValueError):
