@@ -752,7 +752,7 @@ def _check_trace_files() -> tuple[bool, str]:
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg = ExperimentConfig(problem="diag_quad_l1", n=10, seed=3, lam=0.1,
-                               p=2, max_outer=20, stop_f=-np.inf, stop_stat=1e-8,
+                               run=RunConfig(p=2, max_outer=20, stop_f=-np.inf, stop_stat=1e-8),
                                out_dir=str(Path(tmp) / "out"))
         run_experiment(cfg)
         lines = (Path(tmp) / "out" / "trace.csv").read_text().splitlines()

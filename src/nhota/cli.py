@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,7 +36,9 @@ from .driver import (
 from .inner import InnerSolveFailure
 from .metrics import min_prefix, rate_fit
 from .problems import (
+    DiagQuadL1Data,
     data_hash,
+    diag_quad_problem,
     gen_diag_quad_l1,
     gen_phase_retrieval,
     save_phase_retrieval,
@@ -54,7 +56,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; see KNOWN_KEYS for the file schema."""
+    """Parsed experiment description; the solver keys are the fields of ``run``."""
 
     problem: str = ""
     n: int = 100
@@ -65,30 +67,27 @@ class ExperimentConfig:
     gen_variance: float = 0.5
     d: Optional[list[float]] = None
     c: Optional[list[float]] = None
-    p: int = 2
-    M0: float = 1e-2
-    Mtilde: float = 1e-2
-    theta: float = 0.1
-    u: float = 0.5
-    u_min: float = 1e-3
-    max_outer: int = 1000
-    max_inner: int = 500
-    step_guess: float = 1.0
-    max_doublings: int = 60
-    stop_f: float = 1e-3
-    stop_stat: float = 1e-3
     u_list: list[float] = field(default_factory=lambda: [0.05, 0.25, 0.5, 0.75, 1.0])
     out_dir: str = "runs"
+    run: RunConfig = field(default_factory=RunConfig)
 
 
-_INT_KEYS = {"n", "m", "seed", "p", "max_outer", "max_inner", "max_doublings"}
-_FLOAT_KEYS = {
-    "lambda", "noise_scale", "gen_variance", "M0", "Mtilde", "theta",
-    "u", "u_min", "step_guess", "stop_f", "stop_stat",
+def _float_list(value: str) -> list[float]:
+    items = [float(v) for v in value.split(",") if v.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
+# config key -> parser of its value, for the keys held by ExperimentConfig
+_INSTANCE_KEYS = {
+    "problem": str, "n": int, "m": int, "seed": int, "lambda": float,
+    "noise_scale": float, "gen_variance": float, "d": _float_list,
+    "c": _float_list, "u_list": _float_list, "out_dir": str,
 }
-_LIST_KEYS = {"u_list", "d", "c"}
-_STR_KEYS = {"problem", "out_dir"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
+# the solver keys are RunConfig's fields, each parsed with its default's type
+_SOLVER_KEYS = {f.name: type(f.default) for f in fields(RunConfig)}
+KNOWN_KEYS = _INSTANCE_KEYS.keys() | _SOLVER_KEYS.keys()
 
 # config key -> dataclass attribute ("lambda" is a Python keyword)
 _ATTR_FOR_KEY = {"lambda": "lam"}
@@ -97,8 +96,9 @@ _PROBLEMS = ("phase_retrieval", "diag_quad_l1")
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat key=value file; every malformed line is an error."""
+    """Parse a flat key=value file; every malformed line or bad solver value is an error."""
     cfg = ExperimentConfig()
+    solver: dict[str, object] = {}
     seen: set[str] = set()
     try:
         text = Path(path).read_text()
@@ -116,34 +116,34 @@ def parse_config(path) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr = _ATTR_FOR_KEY.get(key, key)
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, attr, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, attr, float(value))
-            elif key in _LIST_KEYS:
-                items = [float(v) for v in value.split(",") if v.strip()]
-                if not items:
-                    raise ValueError("empty list")
-                setattr(cfg, attr, items)
+            if key in _SOLVER_KEYS:
+                solver[key] = _SOLVER_KEYS[key](value)
             else:
-                setattr(cfg, attr, value)
+                setattr(cfg, _ATTR_FOR_KEY.get(key, key), _INSTANCE_KEYS[key](value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    _validate(cfg, path)
+    _validate(cfg, solver, path)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig, path) -> None:
+def _validate(cfg: ExperimentConfig, solver: dict[str, object], path) -> None:
     if cfg.problem not in _PROBLEMS:
         raise ConfigError(
             f"{path}: problem must be one of {', '.join(_PROBLEMS)}, got {cfg.problem!r}"
         )
     if (cfg.d is None) != (cfg.c is None):
         raise ConfigError(f"{path}: d and c must be given together")
+    if cfg.d is not None and cfg.problem != "diag_quad_l1":
+        raise ConfigError(f"{path}: d and c apply only to problem=diag_quad_l1")
     if cfg.d is not None and len(cfg.d) != len(cfg.c):
         raise ConfigError(f"{path}: d and c must have equal length")
+    try:
+        cfg.run = RunConfig(**solver)
+        for u in cfg.u_list:
+            replace(cfg.run, u=u)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if SEED_ENV_VAR in os.environ:
         try:
             cfg.seed = int(os.environ[SEED_ENV_VAR])
@@ -152,30 +152,23 @@ def _validate(cfg: ExperimentConfig, path) -> None:
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[CompositeProblem, object, Vector]:
-    """Instantiate the configured problem; returns (problem, data, x0)."""
-    if cfg.problem == "phase_retrieval":
-        return gen_phase_retrieval(
-            cfg.n, cfg.m, cfg.seed, cfg.noise_scale, lam=cfg.lam,
-            gen_variance=cfg.gen_variance,
-        )
-    if cfg.d is not None:
-        from .problems import DiagQuadL1Data, diag_quad_problem
-
-        data = DiagQuadL1Data(d=np.asarray(cfg.d, float), c=np.asarray(cfg.c, float), lam=cfg.lam)
-        rng = np.random.default_rng(cfg.seed)
-        x0 = rng.normal(0.0, 1.0, size=data.n)
+    """Instantiate the configured problem as (problem, data, x0); an instance
+    value the generators reject, such as n = 0, raises ConfigError."""
+    try:
+        if cfg.problem == "phase_retrieval":
+            return gen_phase_retrieval(
+                cfg.n, cfg.m, cfg.seed, cfg.noise_scale, lam=cfg.lam,
+                gen_variance=cfg.gen_variance,
+            )
+        if cfg.d is None:
+            return gen_diag_quad_l1(cfg.n, cfg.seed, lam=cfg.lam)
+        data = DiagQuadL1Data(np.asarray(cfg.d, float), np.asarray(cfg.c, float), cfg.lam)
+        x0 = np.random.default_rng(cfg.seed).normal(0.0, 1.0, size=data.n)
         return diag_quad_problem(data), data, x0
-    return gen_diag_quad_l1(cfg.n, cfg.seed, lam=cfg.lam)
-
-
-def run_config_of(cfg: ExperimentConfig, u: Optional[float] = None) -> RunConfig:
-    return RunConfig(
-        p=cfg.p, M0=cfg.M0, Mtilde=cfg.Mtilde, theta=cfg.theta,
-        u=cfg.u if u is None else u, u_min=cfg.u_min,
-        max_outer=cfg.max_outer, stop_f=cfg.stop_f, stop_stat=cfg.stop_stat,
-        max_inner=cfg.max_inner, step_guess=cfg.step_guess,
-        max_doublings=cfg.max_doublings,
-    )
+    except OracleFailure:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad instance: {exc}") from exc
 
 
 def _fitted_slope(trace: IterateTrace) -> float:
@@ -242,10 +235,10 @@ def _run_to_files(cfg: ExperimentConfig, runcfg: RunConfig, problem: CompositePr
 
 def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     """Single run: writes <out_dir>/trace.csv and <out_dir>/summary.txt."""
+    problem, data, x0 = build_problem(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, data, x0 = build_problem(cfg)
-    return _run_to_files(cfg, run_config_of(cfg), problem, x0, data_hash(data),
+    return _run_to_files(cfg, cfg.run, problem, x0, data_hash(data),
                          out / "trace.csv", out / "summary.txt")
 
 
@@ -257,14 +250,14 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
     every iterate (blank after a run has stopped).  A failed run writes its
     summary and ends the sweep.
     """
+    problem, data, x0 = build_problem(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, data, x0 = build_problem(cfg)
     digest = data_hash(data)
     traces: dict[float, IterateTrace] = {}
     for u in cfg.u_list:
         tag = f"u{u:g}"
-        traces[u] = _run_to_files(cfg, run_config_of(cfg, u=u), problem, x0, digest,
+        traces[u] = _run_to_files(cfg, replace(cfg.run, u=u), problem, x0, digest,
                                   out / f"trace_{tag}.csv", out / f"summary_{tag}.txt")
 
     columns: dict[float, tuple[np.ndarray, np.ndarray]] = {
@@ -293,12 +286,25 @@ def gen_data(cfg: ExperimentConfig) -> Path:
             "gen-data supports only problem=phase_retrieval; diagonal instances "
             "are regenerated exactly from (n, seed, lambda)"
         )
+    _, data, _ = build_problem(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, data, _ = build_problem(cfg)
     path = out / "data.npz"
     save_phase_retrieval(data, path)
     return path
+
+
+def _status(trace: IterateTrace) -> str:
+    return f"status={trace.status} iterations={trace.iterations()} final_f={trace.f_final!r}"
+
+
+# subcommand -> action on its parsed config, returning the text to print
+_CONFIG_COMMANDS = {
+    "run": lambda cfg: _status(run_experiment(cfg)),
+    "sweep": lambda cfg: "\n".join(f"u={u:g}: {_status(trace)}"
+                                   for u, trace in sweep_u(cfg).items()),
+    "gen-data": lambda cfg: f"wrote {gen_data(cfg)}",
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -308,10 +314,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "Taylor steps with nonmonotone acceptance).",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, needs_config in (("run", True), ("sweep", True), ("gen-data", True)):
-        p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("config", help="flat key=value config file")
+    for name in _CONFIG_COMMANDS:
+        sub.add_parser(name).add_argument("config", help="flat key=value config file")
     check_p = sub.add_parser("check")
     check_p.add_argument("--full", action="store_true",
                          help="include desk-scale problem sizes")
@@ -322,25 +326,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        if args.cmd == "run":
-            trace = run_experiment(parse_config(args.config))
-            print(f"status={trace.status} iterations={trace.iterations()} "
-                  f"final_f={trace.f_final!r}")
-        elif args.cmd == "sweep":
-            traces = sweep_u(parse_config(args.config))
-            for u, trace in traces.items():
-                print(f"u={u:g}: status={trace.status} iterations={trace.iterations()} "
-                      f"final_f={trace.f_final!r}")
-        elif args.cmd == "gen-data":
-            path = gen_data(parse_config(args.config))
-            print(f"wrote {path}")
-        else:
+        if args.cmd == "check":
             from .checks import check_suite, render_results
 
             results = check_suite("full" if args.full else "quick")
             print(render_results(results))
             if not all(r.passed for r in results):
                 return 3
+        else:
+            cfg = parse_config(args.config)
+            try:
+                print(_CONFIG_COMMANDS[args.cmd](cfg))
+            except ConfigError as exc:  # raised past parsing: name the file here
+                raise ConfigError(f"{args.config}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

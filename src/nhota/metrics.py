@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import CapabilityError, CompositeProblem, Vector, as_vector
 from .driver import IterateTrace
-from .taylor import ModelCenter, taylor_grad, taylor_value
+from .taylor import ModelCenter, _model
 
 
 def stationarity(problem: CompositeProblem, x: Vector) -> float:
@@ -234,12 +234,13 @@ def remainder_check(
         ys = _sample_ball(rng, x, radius)
         center = ModelCenter.from_oracle(problem.smooth, xs, p)
         gap = float(np.linalg.norm(ys - xs))
+        t_ys, tg_ys = _model(center, ys, 0.0)  # T_p and its gradient at ys
         f_ys = float(problem.smooth.value(ys))
-        lhs = abs(f_ys - taylor_value(center, ys))
+        lhs = abs(f_ys - t_ys)
         atol = _EVAL_ATOL * max(1.0, abs(f_ys))
         margin = min(margin, coeff_val * gap ** (p + 1) + atol - lhs)
         g_ys = np.asarray(problem.smooth.grad(ys), float)
-        g_lhs = float(np.linalg.norm(g_ys - taylor_grad(center, ys)))
+        g_lhs = float(np.linalg.norm(g_ys - tg_ys))
         g_atol = _EVAL_ATOL * max(1.0, float(np.linalg.norm(g_ys)))
         grad_margin = min(grad_margin, coeff_grad * gap**p + g_atol - g_lhs)
 

@@ -12,7 +12,7 @@ from nhota.cli import (
     run_experiment,
     sweep_u,
 )
-from nhota.driver import TRACE_HEADER
+from nhota.driver import TRACE_HEADER, RunConfig
 from nhota.problems import data_hash, load_phase_retrieval
 
 DIAG_CFG = """\
@@ -51,8 +51,8 @@ def test_parse_config_reads_keys_and_comments(tmp_path):
     assert cfg.lam == 3e-4
     assert cfg.u_list == [0.25, 1.0]
     assert cfg.out_dir == "out"
-    # untouched keys keep their defaults
-    assert cfg.p == 2 and cfg.u == 0.5 and cfg.theta == 0.1
+    # untouched solver keys keep the solver's own defaults
+    assert cfg.run == RunConfig()
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -210,6 +210,44 @@ def test_main_config_error_exit_one(tmp_path, capsys):
     path = write(tmp_path, "problem = diag_quad_l1\nbogus = 1\n")
     assert cli.main(["run", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+PHASE_CFG = "problem = phase_retrieval\nn = 4\nm = 16\n"
+
+# one bad value per case; each is reported before any run file is written
+BAD_CONFIGS = {
+    "n": ("run", "problem = diag_quad_l1\nn = 0\n"),
+    "m": ("run", "problem = phase_retrieval\nn = 4\nm = 0\n"),
+    "lambda": ("run", "problem = diag_quad_l1\nlambda = -1\n"),
+    "lambda_phase": ("run", PHASE_CFG + "lambda = -1\n"),
+    "gen_variance": ("run", PHASE_CFG + "gen_variance = 0\n"),
+    "noise_scale": ("run", PHASE_CFG + "noise_scale = -1\n"),
+    "d": ("run", "problem = diag_quad_l1\nd = 1.0, 0.0\nc = 0.5, 0.5\n"),
+    "d_c_with_phase": ("run", PHASE_CFG + "d = 1.0, 2.0\nc = 0.5, 0.5\n"),
+    "p": ("run", DIAG_CFG + "p = 3\n"),
+    "M0": ("run", DIAG_CFG + "M0 = -1\n"),
+    "Mtilde": ("run", DIAG_CFG + "Mtilde = 0\n"),
+    "theta": ("run", DIAG_CFG + "theta = 0\n"),
+    "step_guess": ("run", DIAG_CFG + "step_guess = 0\n"),
+    "u": ("run", DIAG_CFG + "u = 2\n"),
+    "u_at_u_min": ("sweep", DIAG_CFG + "u = 0.001\n"),
+    "u_min": ("run", DIAG_CFG + "u_min = 1\n"),
+    "max_outer": ("run", "problem = diag_quad_l1\nmax_outer = -1\n"),
+    "max_inner": ("run", DIAG_CFG + "max_inner = 0\n"),
+    "max_doublings": ("sweep", DIAG_CFG + "max_doublings = -1\n"),
+    "u_list": ("sweep", DIAG_CFG + "u_list = 0.5, 2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_main_bad_value_is_a_config_error_before_any_file(tmp_path, capsys, case):
+    cmd, text = BAD_CONFIGS[case]
+    out = tmp_path / "out"
+    path = write(tmp_path, text + f"out_dir = {out}\n")
+    assert cli.main([cmd, str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and str(path) in err[0]
+    assert not out.exists()
 
 
 def test_main_solver_failure_exit_two(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Stationarity, rate fitting, decay classification, and the remainder audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from nhota import (
     stationarity,
     subdiff_dist_l1,
 )
+from nhota.taylor import ModelCenter
 from support import quartic_1d
 
 
@@ -157,6 +160,27 @@ def test_remainder_is_deterministic_per_seed():
     a = remainder_check(prob, x0, radius=0.5, samples=60, pairs=40, seed=9)
     b = remainder_check(prob, x0, radius=0.5, samples=60, pairs=40, seed=9)
     assert (a.margin, a.grad_margin, a.L_hat) == (b.margin, b.grad_margin, b.L_hat)
+
+
+def test_remainder_one_hessian_product_per_sample(monkeypatch):
+    # T_2 and its gradient at each sample come from one H @ d
+    products = []
+
+    class CountingMatrix(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return self.view(np.ndarray) @ other
+
+    from_oracle = ModelCenter.from_oracle
+
+    def counting_center(oracle, x, p):
+        center = from_oracle(oracle, x, p)
+        return replace(center, Hx=center.Hx.view(CountingMatrix))
+
+    monkeypatch.setattr(ModelCenter, "from_oracle", counting_center)
+    prob, _, x0 = gen_phase_retrieval(8, 40, seed=7, noise_scale=1.0)
+    remainder_check(prob, x0, radius=1.0, samples=60, p=2, pairs=60)
+    assert len(products) == 60
 
 
 def test_remainder_validation():
