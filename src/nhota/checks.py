@@ -6,28 +6,32 @@ desk-scale problem sizes.  ``CHECKS`` is the one registry: ``nhota check``
 runs it, and the test suite runs each quick-scale check as its own test.
 
 The reference oracles the checks measure against (central differences, the
-grid prox, the grid subdifferential distance, and the outer loop that
-re-certifies every accepted step) live here once; the acceptance criteria
-in the tests call these same copies.
+grid prox, the grid subdifferential distance, and the fresh re-certification
+of every step the solver's own outer loop accepts) live here once; the
+acceptance criteria in the tests call these same copies.
 """
 
 from __future__ import annotations
 
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
+from . import driver
 from .core import OracleFailure, SmoothOracle, prox_l1, subdiff_dist_l1
 from .driver import (
+    IterateTrace,
+    LineSearchFailure,
     RunConfig,
     check_reference_descent,
     nhota_run,
-    try_step,
-    update_reference,
+    nhota_steps,
 )
 from .inner import InnerSolveFailure, certify, solve_subproblem
 from .metrics import kl_probe, rate_fit, remainder_check, stationarity
@@ -182,20 +186,13 @@ def subdiff_grid_gap(cases) -> float:
 
 
 def recertify_run(problem, x0, cfg: RunConfig) -> tuple[int, list[str]]:
-    """Drive the outer loop step by step and re-certify every accepted step.
+    """Drive the solver's own outer loop and re-certify every accepted step.
 
     A fresh ``certify`` must show the model decrease and a residual at most
     theta*||s||^p + 1e-8.  Returns (steps checked, failure lines).
     """
-    x, R, M = x0, problem.f(x0), cfg.M0
     checked, failures = 0, []
-    for k in range(cfg.max_outer):
-        if problem.f(x) <= cfg.stop_f or stationarity(problem, x) <= cfg.stop_stat:
-            break
-        center = ModelCenter.from_oracle(problem.smooth, x, cfg.p)
-        step = try_step(problem, center, R, M, cfg)
-        if step.stationary:
-            break
+    for k, (center, step) in enumerate(nhota_steps(problem, x0, cfg, IterateTrace())):
         fresh = certify(problem, center, step.y, step.M_used, cfg.theta,
                         witness_p=step.witness)
         checked += 1
@@ -205,9 +202,6 @@ def recertify_run(problem, x0, cfg: RunConfig) -> tuple[int, list[str]]:
         if fresh.residual > bound + 1e-8:
             failures.append(f"k={k}: residual {fresh.residual:.3e} above "
                             f"threshold {bound:.3e} + 1e-8")
-        x = step.y
-        R = update_reference(R, step.f_cand, cfg.u_at(k + 1))
-        M = max(step.M_used / 2.0, cfg.M0)
     return checked, failures
 
 
@@ -332,10 +326,8 @@ def _check_subdiff_grid() -> tuple[bool, str]:
 
 
 def _quartic_problem():
-    _, data, x0 = gen_phase_retrieval(6, 30, seed=21, noise_scale=1.0)
-    from .problems import phase_retrieval_problem
-
-    return phase_retrieval_problem(data), x0
+    problem, _, x0 = gen_phase_retrieval(6, 30, seed=21, noise_scale=1.0)
+    return problem, x0
 
 
 @_named("taylor_matches_finite_differences")
@@ -569,6 +561,11 @@ def _check_monotone_u1() -> tuple[bool, str]:
     )
 
 
+def _sign_flipped_accept(R, f_cand, step_norm, Mtilde, p) -> bool:
+    """``accept_test`` with Mtilde's sign flipped: admits uphill steps."""
+    return f_cand <= R + Mtilde / factorial(p + 1) * step_norm ** (p + 1)
+
+
 @_named("fault_injection_catches_corruption")
 def _check_fault_injection() -> tuple[bool, str]:
     """A corrupted acceptance test (Mtilde sign flipped) must be caught by
@@ -577,43 +574,16 @@ def _check_fault_injection() -> tuple[bool, str]:
     checker must also pass a clean run and flag one of its reference values
     pushed above its predecessor."""
     problem, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
-    p, Mtilde, u = 2, 10.0, 1.0
-    config = RunConfig(p=p, Mtilde=Mtilde, u=u, max_outer=12,
+    config = RunConfig(p=2, Mtilde=10.0, u=1.0, max_outer=12,
                        stop_f=-np.inf, stop_stat=-1.0)
-    center = ModelCenter.from_oracle(problem.smooth, x0, p)
-    fk = problem.f(x0)
-    R = fk
-    M = config.M0
-    f_vals, r_vals, steps = [fk], [R], []
-    for _ in range(12):
-        # corrupted rule: f_cand <= R + Mtilde/(p+1)! * step^(p+1).  The
-        # resulting iterates quickly go wild; any solver-level failure along
-        # the way just ends the corrupted run early.
-        try:
-            accepted = False
-            for _ in range(config.max_doublings):
-                y, cert, _ = solve_subproblem(problem, center, M, config.theta)
-                f_cand = problem.f(y)
-                if not np.isfinite(f_cand):
-                    raise OracleFailure("f overflowed under the corrupted rule")
-                if f_cand <= R + Mtilde / factorial(p + 1) * cert.step_norm ** (p + 1):
-                    accepted = True
-                    break
-                M *= 2.0
-            if not accepted or cert.step_norm < 1e-13:
-                break
-            R = update_reference(R, f_cand, u)
-            center = ModelCenter.from_oracle(problem.smooth, y, p)
-        except (InnerSolveFailure, OracleFailure):
-            break
-        f_vals.append(f_cand)
-        r_vals.append(R)
-        steps.append(cert.step_norm)
-        M = max(M / 2.0, config.M0)
-    violations = check_reference_descent(
-        np.array(f_vals), np.array(r_vals), np.array(steps),
-        u_min=config.u_min, Mtilde=Mtilde, p=p,
-    )
+    trace = IterateTrace()
+    # The corrupted iterates quickly go wild; a solver failure along the way
+    # just ends the run early, keeping the rows recorded before it.
+    with mock.patch.object(driver, "accept_test", _sign_flipped_accept), \
+            suppress(LineSearchFailure, InnerSolveFailure, OracleFailure):
+        for _ in nhota_steps(problem, x0, config, trace):
+            pass
+    violations = trace.check_invariants(config)
 
     problem, _, x0 = gen_diag_quad_l1(12, seed=5)
     cfg = RunConfig(p=2, u=0.5, max_outer=30)

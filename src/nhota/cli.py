@@ -140,10 +140,13 @@ def _validate(cfg: ExperimentConfig, solver: dict[str, object], path) -> None:
         raise ConfigError(f"{path}: d and c must have equal length")
     try:
         cfg.run = RunConfig(**solver)
-        for u in cfg.u_list:
-            replace(cfg.run, u=u)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for u in cfg.u_list:
+        try:
+            replace(cfg.run, u=u)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad u_list entry: {exc}") from exc
     if SEED_ENV_VAR in os.environ:
         try:
             cfg.seed = int(os.environ[SEED_ENV_VAR])

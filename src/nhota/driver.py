@@ -17,9 +17,10 @@ smaller u lets the objective fluctuate under a decreasing envelope.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -78,8 +79,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.u_min < 1.0:
             raise ValueError(f"u_min must lie in (0, 1), got {self.u_min}")
-        if self.max_outer < 0 or self.max_inner < 1 or self.max_doublings < 0:
-            raise ValueError("iteration budgets out of range")
+        for name, least in (("max_outer", 0), ("max_inner", 1), ("max_doublings", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not callable(self.u):
             self._check_u(float(self.u))
 
@@ -303,28 +305,31 @@ def _stationarity_bound(center, next_center, cert, M_used) -> float:
     return taylor_err + cert.residual + reg
 
 
-def nhota_run(
+def nhota_steps(
     problem: CompositeProblem,
     x0: Vector,
     config: RunConfig,
+    trace: IterateTrace,
     row_sink: Optional[Callable[[TraceRow], None]] = None,
-) -> IterateTrace:
-    """Run the solver from x0 and return the full iterate trace.
+) -> Iterator[tuple[ModelCenter, TryStepResult]]:
+    """The outer loop, one accepted step at a time, recorded into ``trace``.
 
     Starts with R_0 = f(x_0) and M = M0; each iteration takes a certified,
     accepted step (``try_step``), relaxes M to max(M_used/2, M0), updates
-    the reference with weight u_{k+1}, and records one trace row.  Stops
-    when f <= stop_f ("stopped-by-criterion"), the stationarity measure
-    drops to stop_stat or the step collapses onto the current point
-    ("stationary"), or max_outer iterations complete ("max_iters").
+    the reference with weight u_{k+1}, records one trace row (handing it to
+    ``row_sink`` when given) and yields the step with the center it was
+    taken from.  Stops when f <= stop_f ("stopped-by-criterion"), the
+    stationarity measure drops to stop_stat or the step collapses onto the
+    current point ("stationary"), or max_outer iterations complete
+    ("max_iters"), and then sets ``trace.status``.
 
-    ``row_sink``, when given, receives each row as soon as it is recorded,
-    so callers can stream the trace to disk.
+    The trace's final fields always describe the latest iterate, so a run
+    cut short by an exception leaves a consistent record of its steps.
     """
     x = as_vector(x0, dim=problem.dim)
     h = problem.nonsmooth
     exact_stat = h.subdiff_dist is not None
-    trace = IterateTrace(stationarity_kind="exact" if exact_stat else "bound")
+    trace.stationarity_kind = "exact" if exact_stat else "bound"
 
     center = ModelCenter.from_oracle(problem.smooth, x, config.p)
     fk = center.fx + float(h.value(x))
@@ -333,6 +338,7 @@ def nhota_run(
     R = fk
     stat: Optional[float] = center_stationarity(problem, center) if exact_stat else None
     trace.stat_initial = stat
+    trace.x_final, trace.f_final, trace.R_final, trace.stat_final = x, fk, R, stat
 
     M = config.M0
     status = STATUS_MAX_ITERS
@@ -359,11 +365,10 @@ def nhota_run(
             status = STATUS_STATIONARY
             break
 
-        u_next = config.u_at(k + 1)
         f_new = step.f_cand
         if not np.isfinite(f_new):
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
-        R_new = update_reference(R, f_new, u_next)
+        R_new = update_reference(R, f_new, config.u_at(k + 1))
         next_center = ModelCenter.from_oracle(problem.smooth, y, config.p)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
                     else _stationarity_bound(center, next_center, cert, step.M_used))
@@ -377,13 +382,29 @@ def nhota_run(
         trace.rows.append(row)
         if row_sink is not None:
             row_sink(row)
+        trace.x_final, trace.f_final, trace.R_final, trace.stat_final = y, f_new, R_new, new_stat
+        yield center, step
 
-        x, center, fk, R, stat = y, next_center, f_new, R_new, new_stat
+        center, fk, R, stat = next_center, f_new, R_new, new_stat
         M = max(step.M_used / 2.0, config.M0)
 
     trace.status = status
-    trace.f_final = fk
-    trace.R_final = R
-    trace.stat_final = stat
-    trace.x_final = x
+
+
+def nhota_run(
+    problem: CompositeProblem,
+    x0: Vector,
+    config: RunConfig,
+    row_sink: Optional[Callable[[TraceRow], None]] = None,
+) -> IterateTrace:
+    """Run the solver from x0 and return the full iterate trace.
+
+    Drives ``nhota_steps`` to its end; ``row_sink``, when given, receives
+    each row as soon as it is recorded, so callers can stream the trace to
+    disk.
+    """
+    trace = IterateTrace()
+    # maxlen=0 drops each yielded step at once, so no stale center (with its
+    # Hessian) stays alive through the next step's solve
+    deque(nhota_steps(problem, x0, config, trace, row_sink), maxlen=0)
     return trace

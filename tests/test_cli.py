@@ -1,5 +1,7 @@
 """Config parsing, file outputs, determinism, and process exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,10 @@ BAD_CONFIGS = {
     "max_doublings": ("sweep", DIAG_CFG + "max_doublings = -1\n"),
     "u_list": ("sweep", DIAG_CFG + "u_list = 0.5, 2\n"),
 }
+# the name each error line must mention, where it is not the case's own name;
+# "lam" is the generators' argument behind the `lambda` key
+ERROR_NAMES = {"lambda": "lam", "lambda_phase": "lam", "d_c_with_phase": "d",
+               "u_at_u_min": "u"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -247,6 +253,8 @@ def test_main_bad_value_is_a_config_error_before_any_file(tmp_path, capsys, case
     assert cli.main([cmd, str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and str(path) in err[0]
+    name = ERROR_NAMES.get(case, case)
+    assert re.search(rf"(?<![A-Za-z]){name}(?![A-Za-z])", err[0].replace(str(path), "")), err[0]
     assert not out.exists()
 
 
