@@ -138,6 +138,8 @@ def _validate(cfg: ExperimentConfig, solver: dict[str, object], path) -> None:
         raise ConfigError(f"{path}: d and c apply only to problem=diag_quad_l1")
     if cfg.d is not None and len(cfg.d) != len(cfg.c):
         raise ConfigError(f"{path}: d and c must have equal length")
+    if not cfg.lam >= 0:
+        raise ConfigError(f"{path}: lambda must be nonnegative, got {cfg.lam}")
     try:
         cfg.run = RunConfig(**solver)
     except ValueError as exc:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CompositeProblem, OracleContractError, Vector
-from .taylor import ModelCenter, _model, model_grad, model_value
+from .taylor import ModelCenter, _model, _require_hessian, model_grad, model_value
 
 # A candidate this close to the center with this small a residual is a
 # degenerate step: its certificate is marked stalled, so the driver asks
@@ -130,8 +130,8 @@ class StepCertificate:
     residual clears the threshold.
 
     ``stalled`` marks a solve that ended because floating point ran out of
-    room rather than because the threshold was met: the iterate froze with
-    the residual at or below ``stationarity_resolution(center)``, or the step
+    room rather than because the threshold was met: the residual reached
+    the working-precision resolution with the threshold below it, or the step
     collapsed onto the center (a degenerate step).  Such a candidate is the
     model minimizer to working precision, but its residual may sit far above
     theta*||y - x||^p, so the caller must not treat the threshold as
@@ -177,23 +177,35 @@ def _certified(center: ModelCenter, y: Vector, res: float, thr: float,
     return y, cert, witness
 
 
+def _stalled(center: ModelCenter, y: Vector, res: float, thr: float,
+             step_norm: float, iters: int, witness: Optional[Vector],
+             decrease_ok: bool = True):
+    """An uncertified y as a ``stalled`` solve, or None.
+
+    A residual at or below the working-precision resolution means the model
+    minimizer has been located as precisely as double precision allows.
+    Since y is uncertified, its target theta*||y - x||^p plus the floor lies
+    below its residual and so below the resolution too: no further iteration
+    can certify it in floats.
+    """
+    if res > _stall_resolution(center):
+        return None
+    cert = StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True)
+    return y, cert, witness
+
+
 def _stalled_or_fail(center: ModelCenter, y: Vector, res: float, thr: float,
                      step_norm: float, iters: int, witness: Optional[Vector],
                      why: str, decrease_ok: bool = True):
-    """A solve that ended without a certificate.
-
-    A residual at or below the working-precision resolution means the model
-    minimizer has been located as precisely as double precision allows: y
-    is returned with the certificate marked ``stalled``.  A larger residual
-    raises ``InnerSolveFailure``; the driver responds by doubling M.
-    """
-    resolution = _stall_resolution(center)
-    if res <= resolution:
-        cert = StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True)
-        return y, cert, witness
+    """A solve that ended without a certificate: ``_stalled``'s result, or
+    ``InnerSolveFailure`` when the residual is above the resolution; the
+    driver responds to that by doubling M."""
+    out = _stalled(center, y, res, thr, step_norm, iters, witness, decrease_ok)
+    if out is not None:
+        return out
     raise InnerSolveFailure(
         f"{why}: residual {res:.3e} above the working-precision resolution "
-        f"{resolution:.3e} (threshold {thr:.3e})", iterations=iters,
+        f"{_stall_resolution(center):.3e} (threshold {thr:.3e})", iterations=iters,
     )
 
 
@@ -263,15 +275,18 @@ def solve_subproblem(
     precision.  Every such degenerate step, for either p, comes back marked
     ``stalled``.
 
-    Near the model minimizer the iteration can stall: model-value differences
-    round to zero, so no step size produces a float-visible decrease and the
-    iterate stops moving.  A stall with the residual at or below
-    ``stationarity_resolution(center)`` means the minimizer has been located
-    as precisely as double precision allows; the point is returned with the
-    certificate marked ``stalled`` and the driver decides what it means —
+    Near the model minimizer the target theta*||y - x||^p can drop below
+    what double precision resolves.  So an uncertified iterate whose
+    residual is at or below the working-precision resolution
+    (``_stall_resolution``) ends the solve at once: the minimizer has been
+    located as precisely as the arithmetic allows, and further iterations
+    could not certify it (the inner stopping rule of ARC, Cartis, Gould &
+    Toint 2011, met at the precision floor).  The point is returned with
+    the certificate marked ``stalled`` and the driver decides what it means —
     stop if the center itself is stationary to working precision
     (``center_is_stationary``), otherwise put the candidate through the
-    ordinary acceptance test.  A stall or budget exhaustion with a larger
+    ordinary acceptance test.  An iterate that stops moving (no step size
+    gives a float-visible decrease) or budget exhaustion with a larger
     residual raises ``InnerSolveFailure``; the driver responds by doubling M.
     The p = 1 step is held to the same rule when either of its tests fails.
 
@@ -293,6 +308,7 @@ def solve_subproblem(
     p = center.p
     if p == 1:
         return _solve_first_order(problem, center, M, theta)
+    _require_hessian(center)
     h = problem.nonsmooth
     x = center.x
     f_center = center.fx + float(h.value(x))
@@ -354,6 +370,9 @@ def solve_subproblem(
         thr = theta * step_norm**p
         if res <= thr + floor or _degenerate(center, step_norm, res):
             return _certified(center, y, res, thr, step_norm, t, witness)
+        stalled = _stalled(center, y, res, thr, step_norm, t, witness)
+        if stalled is not None:
+            return stalled
 
     return _stalled_or_fail(center, y, res, thr, step_norm, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")

@@ -102,8 +102,12 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int,
     otherwise depend on how they happen to be laid out.  The Hessian's bytes
     are the same either way.
     """
-    x = as_vector(x, dim=data.n)
-    s = data.A @ x
+    return _phase_from_product(data, data.A @ as_vector(x, dim=data.n), order, out)
+
+
+def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
+                        out: Optional[Matrix] = None):
+    """``phase_oracle`` from the product s = A.x; s is not modified."""
     if order == 0:
         r = data.y - s**2
         return float(r @ r) / (2.0 * data.m)
@@ -120,18 +124,33 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int,
 def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
     """Wrap instance data as a CompositeProblem with second-order oracles.
 
-    The Hessian callback reuses one m-by-n scratch array (see
-    ``phase_oracle``), so concurrent Hessian calls on one problem are not
-    supported.  The array is untouched, and costs no resident memory, until
-    the first Hessian is evaluated.
+    The callbacks share a one-entry cache of s = A.x, keyed on a copy of
+    the point's bytes: value, gradient and Hessian at one point cost one
+    m-by-n product between them, and a point changed in place since, even
+    in the caller's own array, misses the cache.  The same bytes give the
+    same product, so results match ``phase_oracle``'s bit for bit.  The
+    Hessian callback also reuses one m-by-n scratch array (see
+    ``phase_oracle``), untouched, and costing no resident memory, until the
+    first Hessian is evaluated.  Neither is locked: the callbacks of one
+    problem must not be called concurrently.
     """
     rows = np.empty(data.A.shape)
+    last_key, last_s = b"", None  # no point has empty bytes: the first call misses
+
+    def at(x: Vector, order: int, out: Optional[Matrix] = None):
+        nonlocal last_key, last_s
+        x = as_vector(x, dim=data.n)
+        key = x.tobytes()
+        if key != last_key:
+            last_key, last_s = key, data.A @ x
+        return _phase_from_product(data, last_s, order, out)
+
     smooth = SmoothOracle(
         dim=data.n,
         order=2,
-        value=lambda x: phase_oracle(data, x, 0),
-        grad=lambda x: phase_oracle(data, x, 1),
-        hess=lambda x: phase_oracle(data, x, 2, out=rows),
+        value=lambda x: at(x, 0),
+        grad=lambda x: at(x, 1),
+        hess=lambda x: at(x, 2, out=rows),
     )
     return CompositeProblem(smooth=smooth, nonsmooth=l1_term(data.lam))
 

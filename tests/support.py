@@ -1,4 +1,8 @@
-"""One-dimensional problems shared by the unit tests; h is the zero term."""
+"""Problems and oracle wrappers shared by the unit tests.
+
+The one-dimensional problems have h = 0."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,3 +26,27 @@ def quartic_1d() -> CompositeProblem:
     return _problem_1d(lambda x: float(x[0] ** 4),
                        lambda x: np.array([4.0 * x[0] ** 3]),
                        lambda x: np.array([[12.0 * x[0] ** 2]]))
+
+
+def with_hessian_calls(problem, corrupt_from=None, corrupt=None):
+    """Same problem with the Hessian callback counted in the returned list;
+    from call number ``corrupt_from`` on, ``corrupt`` rewrites its matrix."""
+    calls = []
+    hess = problem.smooth.hess
+
+    def counted(x):
+        calls.append(1)
+        H = hess(x)
+        return H if corrupt_from is None or len(calls) < corrupt_from else corrupt(H)
+
+    return replace(problem, smooth=replace(problem.smooth, hess=counted)), calls
+
+
+def nan_hessian(H):
+    return np.full_like(H, np.nan)
+
+
+def asymmetric_hessian(H):
+    H = H.copy()
+    H[0, -1] += 1e-6 * max(1.0, float(np.abs(H).max()))
+    return H

@@ -16,6 +16,7 @@ from nhota.cli import (
 )
 from nhota.driver import TRACE_HEADER, RunConfig
 from nhota.problems import data_hash, load_phase_retrieval
+from support import asymmetric_hessian, nan_hessian, with_hessian_calls
 
 DIAG_CFG = """\
 # tiny strongly convex instance
@@ -239,10 +240,8 @@ BAD_CONFIGS = {
     "max_doublings": ("sweep", DIAG_CFG + "max_doublings = -1\n"),
     "u_list": ("sweep", DIAG_CFG + "u_list = 0.5, 2\n"),
 }
-# the name each error line must mention, where it is not the case's own name;
-# "lam" is the generators' argument behind the `lambda` key
-ERROR_NAMES = {"lambda": "lam", "lambda_phase": "lam", "d_c_with_phase": "d",
-               "u_at_u_min": "u"}
+# the name each error line must mention, where it is not the case's own name
+ERROR_NAMES = {"lambda_phase": "lambda", "d_c_with_phase": "d", "u_at_u_min": "u"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -271,12 +270,14 @@ def test_main_solver_failure_exit_two(tmp_path, capsys):
 
 
 def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
-    # gen_variance = 50 grows the Hessian entries until its product roundoff
+    # gen_variance = 500 grows the Hessian entries until its product roundoff
     # exceeds any absolute symmetry bound; the run must get past the oracle
     # check and end in a documented solver failure, not a traceback, and
-    # still leave a summary that says how it failed
+    # still leave a summary that says how it failed.  It fails because
+    # stationarity_resolution ignores curvature: at k=7 every M stalls with
+    # a residual far above it, so M doubles to exhaustion
     text = (
-        "problem = phase_retrieval\ngen_variance = 50\n"
+        "problem = phase_retrieval\ngen_variance = 500\n"
         f"out_dir = {tmp_path / 'big'}\n"
     )
     path = write(tmp_path, text)
@@ -288,6 +289,56 @@ def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
     _, data, _ = build_problem(parse_config(path))
     assert rows > 0 and summary.startswith(f"status=failed:LineSearchFailure\niterations={rows}\n")
     assert "\nseed=0\n" in summary and f"\ndata_hash={data_hash(data)}\n" in summary
+
+
+def test_main_scaled_phase_instance_ends_stationary(tmp_path, capsys, monkeypatch):
+    # at gen_variance = 50 the final p=2 solves stall at the working-precision
+    # floor; the run must stop at a point whose stationarity, recomputed from
+    # (A, y, lambda) alone, is the one the summary reports
+    traces, run = [], cli.nhota_run
+
+    def recording_run(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "nhota_run", recording_run)
+    path = write(tmp_path, "problem = phase_retrieval\ngen_variance = 50\n"
+                           f"out_dir = {tmp_path / 'mid'}\n")
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("status=stationary ")
+    summary = dict(line.split("=", 1) for line in
+                   (tmp_path / "mid" / "summary.txt").read_text().splitlines())
+    assert summary["status"] == "stationary"
+    cfg = parse_config(path)
+    _, data, _ = build_problem(cfg)
+    x = traces[-1].x_final
+    s = data.A @ x
+    g = (2.0 / data.m) * (data.A.T @ ((s**2 - data.y) * s))
+    r = np.where(x != 0.0, g + data.lam * np.sign(x),
+                 np.sign(g) * np.maximum(np.abs(g) - data.lam, 0.0))
+    stat = float(np.linalg.norm(r))
+    assert stat <= cfg.run.stop_stat
+    assert float(summary["final_stationarity"]) == pytest.approx(stat, rel=1e-6)
+
+
+@pytest.mark.parametrize("corrupt, kind", [(nan_hessian, "OracleFailure"),
+                                           (asymmetric_hessian, "OracleContractError")])
+def test_main_bad_deferred_hessian_fails_as_a_run(tmp_path, capsys, monkeypatch,
+                                                  corrupt, kind):
+    # the second center's Hessian is formed only after the first row is
+    # streamed; a bad one there is still a run failure with a summary
+    build = cli.build_problem
+
+    def corrupted(cfg):
+        problem, data, x0 = build(cfg)
+        return with_hessian_calls(problem, corrupt_from=2, corrupt=corrupt)[0], data, x0
+
+    monkeypatch.setattr(cli, "build_problem", corrupted)
+    path = write(tmp_path, PHASE_CFG + f"out_dir = {tmp_path / 'bad'}\n")
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("run failure: Hessian is ")
+    summary = (tmp_path / "bad" / "summary.txt").read_text()
+    assert summary.startswith(f"status=failed:{kind}\niterations=1\n")
 
 
 def test_main_check_failure_exit_three(monkeypatch, capsys):

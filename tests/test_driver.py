@@ -5,12 +5,14 @@ import pytest
 
 from nhota import (
     ModelCenter,
+    OracleFailure,
     RunConfig,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
     nhota_run,
 )
+from nhota.core import OracleContractError
 from nhota.driver import (
     STATUS_CRITERION,
     STATUS_MAX_ITERS,
@@ -22,7 +24,7 @@ from nhota.driver import (
     try_step,
     update_reference,
 )
-from support import quadratic_1d
+from support import asymmetric_hessian, nan_hessian, quadratic_1d, with_hessian_calls
 
 
 # --------------------------------------------------- reference & acceptance
@@ -161,6 +163,32 @@ def test_run_stop_f_is_honored():
     trace = nhota_run(prob, x0, cfg)
     assert trace.status == STATUS_CRITERION
     assert trace.f_final <= f_star + 1.0
+
+
+def test_run_forms_no_hessian_where_it_stops():
+    # each center's Hessian is formed just before its first try_step, so a
+    # run that stops on stop_stat forms one per step and none at the end
+    prob, _, x0 = gen_phase_retrieval(10, 50, seed=5, noise_scale=1.0)
+    prob, calls = with_hessian_calls(prob)
+    cfg = RunConfig(p=2)
+    trace = nhota_run(prob, x0, cfg)
+    assert trace.status == STATUS_STATIONARY and trace.stat_final <= cfg.stop_stat
+    assert trace.iterations() > 0 and len(calls) == trace.iterations()
+
+
+@pytest.mark.parametrize("corrupt, error, message", [
+    (nan_hessian, OracleFailure, "Hessian is non-finite"),
+    (asymmetric_hessian, OracleContractError, "Hessian is not symmetric"),
+])
+def test_deferred_hessian_keeps_its_checks(corrupt, error, message):
+    # the second center's Hessian is formed after the first step is recorded:
+    # a bad matrix there still raises the checks' own exception
+    prob, _, x0 = gen_phase_retrieval(10, 50, seed=5, noise_scale=1.0)
+    prob, calls = with_hessian_calls(prob, corrupt_from=2, corrupt=corrupt)
+    rows = []
+    with pytest.raises(error, match=message):
+        nhota_run(prob, x0, RunConfig(p=2), row_sink=rows.append)
+    assert len(calls) == 2 and len(rows) == 1
 
 
 def test_row_sink_streams_every_row():

@@ -11,13 +11,17 @@ from nhota import (
     CompositeProblem,
     InnerSolveFailure,
     ModelCenter,
+    RunConfig,
     certify,
+    driver,
     gen_diag_quad_l1,
     gen_phase_retrieval,
     l1_term,
+    nhota_run,
     solve_subproblem,
 )
 from nhota.inner import (
+    _stall_resolution,
     center_stationarity,
     residual_floor,
     stationarity_resolution,
@@ -122,6 +126,33 @@ def test_inner_failure_on_starved_budget():
     with pytest.raises(InnerSolveFailure) as excinfo:
         solve_subproblem(prob, center, M=1e-4, theta=1e-6, max_inner=1)
     assert excinfo.value.iterations >= 1
+
+
+def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
+    # driven far past stop_stat, the run's last p=2 solves have targets
+    # theta*||y - x||^2 below what floats resolve; each must stop once its
+    # residual reaches the working-precision resolution (this instance's
+    # first such solve used to run to max_inner) and return a point that
+    # certifies its model decrease from scratch
+    prob, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
+    cfg = RunConfig(p=2, stop_stat=1e-9, stop_f=-np.inf, max_inner=100)
+    solves = []
+
+    def recording(problem, center, M, theta, **kwargs):
+        out = solve_subproblem(problem, center, M, theta, **kwargs)
+        solves.append((center, M, out))
+        return out
+
+    monkeypatch.setattr(driver, "solve_subproblem", recording)
+    nhota_run(prob, x0, cfg)
+    stalled = [(center, M, out) for center, M, out in solves if out[1].stalled]
+    assert stalled
+    for center, M, (y, cert, witness) in stalled:
+        assert cert.inner_iters < cfg.max_inner
+        assert cert.residual > cert.threshold + residual_floor(center)
+        fresh = certify(prob, center, y, M=M, theta=cfg.theta, witness_p=witness)
+        assert fresh.decrease_ok
+        assert fresh.residual <= _stall_resolution(center)
 
 
 def with_prox_counter(problem: CompositeProblem) -> tuple[CompositeProblem, list]:

@@ -1,18 +1,23 @@
 """Seeded problem generators: formulas, draw order, closed forms, round-trips."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nhota import (
+    RunConfig,
+    SmoothOracle,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
     load_phase_retrieval,
+    nhota_run,
     save_phase_retrieval,
     subdiff_dist_l1,
 )
+from nhota.driver import format_trace_row
 from nhota.problems import DiagQuadL1Data, data_hash, diag_quad_problem, phase_oracle
 
 
@@ -63,6 +68,38 @@ def test_phase_hessian_scratch_reuse_keeps_bytes_and_results():
     assert np.array_equal(H0, H0_before)
     assert np.array_equal(H0, phase_oracle(data, x0, 2))
     assert np.array_equal(H1, phase_oracle(data, x1, 2))
+
+
+def test_phase_product_cache_misses_after_in_place_change():
+    # the cache is keyed on a copy of the point's bytes, so changing the
+    # caller's array in place must not serve the old A.x
+    prob, data, x0 = gen_phase_retrieval(7, 30, seed=11, noise_scale=0.5)
+    x = x0.copy()
+    assert prob.smooth.value(x) == phase_oracle(data, x0, 0)
+    x[3] += 0.25
+    assert prob.smooth.value(x) == phase_oracle(data, x, 0)
+    assert np.array_equal(prob.smooth.grad(x), phase_oracle(data, x, 1))
+    assert np.array_equal(prob.smooth.hess(x), phase_oracle(data, x, 2))
+    assert prob.smooth.value(x0) == phase_oracle(data, x0, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_phase_product_cache_keeps_traces_byte_identical(p):
+    # sharing one A.x between the callbacks reuses a product, never changes it
+    prob, data, x0 = gen_phase_retrieval(12, 60, seed=4, noise_scale=1.0)
+    uncached = replace(prob, smooth=SmoothOracle(
+        dim=data.n, order=2,
+        value=lambda x: phase_oracle(data, x, 0),
+        grad=lambda x: phase_oracle(data, x, 1),
+        hess=lambda x: phase_oracle(data, x, 2),
+    ))
+    cfg = RunConfig(p=p, stop_stat=1e-9, stop_f=-np.inf, max_outer=60)
+    runs = [nhota_run(problem, x0, cfg) for problem in (prob, uncached)]
+    lines = [[format_trace_row(replace(row, wall_millis=0.0)) for row in run.rows]
+             for run in runs]
+    assert len(lines[0]) > 5 and lines[0] == lines[1]
+    assert runs[0].status == runs[1].status
+    assert runs[0].x_final.tobytes() == runs[1].x_final.tobytes()
 
 
 def test_phase_generator_validation():

@@ -112,6 +112,28 @@ def test_hessian_symmetry_tolerance_is_relative(scale, rel_asym, accepted):
             ModelCenter.from_oracle(oracle, np.zeros(2), p=2)
 
 
+def test_deferred_hessian_is_formed_once_on_demand():
+    calls = []
+    quartic = quartic_1d().smooth
+
+    def hess(x):
+        calls.append(1)
+        return quartic.hess(x)
+
+    oracle = SmoothOracle(dim=1, order=2, value=quartic.value, grad=quartic.grad,
+                          hess=hess)
+    x = np.array([1.0])
+    lazy = ModelCenter.from_oracle(oracle, x, p=2, hessian=False)
+    assert lazy.Hx is None and calls == []
+    with pytest.raises(ValueError, match="no Hessian"):
+        model_value(lazy, np.array([1.1]), 1.0)
+    full = lazy.with_hessian(oracle)
+    assert full.with_hessian(oracle) is full and len(calls) == 1
+    assert np.array_equal(full.Hx, ModelCenter.from_oracle(quartic, x, p=2).Hx)
+    first = ModelCenter.from_oracle(oracle, x, p=1, hessian=False)
+    assert first.with_hessian(oracle) is first and len(calls) == 1
+
+
 def test_from_oracle_rejects_nonfinite_values():
     nan_value = SmoothOracle(
         dim=1, order=1, value=lambda x: float("nan"), grad=lambda x: np.zeros(1)
