@@ -43,7 +43,8 @@ RESIDUAL_FLOOR_COEFF = 1e-11
 
 _DECREASE_SLACK = 1e-12  # relative slack when re-checking model decrease
 
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
 
 
 def residual_floor(center: ModelCenter) -> float:
@@ -130,12 +131,13 @@ class StepCertificate:
     residual clears the threshold.
 
     ``stalled`` marks a solve that ended because floating point ran out of
-    room rather than because the threshold was met: the residual reached
-    the working-precision resolution with the threshold below it, or the step
-    collapsed onto the center (a degenerate step).  Such a candidate is the
-    model minimizer to working precision, but its residual may sit far above
-    theta*||y - x||^p, so the caller must not treat the threshold as
-    certified; ``center_is_stationary`` decides whether to stop there.
+    room rather than because the threshold was met: the iteration could make
+    no further float-visible progress with the residual at or below the
+    working-precision resolution, or the step collapsed onto the center (a
+    degenerate step).  Such a candidate is the model minimizer to working
+    precision, but its residual may sit far above theta*||y - x||^p, so the
+    caller must not treat the threshold as certified;
+    ``center_is_stationary`` decides whether to stop there.
     """
 
     decrease_ok: bool
@@ -182,11 +184,12 @@ def _stalled(center: ModelCenter, y: Vector, res: float, thr: float,
              decrease_ok: bool = True):
     """An uncertified y as a ``stalled`` solve, or None.
 
-    A residual at or below the working-precision resolution means the model
-    minimizer has been located as precisely as double precision allows.
-    Since y is uncertified, its target theta*||y - x||^p plus the floor lies
-    below its residual and so below the resolution too: no further iteration
-    can certify it in floats.
+    Callers apply it only once floats have run out for the iteration that
+    produced y: the iterate froze, the budget is spent, the p = 1 step is
+    exact, or the last p = 2 step changed the model value by no more than
+    its rounding.  A residual at or below the working-precision resolution
+    then means the model minimizer has been located as precisely as double
+    precision allows; a larger one gives None.
     """
     if res > _stall_resolution(center):
         return None
@@ -276,18 +279,24 @@ def solve_subproblem(
     ``stalled``.
 
     Near the model minimizer the target theta*||y - x||^p can drop below
-    what double precision resolves.  So an uncertified iterate whose
-    residual is at or below the working-precision resolution
-    (``_stall_resolution``) ends the solve at once: the minimizer has been
-    located as precisely as the arithmetic allows, and further iterations
-    could not certify it (the inner stopping rule of ARC, Cartis, Gould &
-    Toint 2011, met at the precision floor).  The point is returned with
-    the certificate marked ``stalled`` and the driver decides what it means —
+    what double precision resolves.  Once a step changes the model value by
+    no more than its rounding (eps * |m|), the iteration has no
+    float-visible progress left to make; if the iterate's residual is then
+    at or below the working-precision resolution (``_stall_resolution``) the
+    solve ends at once: the minimizer has been located as precisely as the
+    arithmetic allows, and further iterations could not certify it (the
+    inner stopping rule of ARC, Cartis, Gould & Toint 2011, met at the
+    precision floor).  The resolution grows with |f(x)| while the model
+    decrease does not, so the residual test alone would stop far from the
+    floor on an objective with a large value; the rounding test is what
+    ties the stop to the floats.  The point is returned with the
+    certificate marked ``stalled`` and the driver decides what it means —
     stop if the center itself is stationary to working precision
     (``center_is_stationary``), otherwise put the candidate through the
     ordinary acceptance test.  An iterate that stops moving (no step size
-    gives a float-visible decrease) or budget exhaustion with a larger
-    residual raises ``InnerSolveFailure``; the driver responds by doubling M.
+    gives a float-visible decrease) or budget exhaustion ends the solve the
+    same way at a residual at or below the resolution, and with a larger
+    one raises ``InnerSolveFailure``; the driver responds by doubling M.
     The p = 1 step is held to the same rule when either of its tests fails.
 
     Returns (y, certificate, witness); witness is None when the certificate
@@ -364,15 +373,18 @@ def solve_subproblem(
             return _stalled_or_fail(center, y, res, thr, step_norm, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
+        drop = m_total - mt_new
         y, m_smooth, m_total, g_reg = y_new, ms_new, mt_new, g_new
         step_norm = float(np.linalg.norm(y - x))
         res = _residual(problem, g_reg, y, witness)
         thr = theta * step_norm**p
         if res <= thr + floor or _degenerate(center, step_norm, res):
             return _certified(center, y, res, thr, step_norm, t, witness)
-        stalled = _stalled(center, y, res, thr, step_norm, t, witness)
-        if stalled is not None:
-            return stalled
+        # the step moved m by no more than its rounding: floats have run out
+        if drop <= _EPS * abs(m_total):
+            stalled = _stalled(center, y, res, thr, step_norm, t, witness)
+            if stalled is not None:
+                return stalled
 
     return _stalled_or_fail(center, y, res, thr, step_norm, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")

@@ -82,8 +82,7 @@ def gen_phase_retrieval(
     return phase_retrieval_problem(data), data, x0
 
 
-def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int,
-                 out: Optional[Matrix] = None):
+def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
     """Value (order 0), gradient (1) or dense Hessian (2) of the smooth part.
 
     With s_i = a_i.x and residual r_i = y_i - s_i^2:
@@ -94,6 +93,13 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int,
     count.  The products with A go through BLAS, whose reduction order
     depends on the number of threads, so another thread count can change
     the last bits of every value and with them a solver's trajectory.
+    """
+    return _phase_from_product(data, data.A @ as_vector(x, dim=data.n), order)
+
+
+def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
+                        out: Optional[Matrix] = None):
+    """``phase_oracle`` from the product s = A.x; s is not modified.
 
     ``out``, for order 2, is an m-by-n float array that receives the
     weighted rows (3 s_i^2 - y_i) a_i before the product.  Reusing one keeps
@@ -102,12 +108,6 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int,
     otherwise depend on how they happen to be laid out.  The Hessian's bytes
     are the same either way.
     """
-    return _phase_from_product(data, data.A @ as_vector(x, dim=data.n), order, out)
-
-
-def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
-                        out: Optional[Matrix] = None):
-    """``phase_oracle`` from the product s = A.x; s is not modified."""
     if order == 0:
         r = data.y - s**2
         return float(r @ r) / (2.0 * data.m)
@@ -130,9 +130,9 @@ def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
     in the caller's own array, misses the cache.  The same bytes give the
     same product, so results match ``phase_oracle``'s bit for bit.  The
     Hessian callback also reuses one m-by-n scratch array (see
-    ``phase_oracle``), untouched, and costing no resident memory, until the
-    first Hessian is evaluated.  Neither is locked: the callbacks of one
-    problem must not be called concurrently.
+    ``_phase_from_product``), untouched, and costing no resident memory,
+    until the first Hessian is evaluated.  Neither is locked: the callbacks
+    of one problem must not be called concurrently.
     """
     rows = np.empty(data.A.shape)
     last_key, last_s = b"", None  # no point has empty bytes: the first call misses

@@ -292,7 +292,7 @@ def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
 
 
 def test_main_scaled_phase_instance_ends_stationary(tmp_path, capsys, monkeypatch):
-    # at gen_variance = 50 the final p=2 solves stall at the working-precision
+    # at gen_variance = 30 the final p=2 solves stall at the working-precision
     # floor; the run must stop at a point whose stationarity, recomputed from
     # (A, y, lambda) alone, is the one the summary reports
     traces, run = [], cli.nhota_run
@@ -302,7 +302,7 @@ def test_main_scaled_phase_instance_ends_stationary(tmp_path, capsys, monkeypatc
         return traces[-1]
 
     monkeypatch.setattr(cli, "nhota_run", recording_run)
-    path = write(tmp_path, "problem = phase_retrieval\ngen_variance = 50\n"
+    path = write(tmp_path, "problem = phase_retrieval\ngen_variance = 30\n"
                            f"out_dir = {tmp_path / 'mid'}\n")
     assert cli.main(["run", str(path)]) == 0
     assert capsys.readouterr().out.startswith("status=stationary ")

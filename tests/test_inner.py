@@ -155,6 +155,30 @@ def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
         assert fresh.residual <= _stall_resolution(center)
 
 
+def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
+    """Same problem with C added to F: same minimizers, larger |f|."""
+    s = problem.smooth
+    return replace(problem, smooth=replace(s, value=lambda x: s.value(x) + C),
+                   known_opt=None)
+
+
+@pytest.mark.parametrize("make, C, stop_stat", [
+    (lambda: gen_diag_quad_l1(50, seed=0), 1e6, 1e-3),
+    (lambda: gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0), 1e3, 1e-5),
+], ids=["diag+1e6", "phase+1e3"])
+def test_large_objective_value_does_not_end_the_run_early(make, C, stop_stat):
+    # the working-precision resolution grows with |f(x)|, so a stall rule
+    # keyed on it alone ends the last solves, and then the run, at a
+    # stationarity far above stop_stat once F carries a large constant
+    prob, _, x0 = make()
+    cfg = RunConfig(p=2, stop_stat=stop_stat, stop_f=-np.inf)
+    plain = nhota_run(prob, x0, cfg)
+    lifted = nhota_run(shifted(prob, C), x0, cfg)
+    assert len(lifted.rows) == len(plain.rows)
+    assert plain.stat_final <= stop_stat
+    assert lifted.stat_final <= stop_stat
+
+
 def with_prox_counter(problem: CompositeProblem) -> tuple[CompositeProblem, list]:
     """Same problem with h.prox wrapped; the list collects one entry per call."""
     calls = []
