@@ -331,9 +331,7 @@ def nhota_steps(
     exact_stat = h.subdiff_dist is not None
     trace.stationarity_kind = "exact" if exact_stat else "bound"
 
-    # centers come from value and gradient only; a center's Hessian is formed
-    # just before its first try_step, so a run that stops forms none there
-    center = ModelCenter.from_oracle(problem.smooth, x, config.p, hessian=False)
+    center = ModelCenter.from_oracle(problem.smooth, x, config.p)
     fk = center.fx + float(h.value(x))
     if not np.isfinite(fk):
         raise OracleFailure("f(x0) is not finite")
@@ -356,7 +354,6 @@ def nhota_steps(
             break
 
         t0 = time.perf_counter()
-        center = center.with_hessian(problem.smooth)
         try:
             step = try_step(problem, center, R, M, config)
         except LineSearchFailure as exc:
@@ -372,7 +369,7 @@ def nhota_steps(
         if not np.isfinite(f_new):
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
-        next_center = ModelCenter.from_oracle(problem.smooth, y, config.p, hessian=False)
+        next_center = ModelCenter.from_oracle(problem.smooth, y, config.p)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
                     else _stationarity_bound(center, next_center, cert, step.M_used))
         wall = (time.perf_counter() - t0) * 1000.0

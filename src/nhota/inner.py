@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CompositeProblem, OracleContractError, Vector
-from .taylor import ModelCenter, _model, _require_hessian, model_grad, model_value
+from .taylor import ModelCenter, _model, model_grad, model_value
 
 # A candidate this close to the center with this small a residual is a
 # degenerate step: its certificate is marked stalled, so the driver asks
@@ -97,19 +97,13 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     return float(np.linalg.norm(center.x - z))
 
 
-def _stall_resolution(center: ModelCenter) -> float:
-    """Residual at or below which a stalled solve, or the center itself,
-    counts as stationary to working precision."""
-    return max(DEGENERATE_RESIDUAL, stationarity_resolution(center))
-
-
 def center_is_stationary(problem: CompositeProblem, center: ModelCenter) -> bool:
     """Whether the center is stationary to working precision.
 
     The driver asks this of every ``stalled`` certificate: if so it stops at
     the center; otherwise the candidate goes through the acceptance test.
     """
-    return center_stationarity(problem, center) <= _stall_resolution(center)
+    return center_stationarity(problem, center) <= stationarity_resolution(center)
 
 
 class InnerSolveFailure(RuntimeError):
@@ -191,7 +185,7 @@ def _stalled(center: ModelCenter, y: Vector, res: float, thr: float,
     then means the model minimizer has been located as precisely as double
     precision allows; a larger one gives None.
     """
-    if res > _stall_resolution(center):
+    if res > stationarity_resolution(center):
         return None
     cert = StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True)
     return y, cert, witness
@@ -208,7 +202,7 @@ def _stalled_or_fail(center: ModelCenter, y: Vector, res: float, thr: float,
         return out
     raise InnerSolveFailure(
         f"{why}: residual {res:.3e} above the working-precision resolution "
-        f"{_stall_resolution(center):.3e} (threshold {thr:.3e})", iterations=iters,
+        f"{stationarity_resolution(center):.3e} (threshold {thr:.3e})", iterations=iters,
     )
 
 
@@ -282,7 +276,7 @@ def solve_subproblem(
     what double precision resolves.  Once a step changes the model value by
     no more than its rounding (eps * |m|), the iteration has no
     float-visible progress left to make; if the iterate's residual is then
-    at or below the working-precision resolution (``_stall_resolution``) the
+    at or below the working-precision resolution (``stationarity_resolution``) the
     solve ends at once: the minimizer has been located as precisely as the
     arithmetic allows, and further iterations could not certify it (the
     inner stopping rule of ARC, Cartis, Gould & Toint 2011, met at the
@@ -317,7 +311,6 @@ def solve_subproblem(
     p = center.p
     if p == 1:
         return _solve_first_order(problem, center, M, theta)
-    _require_hessian(center)
     h = problem.nonsmooth
     x = center.x
     f_center = center.fx + float(h.value(x))

@@ -11,7 +11,8 @@ when they need the full subproblem objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -54,24 +55,20 @@ class ModelCenter:
     """Cached derivatives of F at an expansion point x.
 
     Holds everything needed to evaluate T_p and its gradient without
-    further oracle calls.  ``Hx`` is None when p = 1, and also for a p = 2
-    center built with ``hessian=False`` until ``with_hessian`` forms it;
-    the model functions need it formed.
+    further oracle calls.  ``Hx`` is None when p = 1; when p = 2 it is
+    formed from ``oracle`` the first time it is read, so a center that is
+    only tested for stationarity never forms its n-by-n matrix.
     """
 
     x: Vector
     fx: float
     gx: Vector
-    Hx: Optional[Matrix]
     p: int
+    oracle: SmoothOracle
 
     @classmethod
-    def from_oracle(cls, oracle: SmoothOracle, x: Vector, p: int,
-                    hessian: bool = True) -> "ModelCenter":
-        """Value and gradient at x, checked, plus the checked Hessian when
-        p = 2 and ``hessian`` is true.  ``hessian=False`` leaves it to
-        ``with_hessian``, so a center that is only tested for stationarity
-        never forms its n-by-n matrix."""
+    def from_oracle(cls, oracle: SmoothOracle, x: Vector, p: int) -> "ModelCenter":
+        """Value and gradient at x, checked; the Hessian waits for ``Hx``."""
         if p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {p}")
         if p > oracle.order:
@@ -87,19 +84,18 @@ class ModelCenter:
             raise OracleContractError(f"gradient shape {gx.shape} != point shape {x.shape}")
         if not np.all(np.isfinite(gx)):
             raise OracleFailure("gradient is non-finite")
-        center = cls(x=x, fx=fx, gx=gx, Hx=None, p=p)
-        return center.with_hessian(oracle) if hessian else center
+        return cls(x=x, fx=fx, gx=gx, p=p, oracle=oracle)
 
-    def with_hessian(self, oracle: SmoothOracle) -> "ModelCenter":
-        """This center with its Hessian formed and checked (shape, finite,
-        symmetric); the center itself when p = 1 or the Hessian is present."""
-        if self.p == 1 or self.Hx is not None:
-            return self
-        Hx = np.asarray(oracle.hess(self.x), dtype=float)
-        if Hx.shape != (oracle.dim, oracle.dim):
-            raise OracleContractError(
-                f"Hessian shape {Hx.shape} != ({oracle.dim}, {oracle.dim})"
-            )
+    @cached_property
+    def Hx(self) -> Optional[Matrix]:
+        """The Hessian at x, formed once and checked (shape, finite,
+        symmetric); None when p = 1."""
+        if self.p == 1:
+            return None
+        n = self.oracle.dim
+        Hx = np.asarray(self.oracle.hess(self.x), dtype=float)
+        if Hx.shape != (n, n):
+            raise OracleContractError(f"Hessian shape {Hx.shape} != ({n}, {n})")
         if not np.all(np.isfinite(Hx)):
             raise OracleFailure("Hessian is non-finite")
         asym = _max_asymmetry(Hx)
@@ -109,13 +105,7 @@ class ModelCenter:
                 f"Hessian is not symmetric: max |H - H^T| = {asym:.3e} "
                 f"exceeds {HESS_SYMMETRY_RTOL:g} * max(1, max|H|) = {tol:.3e}"
             )
-        return replace(self, Hx=Hx)
-
-
-def _require_hessian(center: ModelCenter) -> None:
-    """A p = 2 model needs the center's Hessian: see ``with_hessian``."""
-    if center.p == 2 and center.Hx is None:
-        raise ValueError("p = 2 center has no Hessian; form it with with_hessian")
+        return Hx
 
 
 def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:
@@ -144,7 +134,6 @@ def _checked(center: ModelCenter, y: Vector,
     y = np.asarray(y, dtype=float)
     if y.shape != center.x.shape:
         raise ValueError(f"point shape {y.shape} != center shape {center.x.shape}")
-    _require_hessian(center)
     return _model(center, y, 0.0 if M is None else M)
 
 

@@ -20,12 +20,7 @@ from nhota import (
     nhota_run,
     solve_subproblem,
 )
-from nhota.inner import (
-    _stall_resolution,
-    center_stationarity,
-    residual_floor,
-    stationarity_resolution,
-)
+from nhota.inner import center_stationarity, residual_floor, stationarity_resolution
 from nhota.taylor import model_value
 from support import quadratic_1d
 
@@ -152,7 +147,7 @@ def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
         assert cert.residual > cert.threshold + residual_floor(center)
         fresh = certify(prob, center, y, M=M, theta=cfg.theta, witness_p=witness)
         assert fresh.decrease_ok
-        assert fresh.residual <= _stall_resolution(center)
+        assert fresh.residual <= stationarity_resolution(center)
 
 
 def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
@@ -226,7 +221,7 @@ def test_one_hessian_product_per_trial_point():
     prob, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
     prob, prox_calls = with_prox_counter(prob)
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
-    center = replace(center, Hx=center.Hx.view(CountingMatrix))
+    vars(center)["Hx"] = center.Hx.view(CountingMatrix)  # the cached slot
     warm, cert, _ = solve_subproblem(prob, center, M=1.0, theta=0.1)
     assert cert.inner_iters > 10 and 0 < len(products) <= len(prox_calls) + 1
     for start in (warm, warm + 1e3):  # a warm start that is kept, one that is not

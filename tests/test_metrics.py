@@ -1,7 +1,5 @@
 """Stationarity, rate fitting, decay classification, and the remainder audit."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -175,7 +173,8 @@ def test_remainder_one_hessian_product_per_sample(monkeypatch):
 
     def counting_center(oracle, x, p):
         center = from_oracle(oracle, x, p)
-        return replace(center, Hx=center.Hx.view(CountingMatrix))
+        vars(center)["Hx"] = center.Hx.view(CountingMatrix)  # the cached slot
+        return center
 
     monkeypatch.setattr(ModelCenter, "from_oracle", counting_center)
     prob, _, x0 = gen_phase_retrieval(8, 40, seed=7, noise_scale=1.0)

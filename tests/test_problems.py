@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhota import (
     RunConfig,
@@ -84,22 +85,37 @@ def test_phase_product_cache_misses_after_in_place_change():
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_phase_product_cache_keeps_traces_byte_identical(p):
-    # sharing one A.x between the callbacks reuses a product, never changes it
-    prob, data, x0 = gen_phase_retrieval(12, 60, seed=4, noise_scale=1.0)
-    uncached = replace(prob, smooth=SmoothOracle(
-        dim=data.n, order=2,
-        value=lambda x: phase_oracle(data, x, 0),
-        grad=lambda x: phase_oracle(data, x, 1),
-        hess=lambda x: phase_oracle(data, x, 2),
-    ))
-    cfg = RunConfig(p=p, stop_stat=1e-9, stop_f=-np.inf, max_outer=60)
-    runs = [nhota_run(problem, x0, cfg) for problem in (prob, uncached)]
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(["phase", "diag"]),
+    seed=st.integers(0, 10_000),
+    u=st.floats(0.01, 1.0),
+    lam=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+)
+def test_phase_product_cache_keeps_traces_byte_identical(p, family, seed, u, lam):
+    # a problem object carries state from one run into the next (the phase
+    # callbacks' cached A.x; the centers' Hessians are formed from its
+    # callbacks): a second run on the same object repeats the first byte for
+    # byte, and a phase run matches the uncached phase_oracle
+    if family == "phase":
+        prob, data, x0 = gen_phase_retrieval(12, 60, seed=seed, noise_scale=1.0, lam=lam)
+        uncached = replace(prob, smooth=SmoothOracle(
+            dim=data.n, order=2,
+            value=lambda x: phase_oracle(data, x, 0),
+            grad=lambda x: phase_oracle(data, x, 1),
+            hess=lambda x: phase_oracle(data, x, 2),
+        ))
+        problems = (prob, prob, uncached)
+    else:
+        prob, _, x0 = gen_diag_quad_l1(12, seed=seed, lam=lam)
+        problems = (prob, prob)
+    cfg = RunConfig(p=p, u=u, stop_stat=1e-9, stop_f=-np.inf, max_outer=60)
+    runs = [nhota_run(problem, x0, cfg) for problem in problems]
     lines = [[format_trace_row(replace(row, wall_millis=0.0)) for row in run.rows]
              for run in runs]
-    assert len(lines[0]) > 5 and lines[0] == lines[1]
-    assert runs[0].status == runs[1].status
-    assert runs[0].x_final.tobytes() == runs[1].x_final.tobytes()
+    assert lines[0] and all(other == lines[0] for other in lines[1:])
+    assert all(run.status == runs[0].status for run in runs)
+    assert all(run.x_final.tobytes() == runs[0].x_final.tobytes() for run in runs)
 
 
 def test_phase_generator_validation():

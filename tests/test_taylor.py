@@ -81,7 +81,7 @@ def test_from_oracle_rejects_order_mismatch():
     ModelCenter.from_oracle(first_order, np.zeros(1), p=1)
 
 
-def test_from_oracle_rejects_asymmetric_hessian():
+def test_asymmetric_hessian_is_rejected_on_first_read():
     bad = SmoothOracle(
         dim=2,
         order=2,
@@ -89,8 +89,9 @@ def test_from_oracle_rejects_asymmetric_hessian():
         grad=lambda x: np.zeros(2),
         hess=lambda x: np.array([[1.0, 0.5], [0.2, 1.0]]),
     )
-    with pytest.raises(ValueError):
-        ModelCenter.from_oracle(bad, np.zeros(2), p=2)
+    center = ModelCenter.from_oracle(bad, np.zeros(2), p=2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        center.Hx
 
 
 @pytest.mark.parametrize("scale, rel_asym, accepted", [
@@ -105,11 +106,12 @@ def test_hessian_symmetry_tolerance_is_relative(scale, rel_asym, accepted):
         dim=2, order=2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
         hess=lambda x: H,
     )
+    center = ModelCenter.from_oracle(oracle, np.zeros(2), p=2)
     if accepted:
-        assert ModelCenter.from_oracle(oracle, np.zeros(2), p=2).Hx is not None
+        assert center.Hx is not None
     else:
         with pytest.raises(OracleFailure):
-            ModelCenter.from_oracle(oracle, np.zeros(2), p=2)
+            center.Hx
 
 
 def test_deferred_hessian_is_formed_once_on_demand():
@@ -123,15 +125,12 @@ def test_deferred_hessian_is_formed_once_on_demand():
     oracle = SmoothOracle(dim=1, order=2, value=quartic.value, grad=quartic.grad,
                           hess=hess)
     x = np.array([1.0])
-    lazy = ModelCenter.from_oracle(oracle, x, p=2, hessian=False)
-    assert lazy.Hx is None and calls == []
-    with pytest.raises(ValueError, match="no Hessian"):
-        model_value(lazy, np.array([1.1]), 1.0)
-    full = lazy.with_hessian(oracle)
-    assert full.with_hessian(oracle) is full and len(calls) == 1
-    assert np.array_equal(full.Hx, ModelCenter.from_oracle(quartic, x, p=2).Hx)
-    first = ModelCenter.from_oracle(oracle, x, p=1, hessian=False)
-    assert first.with_hessian(oracle) is first and len(calls) == 1
+    center = ModelCenter.from_oracle(oracle, x, p=2)
+    assert calls == []
+    assert abs(model_value(center, np.array([1.1]), 6.0) - 1.461) <= 1e-12
+    assert len(calls) == 1
+    assert np.array_equal(center.Hx, quartic.hess(x)) and len(calls) == 1
+    assert ModelCenter.from_oracle(oracle, x, p=1).Hx is None and len(calls) == 1
 
 
 def test_from_oracle_rejects_nonfinite_values():
