@@ -120,6 +120,8 @@ class TryStepResult:
     M_used: float
     doublings: int
     inner_iters: int
+    # F(y) + h(y); NaN on a ``stationary`` result, which evaluates no
+    # candidate it would discard.
     f_cand: float
     # The center is stationary to working precision; the driver stops there
     # rather than stepping to y.
@@ -140,9 +142,10 @@ def try_step(
     next solve with the rejected candidate.
 
     A solve that stalled at the floating-point floor or returned a
-    degenerate step (``cert.stalled``) forces a decision: if the center is
+    collapsed step (``cert.stalled``) forces a decision: if the center is
     stationary to working precision (``center_is_stationary``), the result
-    is flagged ``stationary`` and the driver stops at the center; otherwise
+    is flagged ``stationary``, without evaluating the objective at y, and
+    the driver stops at the center; otherwise
     the candidate — typically the model minimizer pinned down as far as
     floats allow — goes through the ordinary acceptance test like any other
     step.
@@ -163,12 +166,12 @@ def try_step(
             M *= 2.0
             continue
         total_inner += cert.inner_iters
+        if cert.stalled and center_is_stationary(problem, center):
+            return TryStepResult(y, cert, witness, M, i, total_inner, np.nan,
+                                 stationary=True)
         f_cand = problem.f(y)
         if np.isnan(f_cand):
             raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
-        if cert.stalled and center_is_stationary(problem, center):
-            return TryStepResult(y, cert, witness, M, i, total_inner, f_cand,
-                                 stationary=True)
         if accept_test(R, f_cand, cert.step_norm, config.Mtilde, config.p):
             return TryStepResult(y, cert, witness, M, i, total_inner, f_cand)
         warm = y

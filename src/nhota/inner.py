@@ -26,12 +26,10 @@ import numpy as np
 from .core import CompositeProblem, OracleContractError, Vector
 from .taylor import ModelCenter, _model, model_grad, model_value
 
-# A candidate this close to the center with this small a residual is a
-# degenerate step: its certificate is marked stalled, so the driver asks
-# whether the center itself is stationary rather than looping on zero-length
-# steps.
+# A certified candidate this close to the center is a collapsed step.  The
+# test is relative, not step_norm == 0: from a minimizer the solve can return
+# a point one ulp away from x.
 DEGENERATE_STEP_RTOL = 1e-14
-DEGENERATE_RESIDUAL = 1e-10
 
 # The residual is a difference of near-cancelling O(||grad||) terms, so it
 # cannot be computed below roughly eps * ||grad|| no matter how far the inner
@@ -127,11 +125,12 @@ class StepCertificate:
     ``stalled`` marks a solve that ended because floating point ran out of
     room rather than because the threshold was met: the iteration could make
     no further float-visible progress with the residual at or below the
-    working-precision resolution, or the step collapsed onto the center (a
-    degenerate step).  Such a candidate is the model minimizer to working
-    precision, but its residual may sit far above theta*||y - x||^p, so the
-    caller must not treat the threshold as certified;
-    ``center_is_stationary`` decides whether to stop there.
+    working-precision resolution, or a certified step collapsed onto the
+    center (its length at most ``DEGENERATE_STEP_RTOL * (1 + ||x||)``,
+    whatever its residual).  Such a candidate is the model minimizer to
+    working precision, but its residual may sit far above
+    theta*||y - x||^p, so the caller must not treat the threshold as
+    certified; ``center_is_stationary`` decides whether to stop there.
     """
 
     decrease_ok: bool
@@ -158,46 +157,48 @@ def _residual(problem: CompositeProblem, g_reg: Vector, y: Vector,
     return float(np.linalg.norm(g_reg + witness))
 
 
-def _degenerate(center: ModelCenter, step_norm: float, res: float) -> bool:
-    """The step collapsed onto the center with a negligible residual."""
-    return res <= DEGENERATE_RESIDUAL and step_norm <= DEGENERATE_STEP_RTOL * (
-        1.0 + float(np.linalg.norm(center.x))
-    )
+def _finish(center: ModelCenter, y: Vector, res: float, thr: float,
+            step_norm: float, iters: int, witness: Optional[Vector],
+            decrease_ok: bool = True):
+    """The inner solver's one stopping rule: (y, certificate, witness), or None.
 
+    Every solve ends here, for either p: the p = 1 closed-form step, a start
+    point that is already certified, a p = 2 iterate whose residual cleared
+    its target or whose step moved m by no more than its rounding
+    (eps * |m|), an iterate that no step size moves, and a spent budget.
+    Given y's residual ``res`` and target ``thr`` = theta*||y - x||^p:
 
-def _certified(center: ModelCenter, y: Vector, res: float, thr: float,
-               step_norm: float, iters: int, witness: Optional[Vector]):
-    """A certified solve, marked stalled when the step is degenerate."""
-    cert = StepCertificate(True, res, thr, step_norm, iters,
-                           stalled=_degenerate(center, step_norm, res))
-    return y, cert, witness
+    * **certified** when the model decreased and ``res`` is at most ``thr``
+      plus ``residual_floor(center)`` (the residual is computed from
+      near-cancelling O(||grad||) terms and cannot resolve below that
+      scale).  The certificate is marked ``stalled`` when the step has
+      collapsed onto the center (``step_norm`` at most
+      ``DEGENERATE_STEP_RTOL * (1 + ||x||)``), so the driver asks whether
+      the center is stationary rather than looping on zero-length steps;
+    * **stalled** otherwise, when ``res`` is at most
+      ``stationarity_resolution(center)``: floats have run out, and y is the
+      model minimizer located as precisely as double precision allows, but
+      its residual may sit far above ``thr`` (the inner stopping rule of
+      ARC, Cartis, Gould & Toint 2011, met at the precision floor);
+    * **None** in every other case.
 
-
-def _stalled(center: ModelCenter, y: Vector, res: float, thr: float,
-             step_norm: float, iters: int, witness: Optional[Vector],
-             decrease_ok: bool = True):
-    """An uncertified y as a ``stalled`` solve, or None.
-
-    Callers apply it only once floats have run out for the iteration that
-    produced y: the iterate froze, the budget is spent, the p = 1 step is
-    exact, or the last p = 2 step changed the model value by no more than
-    its rounding.  A residual at or below the working-precision resolution
-    then means the model minimizer has been located as precisely as double
-    precision allows; a larger one gives None.
+    Callers that may not continue treat None as a failure
+    (``_finish_or_raise``).
     """
-    if res > stationarity_resolution(center):
-        return None
-    cert = StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True)
-    return y, cert, witness
+    if decrease_ok and res <= thr + residual_floor(center):
+        collapsed = step_norm <= DEGENERATE_STEP_RTOL * (1.0 + float(np.linalg.norm(center.x)))
+        return y, StepCertificate(True, res, thr, step_norm, iters, stalled=collapsed), witness
+    if res <= stationarity_resolution(center):
+        return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True), witness
+    return None
 
 
-def _stalled_or_fail(center: ModelCenter, y: Vector, res: float, thr: float,
+def _finish_or_raise(center: ModelCenter, y: Vector, res: float, thr: float,
                      step_norm: float, iters: int, witness: Optional[Vector],
                      why: str, decrease_ok: bool = True):
-    """A solve that ended without a certificate: ``_stalled``'s result, or
-    ``InnerSolveFailure`` when the residual is above the resolution; the
+    """``_finish``'s result, or ``InnerSolveFailure`` where it gives None; the
     driver responds to that by doubling M."""
-    out = _stalled(center, y, res, thr, step_norm, iters, witness, decrease_ok)
+    out = _finish(center, y, res, thr, step_norm, iters, witness, decrease_ok)
     if out is not None:
         return out
     raise InnerSolveFailure(
@@ -213,8 +214,8 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     The prox optimality condition puts the witness M(x - y) - g in dh(y),
     so the model gradient g + M(y - x) plus the witness is zero up to
     roundoff.  Both certificate conditions are still tested in floating
-    point; a point that fails either goes through the same stall rule as
-    the p = 2 iteration.
+    point, through the same stopping rule (``_finish``) as the p = 2
+    iteration.
     """
     h = problem.nonsmooth
     x, g = center.x, center.gx
@@ -225,9 +226,7 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     step_norm = float(np.linalg.norm(y - x))
     thr = theta * step_norm
     decrease_ok = m_smooth + float(h.value(y)) <= center.fx + float(h.value(x))
-    if decrease_ok and res <= thr + residual_floor(center):
-        return _certified(center, y, res, thr, step_norm, 1, witness)
-    return _stalled_or_fail(center, y, res, thr, step_norm, 1, witness,
+    return _finish_or_raise(center, y, res, thr, step_norm, 1, witness,
                             "closed-form prox step not certified",
                             decrease_ok=decrease_ok)
 
@@ -265,33 +264,19 @@ def solve_subproblem(
     backtracking).  The doubling lets the step grow back where the model is
     flatter.
 
-    Stops when the residual clears theta*||y - x||^p plus the working-
-    precision floor ``residual_floor(center)`` (the residual is computed from
-    near-cancelling O(||grad||) terms and cannot honestly resolve below that
-    scale), or when the candidate has collapsed onto the center to machine
-    precision.  Every such degenerate step, for either p, comes back marked
-    ``stalled``.
-
-    Near the model minimizer the target theta*||y - x||^p can drop below
-    what double precision resolves.  Once a step changes the model value by
-    no more than its rounding (eps * |m|), the iteration has no
-    float-visible progress left to make; if the iterate's residual is then
-    at or below the working-precision resolution (``stationarity_resolution``) the
-    solve ends at once: the minimizer has been located as precisely as the
-    arithmetic allows, and further iterations could not certify it (the
-    inner stopping rule of ARC, Cartis, Gould & Toint 2011, met at the
-    precision floor).  The resolution grows with |f(x)| while the model
-    decrease does not, so the residual test alone would stop far from the
-    floor on an objective with a large value; the rounding test is what
-    ties the stop to the floats.  The point is returned with the
-    certificate marked ``stalled`` and the driver decides what it means —
-    stop if the center itself is stationary to working precision
-    (``center_is_stationary``), otherwise put the candidate through the
-    ordinary acceptance test.  An iterate that stops moving (no step size
-    gives a float-visible decrease) or budget exhaustion ends the solve the
-    same way at a residual at or below the resolution, and with a larger
-    one raises ``InnerSolveFailure``; the driver responds by doubling M.
-    The p = 1 step is held to the same rule when either of its tests fails.
+    Every solve, for either p, ends through one stopping rule, ``_finish``.
+    The p = 2 iteration asks it once the residual clears its target plus
+    the floor, or once a step changes the model value by no more than its
+    rounding (eps * |m|): near the model minimizer theta*||y - x||^p can drop
+    below what double precision resolves, and the resolution grows with
+    |f(x)| while the model decrease does not, so it is the rounding test
+    that ties a stop below the target to the floats.  An iterate that stops
+    moving (no step size gives a float-visible decrease) and a spent budget
+    ask it too, and there a None from the rule raises
+    ``InnerSolveFailure``; the driver responds by doubling M.  A certificate
+    marked ``stalled`` leaves the decision to the driver: stop if the center
+    itself is stationary to working precision (``center_is_stationary``),
+    otherwise put the candidate through the ordinary acceptance test.
 
     Returns (y, certificate, witness); witness is None when the certificate
     came from the exact subdifferential distance at y = y0.
@@ -327,17 +312,16 @@ def solve_subproblem(
     floor = residual_floor(center)
 
     # res, thr, step_norm and witness always describe the current iterate y;
-    # with an opaque h no residual exists until the first prox step.
-    res: Optional[float] = None
+    # with an opaque h no residual exists until the first prox step, so res
+    # starts at inf and a solve that freezes before one fails.
+    step_norm = float(np.linalg.norm(y - x))
+    thr = theta * step_norm**p
     witness: Optional[Vector] = None
+    res = _residual(problem, g_reg, y, None) if h.subdiff_dist is not None else np.inf
     # The start point may already be certified (e.g. a stationary center,
     # or a warm start that survived an M increase).
-    if h.subdiff_dist is not None:
-        step_norm = float(np.linalg.norm(y - x))
-        res = _residual(problem, g_reg, y, None)
-        thr = theta * step_norm**p
-        if res <= thr + floor:
-            return _certified(center, y, res, thr, step_norm, 0, None)
+    if res <= thr + floor:
+        return _finish(center, y, res, thr, step_norm, 0, None)
 
     alpha = step_guess
     for t in range(1, max_inner + 1):
@@ -358,12 +342,7 @@ def solve_subproblem(
         if not frozen:
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
-            if res is None:
-                raise InnerSolveFailure(
-                    f"iterate frozen at inner iteration {t} before any residual "
-                    "was measured", iterations=t,
-                )
-            return _stalled_or_fail(center, y, res, thr, step_norm, t, witness,
+            return _finish_or_raise(center, y, res, thr, step_norm, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
         drop = m_total - mt_new
@@ -371,15 +350,14 @@ def solve_subproblem(
         step_norm = float(np.linalg.norm(y - x))
         res = _residual(problem, g_reg, y, witness)
         thr = theta * step_norm**p
-        if res <= thr + floor or _degenerate(center, step_norm, res):
-            return _certified(center, y, res, thr, step_norm, t, witness)
-        # the step moved m by no more than its rounding: floats have run out
-        if drop <= _EPS * abs(m_total):
-            stalled = _stalled(center, y, res, thr, step_norm, t, witness)
-            if stalled is not None:
-                return stalled
+        # certified, or a step that moved m by no more than its rounding:
+        # floats have run out
+        if res <= thr + floor or drop <= _EPS * abs(m_total):
+            out = _finish(center, y, res, thr, step_norm, t, witness)
+            if out is not None:
+                return out
 
-    return _stalled_or_fail(center, y, res, thr, step_norm, max_inner, witness,
+    return _finish_or_raise(center, y, res, thr, step_norm, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")
 
 

@@ -28,6 +28,11 @@ def quartic_1d() -> CompositeProblem:
                        lambda x: np.array([[12.0 * x[0] ** 2]]))
 
 
+def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
+    """Same problem, but h no longer reports exact subdifferential distances."""
+    return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))
+
+
 def with_hessian_calls(problem, corrupt_from=None, corrupt=None):
     """Same problem with the Hessian callback counted in the returned list;
     from call number ``corrupt_from`` on, ``corrupt`` rewrites its matrix."""

@@ -1,5 +1,7 @@
 """Outer loop: reference sequence, acceptance rule, adaptive M, full runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nhota import (
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
+    l1_term,
     nhota_run,
 )
 from nhota.core import OracleContractError
@@ -24,7 +27,13 @@ from nhota.driver import (
     try_step,
     update_reference,
 )
-from support import asymmetric_hessian, nan_hessian, quadratic_1d, with_hessian_calls
+from support import (
+    asymmetric_hessian,
+    nan_hessian,
+    quadratic_1d,
+    with_hessian_calls,
+    without_subdiff,
+)
 
 
 # --------------------------------------------------- reference & acceptance
@@ -126,6 +135,22 @@ def test_try_step_small_M_doubles():
     assert step.M_used == 1e-3 * 2.0**step.doublings
 
 
+def test_try_step_at_a_stationary_center_evaluates_no_candidate():
+    # the solve from a minimizer returns a collapsed step; the stop at the
+    # center is decided before F is evaluated at a candidate it discards
+    prob, _, _ = gen_diag_quad_l1(8, seed=1)
+    x_star, f_star = prob.known_opt
+    calls = []
+    value = prob.smooth.value
+    prob = without_subdiff(replace(
+        prob, smooth=replace(prob.smooth, value=lambda x: calls.append(1) or value(x))))
+    center = ModelCenter.from_oracle(prob.smooth, x_star, p=2)
+    del calls[:]
+    step = try_step(prob, center, R=f_star, M_in=1e-2, config=RunConfig(p=2))
+    assert step.stationary and np.isnan(step.f_cand)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- full runs
 
 
@@ -147,6 +172,29 @@ def test_run_stops_at_stationary_start():
     assert trace.iterations() == 0 and len(trace.rows) == 0
     assert trace.f_final == prob.f(x_star)
     assert trace.stat_final <= 1e-12
+
+
+def test_run_stops_at_a_center_stationary_to_its_floor():
+    # F'(x) = -100 and h's subgradient 100 cancel to a residual of 5e-10:
+    # under the floor 1e-11 * (1 + |F'(x)|), so the solve certifies a
+    # zero-length step, and it is no larger than the resolution, so the run
+    # must stop at x0 rather than record max_outer zero-length steps
+    prob = replace(quadratic_1d(200.0), nonsmooth=l1_term(100.0))
+    cfg = RunConfig(p=2, stop_stat=-1.0, stop_f=-np.inf, max_outer=20)
+    trace = nhota_run(prob, np.array([100.0 + 5e-10]), cfg)
+    assert trace.status == STATUS_STATIONARY and len(trace.rows) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_run_stops_on_a_step_one_ulp_from_the_minimizer(seed):
+    # with an opaque h the solve from these minimizers returns a point a few
+    # ulps from x, not x itself; the collapsed-step test is relative to
+    # ||x||, so the run still stops there
+    prob, _, _ = gen_diag_quad_l1(8, seed=seed)
+    x_star, _ = prob.known_opt
+    cfg = RunConfig(p=2, stop_stat=-1.0, stop_f=-np.inf, max_outer=10)
+    trace = nhota_run(without_subdiff(prob), x_star, cfg)
+    assert trace.status == STATUS_STATIONARY and len(trace.rows) == 0
 
 
 def test_run_respects_max_outer():

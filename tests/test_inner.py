@@ -22,12 +22,7 @@ from nhota import (
 )
 from nhota.inner import center_stationarity, residual_floor, stationarity_resolution
 from nhota.taylor import model_value
-from support import quadratic_1d
-
-
-def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
-    """Same problem, but h no longer reports exact subdifferential distances."""
-    return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))
+from support import quadratic_1d, without_subdiff
 
 
 def test_quadratic_reaches_exact_minimizer():
@@ -121,6 +116,18 @@ def test_inner_failure_on_starved_budget():
     with pytest.raises(InnerSolveFailure) as excinfo:
         solve_subproblem(prob, center, M=1e-4, theta=1e-6, max_inner=1)
     assert excinfo.value.iterations >= 1
+
+
+def test_opaque_solve_frozen_before_any_residual_fails():
+    # a prox that never leaves the center freezes the first iteration; with
+    # an opaque h no residual exists yet, so the rule cannot stall there
+    prob, _, x0 = gen_diag_quad_l1(4, seed=5)
+    stuck = without_subdiff(replace(
+        prob, nonsmooth=replace(prob.nonsmooth, prox=lambda v, tau: x0.copy())))
+    center = ModelCenter.from_oracle(stuck.smooth, x0, p=2)
+    with pytest.raises(InnerSolveFailure, match="residual inf") as excinfo:
+        solve_subproblem(stuck, center, M=1.0, theta=0.1)
+    assert excinfo.value.iterations == 1
 
 
 def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
@@ -251,8 +258,19 @@ def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
     assert fresh.valid and fresh.decrease_ok
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(
+def scaled_center(family, exact_h, seed, log_scale, lam, p):
+    """An instance scaled by 10**log_scale and a model center at its x0."""
+    scale = 10.0**log_scale
+    if family == "phase":
+        prob, _, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=0.5, lam=lam)
+    else:
+        prob, _, x0 = gen_diag_quad_l1(20, seed=seed, lam=lam, c_std=2.0 * scale)
+    if not exact_h:
+        prob = without_subdiff(prob)
+    return prob, ModelCenter.from_oracle(prob.smooth, scale * x0, p=p)
+
+
+instances = dict(
     family=st.sampled_from(["phase", "diag"]),
     exact_h=st.booleans(),
     seed=st.integers(0, 10_000),
@@ -260,23 +278,44 @@ def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
     lam=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
     log_M=st.floats(-6.0, 6.0),
 )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(**instances)
 def test_first_order_step_certifies_across_scales(family, exact_h, seed,
                                                    log_scale, lam, log_M):
     # the closed-form p = 1 step must certify from scratch whatever the
     # instance's scale, l1 weight or M, with exact or witness-only residuals
-    scale, M, theta = 10.0**log_scale, 10.0**log_M, 0.1
-    if family == "phase":
-        prob, _, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=0.5, lam=lam)
-    else:
-        prob, _, x0 = gen_diag_quad_l1(20, seed=seed, lam=lam, c_std=2.0 * scale)
-    x0 = scale * x0
-    if not exact_h:
-        prob = without_subdiff(prob)
-    center = ModelCenter.from_oracle(prob.smooth, x0, p=1)
+    M, theta = 10.0**log_M, 0.1
+    prob, center = scaled_center(family, exact_h, seed, log_scale, lam, p=1)
     y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
     assert not cert.stalled and cert.inner_iters == 1
     fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
     assert fresh.decrease_ok and fresh.valid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**instances)
+def test_second_order_solve_ends_by_the_stopping_rule(family, exact_h, seed,
+                                                       log_scale, lam, log_M):
+    # a p = 2 solve ends one of three ways: a failure after at least one
+    # iteration, a valid certificate, or a stalled one at or below the
+    # working-precision resolution; either certificate re-verifies its
+    # model decrease, threshold and step from scratch
+    M, theta = 10.0**log_M, 0.1
+    prob, center = scaled_center(family, exact_h, seed, log_scale, lam, p=2)
+    try:
+        y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
+    except InnerSolveFailure as exc:
+        assert exc.iterations >= 1
+        return
+    if cert.stalled:
+        assert cert.residual <= stationarity_resolution(center)
+    else:
+        assert cert.valid
+    fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
+    assert fresh.decrease_ok
+    assert fresh.threshold == cert.threshold and fresh.step_norm == cert.step_norm
 
 
 def test_worse_warm_start_is_ignored():
