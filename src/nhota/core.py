@@ -42,6 +42,21 @@ def as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
+def _soft_threshold(v: Vector, tau: float) -> Vector:
+    """``prox_l1`` without its checks, for float arrays the solver built."""
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def _subdiff_dist_l1(g: Vector, x: Vector, lam: float) -> float:
+    """``subdiff_dist_l1`` without its checks, for float arrays the solver built."""
+    r = np.where(
+        x != 0.0,
+        g + lam * np.sign(x),
+        np.sign(g) * np.maximum(np.abs(g) - lam, 0.0),
+    )
+    return float(np.linalg.norm(r))
+
+
 def prox_l1(v: Vector, tau: float) -> Vector:
     """Soft threshold: argmin_y tau*||y||_1 + (1/2)||y - v||^2, coordinatewise.
 
@@ -50,8 +65,7 @@ def prox_l1(v: Vector, tau: float) -> Vector:
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    v = as_vector(v)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return _soft_threshold(as_vector(v), tau)
 
 
 def subdiff_dist_l1(g: Vector, x: Vector, lam: float) -> float:
@@ -67,12 +81,7 @@ def subdiff_dist_l1(g: Vector, x: Vector, lam: float) -> float:
         raise ValueError(f"shape mismatch: g {g.shape} vs x {x.shape}")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    r = np.where(
-        x != 0.0,
-        g + lam * np.sign(x),
-        np.sign(g) * np.maximum(np.abs(g) - lam, 0.0),
-    )
-    return float(np.linalg.norm(r))
+    return _subdiff_dist_l1(g, x, lam)
 
 
 @dataclass(frozen=True)
@@ -116,24 +125,25 @@ class NonsmoothTerm:
 
 
 def l1_term(lam: float) -> NonsmoothTerm:
-    """The term h(x) = lam*||x||_1; lam=0 gives the zero term (prox = identity)."""
+    """The term h(x) = lam*||x||_1; lam=0 gives the zero term (prox = identity).
+
+    Its callbacks skip the vector checks of ``prox_l1`` and
+    ``subdiff_dist_l1``: the solver calls them on every inner iteration with
+    float arrays it built itself, so they take 1-D float arrays as given.
+    """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
 
     def value(x: Vector) -> float:
         return lam * float(np.abs(np.asarray(x, dtype=float)).sum())
 
-    if lam == 0.0:
-        def prox(v: Vector, tau: float) -> Vector:
-            if not tau > 0:
-                raise ValueError(f"tau must be positive, got {tau}")
-            return as_vector(v).copy()
-    else:
-        def prox(v: Vector, tau: float) -> Vector:
-            return prox_l1(v, tau * lam)
+    def prox(v: Vector, tau: float) -> Vector:
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        return np.array(v, dtype=float) if lam == 0.0 else _soft_threshold(v, tau * lam)
 
     def subdiff_dist(g: Vector, x: Vector) -> float:
-        return subdiff_dist_l1(g, x, lam)
+        return _subdiff_dist_l1(g, x, lam)
 
     return NonsmoothTerm(value=value, prox=prox, subdiff_dist=subdiff_dist)
 

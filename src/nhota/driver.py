@@ -114,6 +114,11 @@ def accept_test(R: float, f_cand: float, step_norm: float, Mtilde: float, p: int
 
 @dataclass(frozen=True)
 class TryStepResult:
+    """One ``try_step``: the accepted candidate y with its certificate and
+    the M, doublings and inner iterations it took.  ``f_cand`` and
+    ``F_cand`` are the values the acceptance test used, so the driver
+    evaluates F at y no second time."""
+
     y: Vector
     cert: StepCertificate
     witness: Optional[Vector]
@@ -123,6 +128,9 @@ class TryStepResult:
     # F(y) + h(y); NaN on a ``stationary`` result, which evaluates no
     # candidate it would discard.
     f_cand: float
+    # F(y) alone, the value f_cand was formed from, so the driver can make y
+    # the next center without calling F there again; NaN when f_cand is.
+    F_cand: float = np.nan
     # The center is stationary to working precision; the driver stops there
     # rather than stepping to y.
     stationary: bool = False
@@ -149,6 +157,12 @@ def try_step(
     the candidate — typically the model minimizer pinned down as far as
     floats allow — goes through the ordinary acceptance test like any other
     step.
+
+    F is evaluated once per tested candidate, and the result carries that
+    value (``F_cand``) for the next center.  A repeated warm start is not
+    re-tested: a solve that returns the rejected candidate unchanged would
+    meet the same R, f(y) and ||y - x|| and fail again, so M doubles without
+    a call to F.
     Raises ``LineSearchFailure`` after ``config.max_doublings`` doublings.
     """
     M = M_in
@@ -169,11 +183,15 @@ def try_step(
         if cert.stalled and center_is_stationary(problem, center):
             return TryStepResult(y, cert, witness, M, i, total_inner, np.nan,
                                  stationary=True)
-        f_cand = problem.f(y)
+        if warm is not None and np.array_equal(y, warm):
+            M *= 2.0  # the rejected candidate again: its test would fail again
+            continue
+        F_cand = float(problem.smooth.value(y))
+        f_cand = F_cand + float(problem.nonsmooth.value(y))
         if np.isnan(f_cand):
             raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
         if accept_test(R, f_cand, cert.step_norm, config.Mtilde, config.p):
-            return TryStepResult(y, cert, witness, M, i, total_inner, f_cand)
+            return TryStepResult(y, cert, witness, M, i, total_inner, f_cand, F_cand)
         warm = y
         M *= 2.0
     raise LineSearchFailure(
@@ -372,7 +390,7 @@ def nhota_steps(
         if not np.isfinite(f_new):
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
-        next_center = ModelCenter.from_oracle(problem.smooth, y, config.p)
+        next_center = ModelCenter.from_oracle(problem.smooth, y, config.p, fx=step.F_cand)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
                     else _stationarity_bound(center, next_center, cert, step.M_used))
         wall = (time.perf_counter() - t0) * 1000.0

@@ -67,8 +67,14 @@ class ModelCenter:
     oracle: SmoothOracle
 
     @classmethod
-    def from_oracle(cls, oracle: SmoothOracle, x: Vector, p: int) -> "ModelCenter":
-        """Value and gradient at x, checked; the Hessian waits for ``Hx``."""
+    def from_oracle(cls, oracle: SmoothOracle, x: Vector, p: int,
+                    fx: Optional[float] = None) -> "ModelCenter":
+        """Value and gradient at x, checked; the Hessian waits for ``Hx``.
+
+        ``fx``, when given, is F(x) as the caller already evaluated it (the
+        driver's acceptance test does at every accepted point); it is used
+        instead of a second ``oracle.value`` call and checked the same way.
+        """
         if p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {p}")
         if p > oracle.order:
@@ -76,7 +82,7 @@ class ModelCenter:
                 f"model order p={p} exceeds oracle derivative order {oracle.order}"
             )
         x = as_vector(x, dim=oracle.dim)
-        fx = float(oracle.value(x))
+        fx = float(oracle.value(x) if fx is None else fx)
         if not np.isfinite(fx):
             raise OracleFailure(f"F(x) is non-finite at x = {x!r}")
         gx = np.asarray(oracle.grad(x), dtype=float)

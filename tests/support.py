@@ -33,6 +33,24 @@ def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
     return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))
 
 
+def with_oracle_calls(problem):
+    """Same problem with F's value and gradient calls counted in the returned
+    dict, under the keys "value" and "grad"."""
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    smooth = replace(problem.smooth, value=counted("value", problem.smooth.value),
+                     grad=counted("grad", problem.smooth.grad))
+    problem = replace(problem, smooth=smooth)
+    calls.update(value=0, grad=0)  # drop the known_opt check's gradient
+    return problem, calls
+
+
 def with_hessian_calls(problem, corrupt_from=None, corrupt=None):
     """Same problem with the Hessian callback counted in the returned list;
     from call number ``corrupt_from`` on, ``corrupt`` rewrites its matrix."""

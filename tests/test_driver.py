@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from nhota import (
+    IterateTrace,
     ModelCenter,
     OracleFailure,
     RunConfig,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
+    driver,
     l1_term,
     nhota_run,
 )
@@ -24,6 +26,7 @@ from nhota.driver import (
     accept_test,
     check_reference_descent,
     format_trace_row,
+    nhota_steps,
     try_step,
     update_reference,
 )
@@ -32,6 +35,7 @@ from support import (
     nan_hessian,
     quadratic_1d,
     with_hessian_calls,
+    with_oracle_calls,
     without_subdiff,
 )
 
@@ -151,7 +155,75 @@ def test_try_step_at_a_stationary_center_evaluates_no_candidate():
     assert calls == []
 
 
+class _NumpyWithoutArrayEqual:
+    """numpy as the driver module sees it, except that ``array_equal`` is
+    always False: every candidate, a repeated warm start too, goes through F
+    and the acceptance test."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array_equal(a, b):
+        return False
+
+
+def test_try_step_does_not_retest_a_repeated_warm_start(monkeypatch):
+    # on phase 8/32 seed 0 with p = 2 a rejected candidate is certified again
+    # at the doubled M and comes back unchanged; it would fail the same test
+    plain, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
+    cfg = RunConfig(p=2, max_outer=30, stop_f=-np.inf)
+    solve = driver.solve_subproblem
+
+    def run():
+        prob, calls = with_oracle_calls(plain)
+        repeats = []
+
+        def watched(*args, warm=None, **kwargs):
+            out = solve(*args, warm=warm, **kwargs)
+            if warm is not None and out[0].tobytes() == warm.tobytes():
+                repeats.append(1)
+            return out
+
+        monkeypatch.setattr(driver, "solve_subproblem", watched)
+        trace = nhota_run(prob, x0, cfg)
+        steps = [(r.f, r.M, r.step_norm, r.backtracks, r.inner_iters) for r in trace.rows]
+        return steps, trace.x_final.tobytes(), calls["value"], len(repeats)
+
+    steps, x_final, values, repeats = run()
+    monkeypatch.setattr(driver, "np", _NumpyWithoutArrayEqual())
+    forced_steps, forced_x_final, forced_values, forced_repeats = run()
+    assert repeats > 0 and forced_repeats == repeats
+    assert values == forced_values - repeats
+    assert steps == forced_steps and x_final == forced_x_final
+
+
 # ---------------------------------------------------------------- full runs
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("make", [
+    lambda: gen_diag_quad_l1(10, seed=0),
+    lambda: gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0),
+], ids=["diag", "phase"])
+def test_run_evaluates_F_once_per_visited_point(monkeypatch, make, p):
+    # x0 and each tested candidate get one F value; an accepted candidate's
+    # value becomes its center's, so no point is evaluated twice
+    plain, _, x0 = make()
+    prob, calls = with_oracle_calls(plain)
+    tested = []
+    monkeypatch.setattr(driver, "accept_test",
+                        lambda *args: tested.append(1) or accept_test(*args))
+    trace = IterateTrace()
+    cfg = RunConfig(p=p, max_outer=40, stop_f=-np.inf)
+    iterates = [center.x for center, _ in nhota_steps(prob, x0, cfg, trace)]
+    iterates.append(trace.x_final)
+    rows = trace.iterations()
+    assert rows > 0 and len(tested) >= rows
+    assert calls["value"] == 1 + len(tested)
+    assert calls["grad"] == rows + 1
+    assert list(trace.f_values()) == [plain.f(x) for x in iterates]
+
 
 
 def test_run_converges_on_diagonal_instance():
