@@ -65,7 +65,7 @@ def render_results(results: list[CheckResult]) -> str:
 
 # name -> check(scale) -> (passed, detail), in report order
 CHECKS: dict[str, Callable[[str], tuple[bool, str]]] = {}
-FULL_ONLY = ("desk_scale_phase_retrieval",)
+FULL_ONLY = ("desk_scale_phase_retrieval", "scaled_phase_retrieval_ends")
 
 
 def _named(name: str, scaled: bool = False):
@@ -746,3 +746,25 @@ def _check_desk_scale() -> tuple[bool, str]:
         f"status {trace.status} after {trace.iterations()} iterations, "
         f"final stationarity {trace.stat_final:.2e}"
     )
+
+
+@_named("scaled_phase_retrieval_ends")
+def _check_scaled_phase() -> tuple[bool, str]:
+    """Badly scaled desk-size instances end stationary or at the precision
+    floor, not in a LineSearchFailure.  While the p = 2 resolution ignored
+    the model's curvature, both runs stalled above it at every M and
+    doubled M to exhaustion."""
+    ends = []
+    for gen_variance, seed in ((2.0, 2), (500.0, 0)):
+        problem, _, x0 = gen_phase_retrieval(100, 1000, seed=seed, noise_scale=1.0,
+                                             gen_variance=gen_variance)
+        cfg = RunConfig(p=2, u=0.5, stop_stat=1e-3)
+        try:
+            trace = nhota_run(problem, x0, cfg)
+        except LineSearchFailure as exc:
+            return False, f"gen_variance {gen_variance:g} seed {seed}: {exc}"
+        if trace.status not in ("stationary", "precision-floor"):
+            return False, f"gen_variance {gen_variance:g} seed {seed}: status {trace.status}"
+        ends.append(f"gen_variance {gen_variance:g} seed {seed}: {trace.status} after "
+                    f"{trace.iterations()} steps at {trace.stat_final:.1e}")
+    return True, "; ".join(ends)

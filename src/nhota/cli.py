@@ -9,7 +9,8 @@ Subcommands:
 Config files are flat ``key=value`` lines with ``#`` comments.  Unknown keys
 are errors.  The environment variable NHOTA_SEED, when set, overrides the
 config seed.  Exit codes: 0 success, 1 config error, 2 run failure,
-3 check-suite failure.
+3 check-suite failure, 4 a run stopped at the working-precision floor above
+stop_stat (its files are written).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .core import CompositeProblem, OracleFailure, Vector
 from .driver import (
+    STATUS_PRECISION_FLOOR,
     TRACE_HEADER,
     IterateTrace,
     LineSearchFailure,
@@ -232,6 +234,8 @@ def _run_to_files(cfg: ExperimentConfig, runcfg: RunConfig, problem: CompositePr
         **ident,
         "wall_millis_total": wall,
     }
+    if trace.resolution is not None:
+        entries["resolution"] = trace.resolution
     if problem.known_opt is not None:
         entries["final_f_gap"] = trace.f_final - problem.known_opt[1]
     _write_summary(summary_path, entries)
@@ -303,12 +307,18 @@ def _status(trace: IterateTrace) -> str:
     return f"status={trace.status} iterations={trace.iterations()} final_f={trace.f_final!r}"
 
 
-# subcommand -> action on its parsed config, returning the text to print
+def _report(traces: dict[str, IterateTrace]) -> tuple[str, list[IterateTrace]]:
+    """One status line per run, after its label, and the runs' traces."""
+    text = "\n".join(f"{label}{_status(trace)}" for label, trace in traces.items())
+    return text, list(traces.values())
+
+
+# subcommand -> action on its parsed config, returning the text to print and
+# the traces of the runs it made
 _CONFIG_COMMANDS = {
-    "run": lambda cfg: _status(run_experiment(cfg)),
-    "sweep": lambda cfg: "\n".join(f"u={u:g}: {_status(trace)}"
-                                   for u, trace in sweep_u(cfg).items()),
-    "gen-data": lambda cfg: f"wrote {gen_data(cfg)}",
+    "run": lambda cfg: _report({"": run_experiment(cfg)}),
+    "sweep": lambda cfg: _report({f"u={u:g}: ": trace for u, trace in sweep_u(cfg).items()}),
+    "gen-data": lambda cfg: (f"wrote {gen_data(cfg)}", []),
 }
 
 
@@ -341,9 +351,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             cfg = parse_config(args.config)
             try:
-                print(_CONFIG_COMMANDS[args.cmd](cfg))
+                text, traces = _CONFIG_COMMANDS[args.cmd](cfg)
             except ConfigError as exc:  # raised past parsing: name the file here
                 raise ConfigError(f"{args.config}: {exc}") from exc
+            print(text)
+            if any(t.status == STATUS_PRECISION_FLOOR for t in traces):
+                return 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

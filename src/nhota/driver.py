@@ -31,10 +31,12 @@ from .inner import (
     center_is_stationary,
     center_stationarity,
     solve_subproblem,
+    stationarity_resolution,
 )
 from .taylor import ModelCenter, taylor_grad
 
 STATUS_STATIONARY = "stationary"
+STATUS_PRECISION_FLOOR = "precision-floor"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_CRITERION = "stopped-by-criterion"
 
@@ -239,6 +241,8 @@ class IterateTrace:
     points x_0 .. x_K is the rows' f column plus ``f_final``; likewise for
     R. ``stationarity_kind`` is "exact" when h supplied a subdifferential
     distance, "bound" when rows carry the certificate-implied upper bound.
+    ``resolution`` is the working-precision resolution at the final point of
+    a run that stopped at the precision floor, None otherwise.
     """
 
     rows: list[TraceRow] = field(default_factory=list)
@@ -249,6 +253,7 @@ class IterateTrace:
     stat_final: Optional[float] = None
     stationarity_kind: str = "exact"
     x_final: Optional[Vector] = None
+    resolution: Optional[float] = None
 
     def iterations(self) -> int:
         return len(self.rows)
@@ -336,13 +341,22 @@ def nhota_steps(
     """The outer loop, one accepted step at a time, recorded into ``trace``.
 
     Starts with R_0 = f(x_0) and M = M0; each iteration takes a certified,
-    accepted step (``try_step``), relaxes M to max(M_used/2, M0), updates
-    the reference with weight u_{k+1}, records one trace row (handing it to
-    ``row_sink`` when given) and yields the step with the center it was
-    taken from.  Stops when f <= stop_f ("stopped-by-criterion"), the
-    stationarity measure drops to stop_stat or the step collapses onto the
-    current point ("stationary"), or max_outer iterations complete
-    ("max_iters"), and then sets ``trace.status``.
+    accepted step (``try_step``), updates the reference with weight
+    u_{k+1}, records one trace row (handing it to ``row_sink`` when given)
+    and yields the step with the center it was taken from.  The next step
+    starts from M_used when this one needed a doubling, and from
+    max(M_used/2, M0) when it passed at the first M it tried: as in ARC
+    (Cartis, Gould & Toint 2011), M is lowered only after a step that
+    succeeded at once, so a step that had to raise M does not hand the next
+    one an M it would double straight back.  M still grows only by
+    doubling on a rejected candidate.
+
+    Stops when f <= stop_f ("stopped-by-criterion"), the stationarity
+    measure drops to stop_stat ("stationary"), the current point is
+    stationary to working precision while its stationarity is above
+    stop_stat ("precision-floor", with the resolution kept in
+    ``trace.resolution``), or max_outer iterations complete ("max_iters"),
+    and then sets ``trace.status``.
 
     The trace's final fields always describe the latest iterate, so a run
     cut short by an exception leaves a consistent record of its steps.
@@ -383,7 +397,10 @@ def nhota_steps(
         y, cert = step.y, step.cert
 
         if step.stationary:
-            status = STATUS_STATIONARY
+            # the stop_stat test above did not fire, so the point is
+            # stationary only to working precision
+            status = STATUS_PRECISION_FLOOR
+            trace.resolution = stationarity_resolution(center)
             break
 
         f_new = step.f_cand
@@ -407,7 +424,7 @@ def nhota_steps(
         yield center, step
 
         center, fk, R, stat = next_center, f_new, R_new, new_stat
-        M = max(step.M_used / 2.0, config.M0)
+        M = step.M_used if step.doublings else max(step.M_used / 2.0, config.M0)
 
     trace.status = status
 

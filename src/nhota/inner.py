@@ -54,14 +54,24 @@ def stationarity_resolution(center: ModelCenter) -> float:
     """Smallest stationarity residual double precision can resolve here.
 
     Model-value differences round at eps * |m|, so an iterate cannot be
-    placed more accurately than within a sqrt(eps * |m| / curvature)-sized
-    set around the model minimizer; the curvature turns that placement
-    uncertainty back into a residual of order sqrt(eps) at the problem's own
-    scale.  An inner solve stalled at or below this residual has located the
+    placed more accurately than within a sqrt(eps * |m| / c)-sized set
+    around the model minimizer, where c is the model's curvature; the
+    curvature turns that placement uncertainty back into a residual of
+    sqrt(eps * |m| * c).  The resolution is the larger of two estimates of
+    it: sqrt(eps) * (1 + |F(x)| + ||grad F(x)||), the problem's own scale,
+    and, for p = 2, sqrt(eps * (1 + |F(x)|) * max|H|) with the center's
+    Hessian entries standing in for c (``ModelCenter.hess_absmax``, kept
+    from the Hessian's symmetry check).  Without the second, a badly scaled
+    instance (large Hessian entries, moderate F and gradient) stalls above
+    the resolution at every M, and the driver doubles M to exhaustion.  An
+    inner solve stalled at or below the resolution has located the
     minimizer as precisely as the arithmetic allows.
     """
-    scale = 1.0 + abs(center.fx) + float(np.linalg.norm(center.gx))
-    return _SQRT_EPS * scale
+    magnitude = 1.0 + abs(center.fx)
+    resolution = _SQRT_EPS * (magnitude + float(np.linalg.norm(center.gx)))
+    if center.p == 2:
+        resolution = max(resolution, float(np.sqrt(_EPS * magnitude * center.hess_absmax)))
+    return resolution
 
 
 def _prox(problem: CompositeProblem, v: Vector, tau: float) -> Vector:

@@ -56,8 +56,9 @@ class ModelCenter:
 
     Holds everything needed to evaluate T_p and its gradient without
     further oracle calls.  ``Hx`` is None when p = 1; when p = 2 it is
-    formed from ``oracle`` the first time it is read, so a center that is
-    only tested for stationarity never forms its n-by-n matrix.
+    formed from ``oracle`` the first time it (or ``hess_absmax``) is read,
+    so a center that is only tested for stationarity never forms its n-by-n
+    matrix.
     """
 
     x: Vector
@@ -93,11 +94,9 @@ class ModelCenter:
         return cls(x=x, fx=fx, gx=gx, p=p, oracle=oracle)
 
     @cached_property
-    def Hx(self) -> Optional[Matrix]:
+    def _hessian(self) -> tuple[Matrix, float]:
         """The Hessian at x, formed once and checked (shape, finite,
-        symmetric); None when p = 1."""
-        if self.p == 1:
-            return None
+        symmetric), with max |H_ij|, the scale its symmetry check uses."""
         n = self.oracle.dim
         Hx = np.asarray(self.oracle.hess(self.x), dtype=float)
         if Hx.shape != (n, n):
@@ -105,13 +104,25 @@ class ModelCenter:
         if not np.all(np.isfinite(Hx)):
             raise OracleFailure("Hessian is non-finite")
         asym = _max_asymmetry(Hx)
-        tol = HESS_SYMMETRY_RTOL * max(1.0, float(Hx.max()), -float(Hx.min()))
+        absmax = max(float(Hx.max()), -float(Hx.min()))
+        tol = HESS_SYMMETRY_RTOL * max(1.0, absmax)
         if asym > tol:
             raise OracleContractError(
                 f"Hessian is not symmetric: max |H - H^T| = {asym:.3e} "
                 f"exceeds {HESS_SYMMETRY_RTOL:g} * max(1, max|H|) = {tol:.3e}"
             )
-        return Hx
+        return Hx, absmax
+
+    @cached_property
+    def Hx(self) -> Optional[Matrix]:
+        """The Hessian at x, formed and checked on first read; None when p = 1."""
+        return None if self.p == 1 else self._hessian[0]
+
+    @cached_property
+    def hess_absmax(self) -> float:
+        """max |H_ij| at x (forming ``Hx`` if it is not formed yet), kept from
+        the symmetry check, so no second pass over the matrix; 0.0 when p = 1."""
+        return 0.0 if self.p == 1 else self._hessian[1]
 
 
 def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:

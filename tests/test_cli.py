@@ -269,25 +269,36 @@ def test_main_solver_failure_exit_two(tmp_path, capsys):
     assert "run failure" in capsys.readouterr().err
 
 
-def test_main_large_scale_phase_instance_fails_as_a_run(tmp_path, capsys):
+def test_main_large_scale_phase_instance_ends_with_a_summary(tmp_path, capsys):
     # gen_variance = 500 grows the Hessian entries until its product roundoff
     # exceeds any absolute symmetry bound; the run must get past the oracle
-    # check and end in a documented solver failure, not a traceback, and
-    # still leave a summary that says how it failed.  It fails because
-    # stationarity_resolution ignores curvature: at k=7 every M stalls with
-    # a residual far above it, so M doubles to exhaustion
-    text = (
-        "problem = phase_retrieval\ngen_variance = 500\n"
-        f"out_dir = {tmp_path / 'big'}\n"
-    )
-    path = write(tmp_path, text)
-    assert cli.main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("run failure") and err.count("\n") == 1
+    # check.  Its last solves stall at the curvature-aware precision floor
+    # above stop_stat, so it ends "precision-floor" (exit 4) with the
+    # resolution in its summary.  Starved of doublings, the same instance
+    # fails for a real reason: exit 2, one message line, and a summary that
+    # says how it failed
+    base = "problem = phase_retrieval\ngen_variance = 500\n"
+    floor = write(tmp_path, base + f"out_dir = {tmp_path / 'big'}\n", "big.cfg")
+    assert cli.main(["run", str(floor)]) == 4
+    assert capsys.readouterr().out.startswith("status=precision-floor ")
     rows = len((tmp_path / "big" / "trace.csv").read_text().splitlines()) - 1
-    summary = (tmp_path / "big" / "summary.txt").read_text()
-    _, data, _ = build_problem(parse_config(path))
-    assert rows > 0 and summary.startswith(f"status=failed:LineSearchFailure\niterations={rows}\n")
+    summary = dict(line.split("=", 1) for line in
+                   (tmp_path / "big" / "summary.txt").read_text().splitlines())
+    cfg = parse_config(floor)
+    _, data, _ = build_problem(cfg)
+    assert summary["status"] == "precision-floor" and int(summary["iterations"]) == rows > 0
+    assert cfg.run.stop_stat < float(summary["final_stationarity"]) <= float(summary["resolution"])
+    assert summary["seed"] == "0" and summary["data_hash"] == data_hash(data)
+
+    starved = write(tmp_path, base + f"max_doublings = 0\nout_dir = {tmp_path / 'starved'}\n",
+                    "starved.cfg")
+    assert cli.main(["run", str(starved)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: no acceptable step after 0 doublings")
+    assert err.count("\n") == 1
+    rows = len((tmp_path / "starved" / "trace.csv").read_text().splitlines()) - 1
+    summary = (tmp_path / "starved" / "summary.txt").read_text()
+    assert summary.startswith(f"status=failed:LineSearchFailure\niterations={rows}\n")
     assert "\nseed=0\n" in summary and f"\ndata_hash={data_hash(data)}\n" in summary
 
 
@@ -353,3 +364,17 @@ def test_main_sweep_exit_zero(tmp_path, capsys):
     path = write(tmp_path, text)
     assert cli.main(["sweep", str(path)]) == 0
     assert "u=1" in capsys.readouterr().out
+
+
+def test_main_sweep_at_the_precision_floor_exits_four(tmp_path, capsys):
+    # stop_stat = -1 is never met, so both runs stop at the precision floor;
+    # that ends no sweep early, and the exit code reports it
+    out = tmp_path / "floor"
+    path = write(tmp_path, DIAG_CFG + f"stop_stat = -1\nu_list = 0.5, 1.0\nout_dir = {out}\n")
+    assert cli.main(["sweep", str(path)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["status=precision-floor"] * 2
+    assert (out / "comparison.csv").exists()
+    for tag in ("u0.5", "u1"):
+        summary = (out / f"summary_{tag}.txt").read_text()
+        assert "\nresolution=" in summary

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhota import (
     IterateTrace,
@@ -21,6 +22,7 @@ from nhota.core import OracleContractError
 from nhota.driver import (
     STATUS_CRITERION,
     STATUS_MAX_ITERS,
+    STATUS_PRECISION_FLOOR,
     STATUS_STATIONARY,
     TRACE_HEADER,
     accept_test,
@@ -226,6 +228,42 @@ def test_run_evaluates_F_once_per_visited_point(monkeypatch, make, p):
 
 
 
+def test_m_is_kept_after_a_doubling_and_halved_after_a_first_try_step(monkeypatch):
+    # the M each try_step starts from, against the row before it: a step that
+    # needed a doubling hands on M_used, one that passed at the first M it
+    # tried hands on max(M_used/2, M0); no step starts below M0
+    prob, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
+    cfg = RunConfig(p=1, max_outer=60, stop_f=-np.inf, stop_stat=1e-6)
+    started, step = [], driver.try_step
+
+    def recording(problem, center, R, M_in, config):
+        started.append(M_in)
+        return step(problem, center, R, M_in, config)
+
+    monkeypatch.setattr(driver, "try_step", recording)
+    trace = nhota_run(prob, x0, cfg)
+    assert started[0] == cfg.M0 and min(started) >= cfg.M0
+    pairs = list(zip(trace.rows, started[1:]))
+    for row, M_in in pairs:
+        assert M_in == (row.M if row.backtracks else max(row.M / 2.0, cfg.M0)), row
+    assert {row.backtracks > 0 for row, _ in pairs} == {True, False}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(log_variance=st.floats(np.log(0.5), np.log(500.0)),
+       seed=st.integers(0, 10_000), n=st.integers(3, 12))
+def test_scaled_phase_runs_end_stationary_or_at_the_floor(log_variance, seed, n):
+    # gen_variance scales A, so F's value, gradient and Hessian entries grow
+    # at different powers of it; the curvature-aware resolution must let
+    # every such run stop, never double M to a LineSearchFailure
+    prob, _, x0 = gen_phase_retrieval(n, 5 * n, seed=seed, noise_scale=1.0,
+                                      gen_variance=float(np.exp(log_variance)))
+    cfg = RunConfig(p=2, u=0.5)
+    trace = nhota_run(prob, x0, cfg)
+    assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
+    assert (trace.stat_final <= cfg.stop_stat) == (trace.status == STATUS_STATIONARY)
+
+
 def test_run_converges_on_diagonal_instance():
     prob, data, x0 = gen_diag_quad_l1(10, seed=0)
     _, f_star = exact_solution_diag(data)
@@ -233,7 +271,9 @@ def test_run_converges_on_diagonal_instance():
     trace = nhota_run(prob, x0, cfg)
     assert min(trace.f_values()) - f_star <= 1e-8
     assert trace.check_invariants(cfg) == []
-    assert trace.status in (STATUS_STATIONARY, STATUS_MAX_ITERS)
+    # stop_stat = 0 asks for exact stationarity, so the run ends at the
+    # working-precision floor or on its budget
+    assert trace.status in (STATUS_PRECISION_FLOOR, STATUS_MAX_ITERS)
 
 
 def test_run_stops_at_stationary_start():
@@ -250,23 +290,26 @@ def test_run_stops_at_a_center_stationary_to_its_floor():
     # F'(x) = -100 and h's subgradient 100 cancel to a residual of 5e-10:
     # under the floor 1e-11 * (1 + |F'(x)|), so the solve certifies a
     # zero-length step, and it is no larger than the resolution, so the run
-    # must stop at x0 rather than record max_outer zero-length steps
+    # must stop at x0, at the precision floor, rather than record max_outer
+    # zero-length steps
     prob = replace(quadratic_1d(200.0), nonsmooth=l1_term(100.0))
     cfg = RunConfig(p=2, stop_stat=-1.0, stop_f=-np.inf, max_outer=20)
     trace = nhota_run(prob, np.array([100.0 + 5e-10]), cfg)
-    assert trace.status == STATUS_STATIONARY and len(trace.rows) == 0
+    assert trace.status == STATUS_PRECISION_FLOOR and len(trace.rows) == 0
+    assert trace.stat_final <= trace.resolution
 
 
 @pytest.mark.parametrize("seed", [1, 3, 6])
 def test_run_stops_on_a_step_one_ulp_from_the_minimizer(seed):
     # with an opaque h the solve from these minimizers returns a point a few
     # ulps from x, not x itself; the collapsed-step test is relative to
-    # ||x||, so the run still stops there
+    # ||x||, so the run still stops there, at the precision floor
     prob, _, _ = gen_diag_quad_l1(8, seed=seed)
     x_star, _ = prob.known_opt
     cfg = RunConfig(p=2, stop_stat=-1.0, stop_f=-np.inf, max_outer=10)
     trace = nhota_run(without_subdiff(prob), x_star, cfg)
-    assert trace.status == STATUS_STATIONARY and len(trace.rows) == 0
+    assert trace.status == STATUS_PRECISION_FLOOR and len(trace.rows) == 0
+    assert trace.resolution is not None
 
 
 def test_run_respects_max_outer():

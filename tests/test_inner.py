@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from nhota import (
     CompositeProblem,
+    DiagQuadL1Data,
     InnerSolveFailure,
     ModelCenter,
     RunConfig,
     certify,
+    diag_quad_problem,
     driver,
     gen_diag_quad_l1,
     gen_phase_retrieval,
@@ -374,7 +376,8 @@ def test_center_stationarity_prox_fallback():
 
 
 def test_resolution_scales_with_center_magnitudes():
-    # the documented working-precision formula: sqrt(eps)*(1 + |fx| + ||gx||)
+    # the documented working-precision formula: sqrt(eps)*(1 + |fx| + ||gx||),
+    # which dominates the p = 2 curvature term at this center
     prob, _, x0 = gen_phase_retrieval(5, 20, seed=2, noise_scale=1.0)
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     expected = np.sqrt(np.finfo(float).eps) * (
@@ -382,3 +385,15 @@ def test_resolution_scales_with_center_magnitudes():
     )
     assert abs(stationarity_resolution(center) - expected) <= 1e-18
     assert residual_floor(center) == 1e-11 * (1.0 + np.linalg.norm(center.gx))
+    # at the minimizer of 0.5 * sum d_i (x_i - c_i)^2 with d_1 = 1e6, F and
+    # its gradient vanish, so for p = 2 the curvature term
+    # sqrt(eps * (1 + |fx|) * max|H|) dominates; the p = 1 model has no
+    # Hessian and keeps the magnitude formula
+    x = np.array([1.0, -2.0, 3.0])
+    prob = diag_quad_problem(DiagQuadL1Data(d=np.array([1e6, 2.0, 1.0]), c=x, lam=0.0))
+    curved = ModelCenter.from_oracle(prob.smooth, x, p=2)
+    assert curved.fx == 0.0 and not np.any(curved.gx)
+    eps = np.finfo(float).eps
+    assert curved.hess_absmax == 1e6 == np.abs(curved.Hx).max()
+    assert stationarity_resolution(curved) == np.sqrt(eps * 1e6)
+    assert stationarity_resolution(ModelCenter.from_oracle(prob.smooth, x, p=1)) == np.sqrt(eps)
