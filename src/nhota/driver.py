@@ -182,7 +182,7 @@ def try_step(
             M *= 2.0
             continue
         total_inner += cert.inner_iters
-        if cert.stalled and center_is_stationary(problem, center):
+        if cert.stalled and center_is_stationary(problem, center, M):
             return TryStepResult(y, cert, witness, M, i, total_inner, np.nan,
                                  stationary=True)
         if warm is not None and np.array_equal(y, warm):
@@ -400,7 +400,7 @@ def nhota_steps(
             # the stop_stat test above did not fire, so the point is
             # stationary only to working precision
             status = STATUS_PRECISION_FLOOR
-            trace.resolution = stationarity_resolution(center)
+            trace.resolution = stationarity_resolution(center, step.M_used)
             break
 
         f_new = step.f_cand

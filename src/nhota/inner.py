@@ -50,7 +50,7 @@ def residual_floor(center: ModelCenter) -> float:
     return RESIDUAL_FLOOR_COEFF * (1.0 + float(np.linalg.norm(center.gx)))
 
 
-def stationarity_resolution(center: ModelCenter) -> float:
+def stationarity_resolution(center: ModelCenter, M: float) -> float:
     """Smallest stationarity residual double precision can resolve here.
 
     Model-value differences round at eps * |m|, so an iterate cannot be
@@ -59,19 +59,21 @@ def stationarity_resolution(center: ModelCenter) -> float:
     curvature turns that placement uncertainty back into a residual of
     sqrt(eps * |m| * c).  The resolution is the larger of two estimates of
     it: sqrt(eps) * (1 + |F(x)| + ||grad F(x)||), the problem's own scale,
-    and, for p = 2, sqrt(eps * (1 + |F(x)|) * max|H|) with the center's
-    Hessian entries standing in for c (``ModelCenter.hess_absmax``, kept
-    from the Hessian's symmetry check).  Without the second, a badly scaled
+    and sqrt(eps * (1 + |F(x)|) * c).  For p = 2, c is the center's largest
+    Hessian entry (``ModelCenter.hess_absmax``, kept from the Hessian's
+    symmetry check); for p = 1 it is M, the curvature of the regularized
+    first-order model, whose closed-form residual rounds at about
+    eps * M * ||x||.  Without the curvature term, a badly scaled p = 2
     instance (large Hessian entries, moderate F and gradient) stalls above
-    the resolution at every M, and the driver doubles M to exhaustion.  An
-    inner solve stalled at or below the resolution has located the
-    minimizer as precisely as the arithmetic allows.
+    the resolution at every M, and a p = 1 residual that grows with M stays
+    above it however far M is doubled; either way the driver doubles M to
+    exhaustion.  An inner solve stalled at or below the resolution has
+    located the minimizer as precisely as the arithmetic allows.
     """
     magnitude = 1.0 + abs(center.fx)
-    resolution = _SQRT_EPS * (magnitude + float(np.linalg.norm(center.gx)))
-    if center.p == 2:
-        resolution = max(resolution, float(np.sqrt(_EPS * magnitude * center.hess_absmax)))
-    return resolution
+    curvature = center.hess_absmax if center.p == 2 else M
+    return max(_SQRT_EPS * (magnitude + float(np.linalg.norm(center.gx))),
+               float(np.sqrt(_EPS * magnitude * curvature)))
 
 
 def _prox(problem: CompositeProblem, v: Vector, tau: float) -> Vector:
@@ -105,13 +107,15 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     return float(np.linalg.norm(center.x - z))
 
 
-def center_is_stationary(problem: CompositeProblem, center: ModelCenter) -> bool:
+def center_is_stationary(problem: CompositeProblem, center: ModelCenter,
+                         M: float) -> bool:
     """Whether the center is stationary to working precision.
 
-    The driver asks this of every ``stalled`` certificate: if so it stops at
-    the center; otherwise the candidate goes through the acceptance test.
+    The driver asks this of every ``stalled`` certificate, with the M of the
+    solve that stalled (the p = 1 resolution grows with it): if so it stops
+    at the center; otherwise the candidate goes through the acceptance test.
     """
-    return center_stationarity(problem, center) <= stationarity_resolution(center)
+    return center_stationarity(problem, center) <= stationarity_resolution(center, M)
 
 
 class InnerSolveFailure(RuntimeError):
@@ -167,7 +171,7 @@ def _residual(problem: CompositeProblem, g_reg: Vector, y: Vector,
     return float(np.linalg.norm(g_reg + witness))
 
 
-def _finish(center: ModelCenter, y: Vector, res: float, thr: float,
+def _finish(center: ModelCenter, M: float, y: Vector, res: float, thr: float,
             step_norm: float, iters: int, witness: Optional[Vector],
             decrease_ok: bool = True):
     """The inner solver's one stopping rule: (y, certificate, witness), or None.
@@ -186,7 +190,7 @@ def _finish(center: ModelCenter, y: Vector, res: float, thr: float,
       ``DEGENERATE_STEP_RTOL * (1 + ||x||)``), so the driver asks whether
       the center is stationary rather than looping on zero-length steps;
     * **stalled** otherwise, when ``res`` is at most
-      ``stationarity_resolution(center)``: floats have run out, and y is the
+      ``stationarity_resolution(center, M)``: floats have run out, and y is the
       model minimizer located as precisely as double precision allows, but
       its residual may sit far above ``thr`` (the inner stopping rule of
       ARC, Cartis, Gould & Toint 2011, met at the precision floor);
@@ -198,22 +202,22 @@ def _finish(center: ModelCenter, y: Vector, res: float, thr: float,
     if decrease_ok and res <= thr + residual_floor(center):
         collapsed = step_norm <= DEGENERATE_STEP_RTOL * (1.0 + float(np.linalg.norm(center.x)))
         return y, StepCertificate(True, res, thr, step_norm, iters, stalled=collapsed), witness
-    if res <= stationarity_resolution(center):
+    if res <= stationarity_resolution(center, M):
         return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True), witness
     return None
 
 
-def _finish_or_raise(center: ModelCenter, y: Vector, res: float, thr: float,
-                     step_norm: float, iters: int, witness: Optional[Vector],
-                     why: str, decrease_ok: bool = True):
+def _finish_or_raise(center: ModelCenter, M: float, y: Vector, res: float,
+                     thr: float, step_norm: float, iters: int,
+                     witness: Optional[Vector], why: str, decrease_ok: bool = True):
     """``_finish``'s result, or ``InnerSolveFailure`` where it gives None; the
     driver responds to that by doubling M."""
-    out = _finish(center, y, res, thr, step_norm, iters, witness, decrease_ok)
+    out = _finish(center, M, y, res, thr, step_norm, iters, witness, decrease_ok)
     if out is not None:
         return out
     raise InnerSolveFailure(
         f"{why}: residual {res:.3e} above the working-precision resolution "
-        f"{stationarity_resolution(center):.3e} (threshold {thr:.3e})", iterations=iters,
+        f"{stationarity_resolution(center, M):.3e} (threshold {thr:.3e})", iterations=iters,
     )
 
 
@@ -236,7 +240,7 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     step_norm = float(np.linalg.norm(y - x))
     thr = theta * step_norm
     decrease_ok = m_smooth + float(h.value(y)) <= center.fx + float(h.value(x))
-    return _finish_or_raise(center, y, res, thr, step_norm, 1, witness,
+    return _finish_or_raise(center, M, y, res, thr, step_norm, 1, witness,
                             "closed-form prox step not certified",
                             decrease_ok=decrease_ok)
 
@@ -331,7 +335,7 @@ def solve_subproblem(
     # The start point may already be certified (e.g. a stationary center,
     # or a warm start that survived an M increase).
     if res <= thr + floor:
-        return _finish(center, y, res, thr, step_norm, 0, None)
+        return _finish(center, M, y, res, thr, step_norm, 0, None)
 
     alpha = step_guess
     for t in range(1, max_inner + 1):
@@ -352,7 +356,7 @@ def solve_subproblem(
         if not frozen:
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
-            return _finish_or_raise(center, y, res, thr, step_norm, t, witness,
+            return _finish_or_raise(center, M, y, res, thr, step_norm, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
         drop = m_total - mt_new
@@ -363,11 +367,11 @@ def solve_subproblem(
         # certified, or a step that moved m by no more than its rounding:
         # floats have run out
         if res <= thr + floor or drop <= _EPS * abs(m_total):
-            out = _finish(center, y, res, thr, step_norm, t, witness)
+            out = _finish(center, M, y, res, thr, step_norm, t, witness)
             if out is not None:
                 return out
 
-    return _finish_or_raise(center, y, res, thr, step_norm, max_inner, witness,
+    return _finish_or_raise(center, M, y, res, thr, step_norm, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")
 
 

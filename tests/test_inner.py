@@ -156,7 +156,7 @@ def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
         assert cert.residual > cert.threshold + residual_floor(center)
         fresh = certify(prob, center, y, M=M, theta=cfg.theta, witness_p=witness)
         assert fresh.decrease_ok
-        assert fresh.residual <= stationarity_resolution(center)
+        assert fresh.residual <= stationarity_resolution(center, M)
 
 
 def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
@@ -312,7 +312,7 @@ def test_second_order_solve_ends_by_the_stopping_rule(family, exact_h, seed,
         assert exc.iterations >= 1
         return
     if cert.stalled:
-        assert cert.residual <= stationarity_resolution(center)
+        assert cert.residual <= stationarity_resolution(center, M)
     else:
         assert cert.valid
     fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
@@ -383,17 +383,35 @@ def test_resolution_scales_with_center_magnitudes():
     expected = np.sqrt(np.finfo(float).eps) * (
         1.0 + abs(center.fx) + np.linalg.norm(center.gx)
     )
-    assert abs(stationarity_resolution(center) - expected) <= 1e-18
+    assert abs(stationarity_resolution(center, 1.0) - expected) <= 1e-18
     assert residual_floor(center) == 1e-11 * (1.0 + np.linalg.norm(center.gx))
     # at the minimizer of 0.5 * sum d_i (x_i - c_i)^2 with d_1 = 1e6, F and
     # its gradient vanish, so for p = 2 the curvature term
     # sqrt(eps * (1 + |fx|) * max|H|) dominates; the p = 1 model has no
-    # Hessian and keeps the magnitude formula
+    # Hessian, and at M = 1 its curvature term equals the magnitude formula
     x = np.array([1.0, -2.0, 3.0])
     prob = diag_quad_problem(DiagQuadL1Data(d=np.array([1e6, 2.0, 1.0]), c=x, lam=0.0))
     curved = ModelCenter.from_oracle(prob.smooth, x, p=2)
     assert curved.fx == 0.0 and not np.any(curved.gx)
     eps = np.finfo(float).eps
     assert curved.hess_absmax == 1e6 == np.abs(curved.Hx).max()
-    assert stationarity_resolution(curved) == np.sqrt(eps * 1e6)
-    assert stationarity_resolution(ModelCenter.from_oracle(prob.smooth, x, p=1)) == np.sqrt(eps)
+    assert stationarity_resolution(curved, 1.0) == np.sqrt(eps * 1e6)
+    assert stationarity_resolution(ModelCenter.from_oracle(prob.smooth, x, p=1), 1.0) == np.sqrt(eps)
+
+
+def test_first_order_resolution_grows_with_M():
+    # the p = 1 model's curvature is M: its closed-form residual rounds at
+    # about eps * M * ||x||, so the resolution takes sqrt(eps * (1 + |fx|) * M)
+    # once that exceeds the magnitude term; the p = 2 resolution ignores M
+    prob, _, x0 = gen_phase_retrieval(5, 20, seed=2, noise_scale=1.0)
+    eps = np.finfo(float).eps
+    first = ModelCenter.from_oracle(prob.smooth, x0, p=1)
+    second = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    magnitude_term = stationarity_resolution(first, 1e-2)
+    assert magnitude_term == np.sqrt(eps) * (1.0 + abs(first.fx) + np.linalg.norm(first.gx))
+    Ms = [1e6, 1e9, 1e12, 1e15]
+    grown = [stationarity_resolution(first, M) for M in Ms]
+    assert grown == [np.sqrt(eps * (1.0 + abs(first.fx)) * M) for M in Ms]
+    assert magnitude_term < grown[0] and all(np.diff(grown) > 0)
+    assert {stationarity_resolution(second, M) for M in [1e-2] + Ms} == {
+        stationarity_resolution(second, 1.0)}
