@@ -752,19 +752,21 @@ def _check_desk_scale() -> tuple[bool, str]:
 def _check_scaled_phase() -> tuple[bool, str]:
     """Badly scaled desk-size instances end stationary or at the precision
     floor, not in a LineSearchFailure.  While the p = 2 resolution ignored
-    the model's curvature, both runs stalled above it at every M and
-    doubled M to exhaustion."""
+    the model's curvature, both p = 2 runs stalled above it at every M and
+    doubled M to exhaustion; while the p = 1 resolution ignored M, both
+    p = 1 runs did."""
     ends = []
-    for gen_variance, seed in ((2.0, 2), (500.0, 0)):
+    for p, gen_variance, seed in ((2, 2.0, 2), (2, 500.0, 0), (1, 500.0, 0), (1, 100.0, 1)):
         problem, _, x0 = gen_phase_retrieval(100, 1000, seed=seed, noise_scale=1.0,
                                              gen_variance=gen_variance)
-        cfg = RunConfig(p=2, u=0.5, stop_stat=1e-3)
+        cfg = RunConfig(p=p, u=0.5, stop_stat=1e-3)
+        cell = f"p={p} gen_variance {gen_variance:g} seed {seed}"
         try:
             trace = nhota_run(problem, x0, cfg)
         except LineSearchFailure as exc:
-            return False, f"gen_variance {gen_variance:g} seed {seed}: {exc}"
+            return False, f"{cell}: {exc}"
         if trace.status not in ("stationary", "precision-floor"):
-            return False, f"gen_variance {gen_variance:g} seed {seed}: status {trace.status}"
-        ends.append(f"gen_variance {gen_variance:g} seed {seed}: {trace.status} after "
-                    f"{trace.iterations()} steps at {trace.stat_final:.1e}")
+            return False, f"{cell}: status {trace.status}"
+        ends.append(f"{cell}: {trace.status} after {trace.iterations()} steps "
+                    f"at {trace.stat_final:.1e}")
     return True, "; ".join(ends)

@@ -1,12 +1,15 @@
 """Outer loop: adaptive regularization with nonmonotone reference descent.
 
 Each iteration solves the regularized Taylor subproblem at the current point,
-doubling M until the candidate passes the acceptance test
+raising M until the candidate passes the acceptance test
 
     f(y) <= R_k - Mtilde/(p+1)! * ||y - x_k||^(p+1)
 
-against a reference value R_k >= f(x_k), then relaxes M and pulls the
-reference toward the new objective value:
+against a reference value R_k >= f(x_k).  A candidate that fails the test
+shows how much M it needed, Mtilde + (p+1)! (F(y) - T_p(y)) / ||y - x_k||^(p+1),
+and M jumps to that estimate, clipped to between 2 and ``MAX_M_RAISE`` times
+M; an inner solve that fails doubles M.  The driver then relaxes M and pulls
+the reference toward the new objective value:
 
     R_{k+1} = (1 - u_{k+1}) R_k + u_{k+1} f(x_{k+1}),   u_{k+1} in (u_min, 1].
 
@@ -33,16 +36,23 @@ from .inner import (
     solve_subproblem,
     stationarity_resolution,
 )
-from .taylor import ModelCenter, taylor_grad
+from .taylor import ModelCenter, _model, taylor_grad
 
 STATUS_STATIONARY = "stationary"
 STATUS_PRECISION_FLOOR = "precision-floor"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_CRITERION = "stopped-by-criterion"
 
+# Largest factor by which one rejection by the acceptance test raises M: the
+# new M is max(2M, min(est, MAX_M_RAISE * M)) for the remainder estimate est
+# (``remainder_estimate``).  The cap keeps sup M_k within a constant of the
+# doubling rule's bound; an uncapped estimate from a long first step
+# overshoots the M later steps need by orders of magnitude.
+MAX_M_RAISE = 4.0
+
 
 class LineSearchFailure(RuntimeError):
-    """M doubled past its budget without an acceptable step."""
+    """M raised past its budget without an acceptable step."""
 
     def __init__(self, message: str, k: int = -1, x: Optional[Vector] = None):
         super().__init__(message)
@@ -105,6 +115,29 @@ def update_reference(R: float, f_new: float, u: float) -> float:
     return (1.0 - u) * R + u * f_new
 
 
+def remainder_estimate(center: ModelCenter, y: Vector, F_y: float, step_norm: float,
+                       Mtilde: float) -> float:
+    """The M that would have let y pass: Mtilde + (p+1)! (F(y) - T_p(y)) / ||s||^(p+1).
+
+    With s = y - x, f(y) = m(y) + [F(y) - T_p(y)] - M/(p+1)! ||s||^(p+1),
+    and the model value m(y) is at most f(x) <= R, so y passes the
+    acceptance test once M reaches this value.  It is a local Lipschitz
+    quotient of F's p-th derivative on the segment [x, y], so it never
+    exceeds Mtilde plus that derivative's Lipschitz constant.  A zero step
+    gives 0, which leaves the choice to the doubling.
+    """
+    scale = step_norm ** (center.p + 1)
+    if not scale > 0:
+        return 0.0
+    return Mtilde + factorial(center.p + 1) * (F_y - _model(center, y, 0.0)[0]) / scale
+
+
+def raised_M(M: float, estimate: float) -> float:
+    """M after a rejection by the acceptance test: the remainder estimate,
+    but at least 2M and at most ``MAX_M_RAISE`` * M."""
+    return max(2.0 * M, min(estimate, MAX_M_RAISE * M))
+
+
 def accept_test(R: float, f_cand: float, step_norm: float, Mtilde: float, p: int) -> bool:
     """f_cand <= R - Mtilde/(p+1)! * step_norm^(p+1), exact comparison."""
     if not Mtilde > 0:
@@ -117,7 +150,7 @@ def accept_test(R: float, f_cand: float, step_norm: float, Mtilde: float, p: int
 @dataclass(frozen=True)
 class TryStepResult:
     """One ``try_step``: the accepted candidate y with its certificate and
-    the M, doublings and inner iterations it took.  ``f_cand`` and
+    the M, raises of M and inner iterations it took.  ``f_cand`` and
     ``F_cand`` are the values the acceptance test used, so the driver
     evaluates F at y no second time."""
 
@@ -125,7 +158,7 @@ class TryStepResult:
     cert: StepCertificate
     witness: Optional[Vector]
     M_used: float
-    doublings: int
+    doublings: int  # raises of M: by 2 on an inner failure, 2 to MAX_M_RAISE on a rejection
     inner_iters: int
     # F(y) + h(y); NaN on a ``stationary`` result, which evaluates no
     # candidate it would discard.
@@ -145,11 +178,14 @@ def try_step(
     M_in: float,
     config: RunConfig,
 ) -> TryStepResult:
-    """Find an acceptable step from the center, doubling M as needed.
+    """Find an acceptable step from the center, raising M as needed.
 
-    Each trial runs the certified inner solve at the current M; an inner
-    failure or a failed acceptance test doubles M and retries, seeding the
-    next solve with the rejected candidate.
+    Each trial runs the certified inner solve at the current M and retries
+    at a larger M when the candidate is not acceptable.  An inner failure
+    doubles M.  A candidate rejected by the acceptance test tells how much
+    M it needed (``remainder_estimate``): M becomes that estimate, but at
+    least 2M and at most ``MAX_M_RAISE`` * M (``raised_M``), and the next
+    solve is seeded with the rejected candidate.
 
     A solve that stalled at the floating-point floor or returned a
     collapsed step (``cert.stalled``) forces a decision: if the center is
@@ -163,12 +199,13 @@ def try_step(
     F is evaluated once per tested candidate, and the result carries that
     value (``F_cand``) for the next center.  A repeated warm start is not
     re-tested: a solve that returns the rejected candidate unchanged would
-    meet the same R, f(y) and ||y - x|| and fail again, so M doubles without
-    a call to F.
-    Raises ``LineSearchFailure`` after ``config.max_doublings`` doublings.
+    meet the same R, f(y) and ||y - x|| and fail again, so M is raised
+    again by the estimate that candidate gave, without a call to F.
+    Raises ``LineSearchFailure`` after ``config.max_doublings`` raises of M.
     """
     M = M_in
     warm = None
+    needed = 0.0  # the remainder estimate of the rejected candidate ``warm``
     total_inner = 0
     for i in range(config.max_doublings + 1):
         try:
@@ -186,7 +223,7 @@ def try_step(
             return TryStepResult(y, cert, witness, M, i, total_inner, np.nan,
                                  stationary=True)
         if warm is not None and np.array_equal(y, warm):
-            M *= 2.0  # the rejected candidate again: its test would fail again
+            M = raised_M(M, needed)  # the rejected candidate again: it would fail again
             continue
         F_cand = float(problem.smooth.value(y))
         f_cand = F_cand + float(problem.nonsmooth.value(y))
@@ -195,7 +232,8 @@ def try_step(
         if accept_test(R, f_cand, cert.step_norm, config.Mtilde, config.p):
             return TryStepResult(y, cert, witness, M, i, total_inner, f_cand, F_cand)
         warm = y
-        M *= 2.0
+        needed = remainder_estimate(center, y, F_cand, cert.step_norm, config.Mtilde)
+        M = raised_M(M, needed)
     raise LineSearchFailure(
         f"no acceptable step after {config.max_doublings} doublings "
         f"(M reached {M:.3e} from {M_in:.3e})",
@@ -208,7 +246,7 @@ class TraceRow:
     """One outer iteration: the step from x_k to x_{k+1}.
 
     ``f`` and ``R`` are the values at x_k; ``stationarity`` is measured at
-    the new point x_{k+1}; ``backtracks`` counts M doublings.
+    the new point x_{k+1}; ``backtracks`` counts the raises of M.
     """
 
     k: int
@@ -344,12 +382,12 @@ def nhota_steps(
     accepted step (``try_step``), updates the reference with weight
     u_{k+1}, records one trace row (handing it to ``row_sink`` when given)
     and yields the step with the center it was taken from.  The next step
-    starts from M_used when this one needed a doubling, and from
+    starts from M_used when this one had to raise M, and from
     max(M_used/2, M0) when it passed at the first M it tried: as in ARC
     (Cartis, Gould & Toint 2011), M is lowered only after a step that
     succeeded at once, so a step that had to raise M does not hand the next
-    one an M it would double straight back.  M still grows only by
-    doubling on a rejected candidate.
+    one an M it would raise straight back.  M grows only on a rejected
+    candidate, by a factor between 2 and ``MAX_M_RAISE`` (``try_step``).
 
     Stops when f <= stop_f ("stopped-by-criterion"), the stationarity
     measure drops to stop_stat ("stationary"), the current point is

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhota import (
+    DiagQuadL1Data,
     IterateTrace,
     ModelCenter,
     OracleFailure,
@@ -14,6 +15,7 @@ from nhota import (
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
+    diag_quad_problem,
     driver,
     l1_term,
     nhota_run,
@@ -130,15 +132,40 @@ def test_try_step_huge_M_accepts_without_doubling():
                        cfg.Mtilde, 2)
 
 
-def test_try_step_small_M_doubles():
+def test_try_step_raises_M_by_a_factor_in_two_to_four(monkeypatch):
     # p = 1: a tiny M means a ~1/M-sized first-order step that overshoots
-    # and fails the acceptance test until M has been doubled
+    # and fails the acceptance test; each rejection raises M to the
+    # remainder estimate, clipped to [2M, 4M]
     prob, _, x0 = gen_diag_quad_l1(10, seed=3)
     center = ModelCenter.from_oracle(prob.smooth, x0, p=1)
+    tried, solve = [], driver.solve_subproblem
+
+    def recording(problem, center, M, theta, **kwargs):
+        tried.append(M)
+        return solve(problem, center, M, theta, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_subproblem", recording)
+    step = try_step(prob, center, R=prob.f(x0), M_in=1e-3, config=RunConfig(p=1))
+    assert step.doublings >= 1 and tried[0] == 1e-3 and tried[-1] == step.M_used
+    factors = np.array(tried[1:]) / np.array(tried[:-1])
+    assert len(factors) == step.doublings
+    assert np.all((factors >= 2.0) & (factors <= driver.MAX_M_RAISE))
+    assert np.any(factors > 2.0)
+
+
+def test_try_step_lands_on_the_remainder_estimate():
+    # F = d x^2 / 2 at p = 1: F(y) - T_1(y) = d/2 ||s||^2, so a rejected step
+    # asks for exactly Mtilde + d; from M_in = 1 that lies in (2, 4), and the
+    # one rejection lands on it, where the step passes
+    d = 3.0
+    prob = diag_quad_problem(DiagQuadL1Data(d=np.array([d]), c=np.zeros(1), lam=0.0))
+    x0 = np.ones(1)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=1)
     cfg = RunConfig(p=1)
-    step = try_step(prob, center, R=prob.f(x0), M_in=1e-3, config=cfg)
-    assert step.doublings >= 1
-    assert step.M_used == 1e-3 * 2.0**step.doublings
+    assert 2.0 < cfg.Mtilde + d < 4.0
+    step = try_step(prob, center, R=prob.f(x0), M_in=1.0, config=cfg)
+    assert step.doublings == 1
+    assert step.M_used == pytest.approx(cfg.Mtilde + d, rel=1e-12)
 
 
 def test_try_step_at_a_stationary_center_evaluates_no_candidate():
@@ -262,6 +289,48 @@ def test_scaled_phase_runs_end_stationary_or_at_the_floor(log_variance, seed, n)
     trace = nhota_run(prob, x0, cfg)
     assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
     assert (trace.stat_final <= cfg.stop_stat) == (trace.status == STATUS_STATIONARY)
+
+
+def _times(problem, lam, c):
+    """c * (F + lam * ||x||_1): the same minimizers, every value, derivative
+    and stationarity residual scaled by c."""
+    s = problem.smooth
+    smooth = replace(s, value=lambda x: c * s.value(x), grad=lambda x: c * s.grad(x),
+                     hess=lambda x: c * s.hess(x))
+    return replace(problem, smooth=smooth, nonsmooth=l1_term(c * lam), known_opt=None)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(log_c=st.floats(np.log(1e-3), np.log(1e3)), p=st.sampled_from([1, 2]),
+       family=st.sampled_from(["diag", "phase"]), seed=st.integers(0, 3))
+def test_scaled_objective_runs_end_stationary_or_at_the_floor(log_c, p, family, seed):
+    # the objective times c, with stop_stat times c, set below what the
+    # residual resolves: every run must stop, stationary or at the floor.
+    # With an M-independent p = 1 resolution, phase seed 0 at c = e^2.25
+    # doubled M to a LineSearchFailure
+    c = float(np.exp(log_c))
+    if family == "diag":
+        prob, data, x0 = gen_diag_quad_l1(20, seed=seed)
+    else:
+        prob, data, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=1.0)
+    cfg = RunConfig(p=p, stop_f=-np.inf, stop_stat=1e-9 * c)
+    trace = nhota_run(_times(prob, data.lam, c), x0, cfg)
+    assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
+    assert (trace.stat_final <= cfg.stop_stat) == (trace.status == STATUS_STATIONARY)
+
+
+def test_p1_run_past_its_resolution_ends_at_the_precision_floor():
+    # stop_stat = 1e-9 lies below what the p = 1 residual resolves on this
+    # instance, so the run must stop at the M-aware floor.  With an
+    # M-independent resolution, the remainder-estimate raise of M ended this
+    # run in a LineSearchFailure at M = 1.8e26, and plain doubling ran out
+    # of max_outer
+    prob, _, x0 = gen_diag_quad_l1(20, seed=3)
+    cfg = RunConfig(p=1, u=1.0, stop_stat=1e-9, max_outer=40)
+    trace = nhota_run(prob, x0, cfg)
+    assert trace.status == STATUS_PRECISION_FLOOR
+    assert cfg.stop_stat < trace.stat_final <= trace.resolution
+    assert trace.check_invariants(cfg) == []
 
 
 def test_run_converges_on_diagonal_instance():
