@@ -12,10 +12,10 @@ from nhota import (
     ModelCenter,
     OracleFailure,
     RunConfig,
+    diag_quad_problem,
     exact_solution_diag,
     gen_diag_quad_l1,
     gen_phase_retrieval,
-    diag_quad_problem,
     driver,
     l1_term,
     nhota_run,
