@@ -67,7 +67,13 @@ class RunConfig:
     ``u`` is either a constant in (u_min, 1] or a callable k -> u_k giving
     the reference weight used when forming R_k.  ``stop_f`` and ``stop_stat``
     are objective / stationarity stopping thresholds; set stop_f = -inf and
-    stop_stat < 0 to disable them.
+    stop_stat < 0 to disable them.  ``max_inner`` bounds the p = 2 inner
+    iterations of one solve, whose step size needs no knob: each solve
+    finds it by backtracking from 1 and carries it between iterations.
+
+    The ranges of p, M0, Mtilde, theta and u are checked here and in
+    ``u_at``, once; the helpers that use them (``accept_test``,
+    ``update_reference``) take them as given.
     """
 
     p: int = 2
@@ -80,13 +86,12 @@ class RunConfig:
     stop_f: float = 1e-3
     stop_stat: float = 1e-3
     max_inner: int = 500
-    step_guess: float = 1.0
     max_doublings: int = 60
 
     def __post_init__(self):
         if self.p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {self.p}")
-        for name in ("M0", "Mtilde", "theta", "step_guess"):
+        for name in ("M0", "Mtilde", "theta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.u_min < 1.0:
@@ -110,8 +115,6 @@ class RunConfig:
 
 def update_reference(R: float, f_new: float, u: float) -> float:
     """Convex combination (1 - u) R + u f_new; with u = 1 returns f_new exactly."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must lie in (0, 1], got {u}")
     return (1.0 - u) * R + u * f_new
 
 
@@ -140,10 +143,6 @@ def raised_M(M: float, estimate: float) -> float:
 
 def accept_test(R: float, f_cand: float, step_norm: float, Mtilde: float, p: int) -> bool:
     """f_cand <= R - Mtilde/(p+1)! * step_norm^(p+1), exact comparison."""
-    if not Mtilde > 0:
-        raise ValueError(f"Mtilde must be positive, got {Mtilde}")
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
     return f_cand <= R - Mtilde / factorial(p + 1) * step_norm ** (p + 1)
 
 
@@ -211,8 +210,7 @@ def try_step(
         try:
             y, cert, witness = solve_subproblem(
                 problem, center, M, config.theta,
-                max_inner=config.max_inner, step_guess=config.step_guess,
-                warm=warm,
+                max_inner=config.max_inner, warm=warm,
             )
         except InnerSolveFailure as exc:
             total_inner += exc.iterations

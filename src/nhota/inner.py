@@ -251,7 +251,6 @@ def solve_subproblem(
     M: float,
     theta: float,
     max_inner: int = 500,
-    step_guess: float = 1.0,
     warm: Optional[Vector] = None,
 ) -> tuple[Vector, StepCertificate, Optional[Vector]]:
     """Certified approximate minimizer of the regularized model plus h.
@@ -260,8 +259,7 @@ def solve_subproblem(
     prox_{h/M}(x - g/M), certified with the witness M(x - y) - g and the
     same threshold and model-decrease tests as below; the certificate
     reports one inner iteration.  It does not depend on a start point or a
-    step size, so ``max_inner``, ``step_guess`` and ``warm`` are validated
-    but not used.
+    step size, so ``max_inner`` and ``warm`` are validated but not used.
 
     For p = 2, proximal gradient on the regularized model until certified.
     Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the decrease
@@ -269,14 +267,14 @@ def solve_subproblem(
     halving until the standard sufficient-decrease test holds and m does not
     increase, takes the prox step, and keeps the witness subgradient
     p = (y_t - y_{t+1})/alpha - model_grad(y_t), which lies in dh(y_{t+1})
-    by the prox optimality condition.  The first search starts at
-    ``step_guess``; each later one is warm-started at
-    min(step_guess, 2 * alpha_prev), where alpha_prev is the step accepted
-    on the previous iteration, so a step size near 1/L is found once per
-    call rather than re-searched from ``step_guess`` every iteration (the
+    by the prox optimality condition.  The first search starts at 1; each
+    later one starts at 2 * alpha_prev, where alpha_prev is the step
+    accepted on the previous iteration, with no cap, so a step size near 1/L
+    is found once per call, whether 1/L is far below 1 or far above it (the
     carried step of Nesterov's composite gradient method and of FISTA's
     backtracking).  The doubling lets the step grow back where the model is
-    flatter.
+    flatter.  A search that halves below 2**-60 without a float-visible
+    decrease leaves the iterate frozen.
 
     Every solve, for either p, ends through one stopping rule, ``_finish``.
     The p = 2 iteration asks it once the residual clears its target plus
@@ -297,8 +295,6 @@ def solve_subproblem(
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    if not step_guess > 0:
-        raise ValueError(f"step_guess must be positive, got {step_guess}")
     if max_inner < 1:
         raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     if not M > 0:
@@ -337,9 +333,9 @@ def solve_subproblem(
     if res <= thr + floor:
         return _finish(center, M, y, res, thr, step_norm, 0, None)
 
-    alpha = step_guess
+    alpha = 0.5  # the first search starts at 1
     for t in range(1, max_inner + 1):
-        alpha = min(step_guess, 2.0 * alpha)
+        alpha *= 2.0
         frozen = False
         while True:
             y_new = _prox(problem, y - alpha * g_reg, alpha)
@@ -350,7 +346,7 @@ def solve_subproblem(
                 if mt_new <= m_total:
                     break
             alpha *= 0.5
-            if alpha < step_guess * 2.0**-60:
+            if alpha < 2.0**-60:
                 frozen = True  # no step size gives a float-visible decrease
                 break
         if not frozen:

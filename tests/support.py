@@ -28,6 +28,15 @@ def quartic_1d() -> CompositeProblem:
                        lambda x: np.array([[12.0 * x[0] ** 2]]))
 
 
+def times(problem: CompositeProblem, lam: float, c: float) -> CompositeProblem:
+    """c * (F + lam * ||x||_1): the same minimizers, every value, derivative
+    and stationarity residual scaled by c."""
+    s = problem.smooth
+    smooth = replace(s, value=lambda x: c * s.value(x), grad=lambda x: c * s.grad(x),
+                     hess=lambda x: c * s.hess(x))
+    return replace(problem, smooth=smooth, nonsmooth=l1_term(c * lam), known_opt=None)
+
+
 def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
     """Same problem, but h no longer reports exact subdifferential distances."""
     return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))

@@ -231,7 +231,6 @@ BAD_CONFIGS = {
     "M0": ("run", DIAG_CFG + "M0 = -1\n"),
     "Mtilde": ("run", DIAG_CFG + "Mtilde = 0\n"),
     "theta": ("run", DIAG_CFG + "theta = 0\n"),
-    "step_guess": ("run", DIAG_CFG + "step_guess = 0\n"),
     "u": ("run", DIAG_CFG + "u = 2\n"),
     "u_at_u_min": ("sweep", DIAG_CFG + "u = 0.001\n"),
     "u_min": ("run", DIAG_CFG + "u_min = 1\n"),

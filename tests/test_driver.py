@@ -38,6 +38,7 @@ from support import (
     asymmetric_hessian,
     nan_hessian,
     quadratic_1d,
+    times,
     with_hessian_calls,
     with_oracle_calls,
     without_subdiff,
@@ -56,13 +57,6 @@ def test_update_reference_u1_returns_f_exactly():
     assert update_reference(123.456, 7.89, 1.0) == 7.89
 
 
-def test_update_reference_validates_u():
-    with pytest.raises(ValueError):
-        update_reference(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        update_reference(1.0, 0.0, 1.5)
-
-
 def test_accept_test_by_hand():
     # required decrease with Mtilde=6, p=2, step 1: 6/3! = 1
     assert accept_test(10.0, 9.0, 1.0, 6.0, 2)
@@ -79,13 +73,6 @@ def test_accept_test_is_exact_at_the_boundary():
 def test_accept_test_zero_step_needs_no_decrease():
     assert accept_test(5.0, 5.0, 0.0, 1.0, 2)
     assert not accept_test(5.0, np.nextafter(5.0, 6.0), 0.0, 1.0, 2)
-
-
-def test_accept_test_validation():
-    with pytest.raises(ValueError):
-        accept_test(1.0, 0.0, 1.0, 0.0, 2)
-    with pytest.raises(ValueError):
-        accept_test(1.0, 0.0, 1.0, 1.0, 3)
 
 
 # ----------------------------------------------------------------- config
@@ -291,15 +278,6 @@ def test_scaled_phase_runs_end_stationary_or_at_the_floor(log_variance, seed, n)
     assert (trace.stat_final <= cfg.stop_stat) == (trace.status == STATUS_STATIONARY)
 
 
-def _times(problem, lam, c):
-    """c * (F + lam * ||x||_1): the same minimizers, every value, derivative
-    and stationarity residual scaled by c."""
-    s = problem.smooth
-    smooth = replace(s, value=lambda x: c * s.value(x), grad=lambda x: c * s.grad(x),
-                     hess=lambda x: c * s.hess(x))
-    return replace(problem, smooth=smooth, nonsmooth=l1_term(c * lam), known_opt=None)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(log_c=st.floats(np.log(1e-3), np.log(1e3)), p=st.sampled_from([1, 2]),
        family=st.sampled_from(["diag", "phase"]), seed=st.integers(0, 3))
@@ -314,9 +292,21 @@ def test_scaled_objective_runs_end_stationary_or_at_the_floor(log_c, p, family, 
     else:
         prob, data, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=1.0)
     cfg = RunConfig(p=p, stop_f=-np.inf, stop_stat=1e-9 * c)
-    trace = nhota_run(_times(prob, data.lam, c), x0, cfg)
+    trace = nhota_run(times(prob, data.lam, c), x0, cfg)
     assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
     assert (trace.stat_final <= cfg.stop_stat) == (trace.status == STATUS_STATIONARY)
+
+
+def test_p2_run_on_a_flat_objective_keeps_its_inner_solves_short():
+    # objective x 1e-3, so 1/L is far above 1.  With every inner step capped
+    # at 1 this run took 123 steps, 45 of its 169 solves ran out of
+    # max_inner and one row spent 2500 inner iterations
+    prob, data, x0 = gen_diag_quad_l1(20, seed=0)
+    cfg = RunConfig(p=2, stop_f=-np.inf, stop_stat=1e-12)
+    trace = nhota_run(times(prob, data.lam, 1e-3), x0, cfg)
+    assert trace.status == STATUS_PRECISION_FLOOR
+    assert len(trace.rows) <= 50
+    assert max(row.inner_iters for row in trace.rows) < cfg.max_inner
 
 
 def test_p1_run_past_its_resolution_ends_at_the_precision_floor():

@@ -24,7 +24,7 @@ from nhota import (
 )
 from nhota.inner import center_stationarity, residual_floor, stationarity_resolution
 from nhota.taylor import model_value
-from support import quadratic_1d, without_subdiff
+from support import quadratic_1d, times, without_subdiff
 
 
 def test_quadratic_reaches_exact_minimizer():
@@ -196,25 +196,38 @@ def with_prox_counter(problem: CompositeProblem) -> tuple[CompositeProblem, list
 
 
 def test_backtracking_carries_the_step_size_between_iterations():
-    # step_guess far above 1/L: restarting every search at step_guess costs
-    # about log2(step_guess * L) prox calls per inner iteration, while a
-    # carried step pays that descent once and then at most a few per iteration
+    # objective x 1e3, so 1/L is far below the first trial step 1: restarting
+    # every search at 1 costs about log2(L) prox calls per inner iteration,
+    # while a carried step pays that descent once and then at most a few per
+    # iteration
     prob, data, x0 = gen_diag_quad_l1(20, seed=3)
-    prob, calls = with_prox_counter(prob)
+    prob, calls = with_prox_counter(times(prob, data.lam, 1e3))
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
-    M, theta, step_guess = 1.0, 1e-3, 1e3
-    y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta,
-                                        step_guess=step_guess)
+    M, theta = 1e3, 1e-3
+    y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
     assert cert.valid and not cert.stalled
     assert cert.inner_iters >= 5
-    # curvature of the p=2 model along the path: Hessian diag(d) plus the
-    # regularizer's M * ||y - x||
-    L = float(data.d.max()) + M * cert.step_norm
-    assert len(calls) <= 3 * cert.inner_iters + math.ceil(math.log2(step_guess * L)) + 1
+    # curvature of the p=2 model along the path: Hessian diag(1e3 * d) plus
+    # the regularizer's M * ||y - x||
+    L = 1e3 * float(data.d.max()) + M * cert.step_norm
+    assert len(calls) <= 3 * cert.inner_iters + math.ceil(math.log2(L)) + 1
     fresh = certify(prob, center, y, M=M, theta=theta)
     assert fresh.valid and fresh.decrease_ok
     assert abs(fresh.residual - cert.residual) <= 1e-12 * max(1.0, cert.residual)
     assert fresh.threshold == cert.threshold and fresh.step_norm == cert.step_norm
+
+
+def test_carried_step_size_grows_past_one_on_a_flat_model():
+    # objective x 1e-3, so 1/L is far above the first trial step 1: the
+    # carried step doubles past it.  Capped at 1, this solve took 178
+    # iterations
+    prob, data, x0 = gen_diag_quad_l1(20, seed=3)
+    prob, calls = with_prox_counter(times(prob, data.lam, 1e-3))
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    y, cert, witness = solve_subproblem(prob, center, M=1e-3, theta=1e-3)
+    assert cert.valid and not cert.stalled
+    assert max(calls) > 1.0
+    assert cert.inner_iters <= 20
 
 
 def test_one_hessian_product_per_trial_point():
@@ -335,8 +348,6 @@ def test_parameter_validation():
     center = ModelCenter.from_oracle(prob.smooth, np.zeros(1), p=2)
     with pytest.raises(ValueError):
         solve_subproblem(prob, center, M=1.0, theta=0.0)
-    with pytest.raises(ValueError):
-        solve_subproblem(prob, center, M=1.0, theta=0.1, step_guess=0.0)
     with pytest.raises(ValueError):
         solve_subproblem(prob, center, M=1.0, theta=0.1, max_inner=0)
     for M in (0.0, -1.0, float("nan")):
