@@ -8,8 +8,13 @@ raising M until the candidate passes the acceptance test
 against a reference value R_k >= f(x_k).  A candidate that fails the test
 shows how much M it needed, Mtilde + (p+1)! (F(y) - T_p(y)) / ||y - x_k||^(p+1),
 and M jumps to that estimate, clipped to between 2 and ``MAX_M_RAISE`` times
-M; an inner solve that fails doubles M.  The driver then relaxes M and pulls
-the reference toward the new objective value:
+M; an inner solve that fails doubles M.  Each step starts at the secant M of
+the step just taken, s = x_{k+1} - x_k:
+
+    M_{k+1} = max(M0, ||grad F(x_{k+1}) - grad T_p(x_{k+1}; x_k)|| / (p! ||s||^p)),
+
+the spectral step of Birgin, Martinez & Raydan (2000) at p = 1.  The driver
+then pulls the reference toward the new objective value:
 
     R_{k+1} = (1 - u_{k+1}) R_k + u_{k+1} f(x_{k+1}),   u_{k+1} in (u_min, 1].
 
@@ -46,8 +51,8 @@ STATUS_CRITERION = "stopped-by-criterion"
 # Largest factor by which one rejection by the acceptance test raises M: the
 # new M is max(2M, min(est, MAX_M_RAISE * M)) for the remainder estimate est
 # (``remainder_estimate``).  The cap keeps sup M_k within a constant of the
-# doubling rule's bound; an uncapped estimate from a long first step
-# overshoots the M later steps need by orders of magnitude.
+# doubling rule's bound; an estimate from a long rejected step can exceed the
+# M the step needs by orders of magnitude.
 MAX_M_RAISE = 4.0
 
 
@@ -126,13 +131,16 @@ def remainder_estimate(center: ModelCenter, y: Vector, F_y: float, step_norm: fl
     and the model value m(y) is at most f(x) <= R, so y passes the
     acceptance test once M reaches this value.  It is a local Lipschitz
     quotient of F's p-th derivative on the segment [x, y], so it never
-    exceeds Mtilde plus that derivative's Lipschitz constant.  A zero step
-    gives 0, which leaves the choice to the doubling.
+    exceeds Mtilde plus that derivative's Lipschitz constant.  The remainder
+    is formed as (F(y) - F(x)) - (T_p(y) - F(x)), both differences at the
+    scale of the step.  A zero step gives 0, which leaves the choice to the
+    doubling.
     """
     scale = step_norm ** (center.p + 1)
     if not scale > 0:
         return 0.0
-    return Mtilde + factorial(center.p + 1) * (F_y - _model(center, y, 0.0)[0]) / scale
+    remainder = (F_y - center.fx) - _model(center, y, 0.0)[0]
+    return Mtilde + factorial(center.p + 1) * remainder / scale
 
 
 def raised_M(M: float, estimate: float) -> float:
@@ -355,16 +363,31 @@ def check_reference_descent(
     return out
 
 
-def _stationarity_bound(center, next_center, cert, M_used) -> float:
+def taylor_grad_error(center: ModelCenter, next_center: ModelCenter) -> float:
+    """||grad F(y) - grad T_p(y; x)|| at y = next_center.x, from the gradient
+    the next center already holds: no oracle call."""
+    return float(np.linalg.norm(next_center.gx - taylor_grad(center, next_center.x)))
+
+
+def secant_M(grad_err: float, step_norm: float, p: int, M0: float) -> float:
+    """The M the next step starts at: max(M0, grad_err / (p! ||s||^p)).
+
+    ``grad_err`` is ``taylor_grad_error`` after the step s.  A zero step
+    gives M0.
+    """
+    scale = factorial(p) * step_norm**p
+    return max(M0, grad_err / scale) if scale > 0 else M0
+
+
+def _stationarity_bound(taylor_err: float, cert: StepCertificate, M_used: float,
+                        p: int) -> float:
     """Computable upper bound on dist(0, df(x_{k+1})) from the certificate.
 
     Triangle inequality: the true gradient error ||grad F(y) - grad T_p(y)||
-    plus the certified model residual plus the regularization gradient norm
-    M/p! * ||step||^p.
+    (``taylor_grad_error``) plus the certified model residual plus the
+    regularization gradient norm M/p! * ||step||^p.
     """
-    taylor_err = float(np.linalg.norm(next_center.gx - taylor_grad(center, next_center.x)))
-    reg = M_used / factorial(center.p) * cert.step_norm**center.p
-    return taylor_err + cert.residual + reg
+    return taylor_err + cert.residual + M_used / factorial(p) * cert.step_norm**p
 
 
 def nhota_steps(
@@ -379,13 +402,20 @@ def nhota_steps(
     Starts with R_0 = f(x_0) and M = M0; each iteration takes a certified,
     accepted step (``try_step``), updates the reference with weight
     u_{k+1}, records one trace row (handing it to ``row_sink`` when given)
-    and yields the step with the center it was taken from.  The next step
-    starts from M_used when this one had to raise M, and from
-    max(M_used/2, M0) when it passed at the first M it tried: as in ARC
-    (Cartis, Gould & Toint 2011), M is lowered only after a step that
-    succeeded at once, so a step that had to raise M does not hand the next
-    one an M it would raise straight back.  M grows only on a rejected
-    candidate, by a factor between 2 and ``MAX_M_RAISE`` (``try_step``).
+    and yields the step with the center it was taken from.  Each later step
+    starts at the secant M of the step just taken (``secant_M``),
+
+        max(M0, ||grad F(y) - grad T_p(y; x)|| / (p! ||s||^p)),
+
+    formed from the gradient the next center holds, so it costs no oracle
+    call.  At p = 1 it is the spectral step ||grad F(y) - grad F(x)|| / ||s||
+    of Birgin, Martinez & Raydan (2000).  Since ||grad F(y) - grad T_p(y)||
+    <= L_p ||s||^p / p!, with L_p the Lipschitz constant of F's p-th
+    derivative on [x, y], the estimate is at most L_p / (p!)^2 <= L_p; within
+    a step M grows only on a rejected candidate or a failed solve, by a
+    factor of at most ``MAX_M_RAISE`` (``try_step``).  So M_k >= M0 and
+    sup M_k <= max(M0, MAX_M_RAISE * (Mtilde + L_p)), apart from
+    inner-failure doublings: the bounded M_k the rates need.
 
     Stops when f <= stop_f ("stopped-by-criterion"), the stationarity
     measure drops to stop_stat ("stationary"), the current point is
@@ -444,8 +474,9 @@ def nhota_steps(
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
         next_center = ModelCenter.from_oracle(problem.smooth, y, config.p, fx=step.F_cand)
+        taylor_err = taylor_grad_error(center, next_center)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
-                    else _stationarity_bound(center, next_center, cert, step.M_used))
+                    else _stationarity_bound(taylor_err, cert, step.M_used, config.p))
         wall = (time.perf_counter() - t0) * 1000.0
 
         row = TraceRow(
@@ -460,7 +491,7 @@ def nhota_steps(
         yield center, step
 
         center, fk, R, stat = next_center, f_new, R_new, new_stat
-        M = step.M_used if step.doublings else max(step.M_used / 2.0, config.M0)
+        M = secant_M(taylor_err, cert.step_norm, config.p, config.M0)
 
     trace.status = status
 

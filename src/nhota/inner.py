@@ -11,7 +11,9 @@ solved in closed form: its exact minimizer is the single prox step
 prox_{h/M}(x - g/M) (Nesterov's composite gradient mapping), and both
 conditions are checked on that point in floating point.  For p = 2,
 condition (1) holds by construction: the proximal gradient iteration below
-starts at y0 = x, where m(x) = f(x) exactly, and never increases m.
+starts at y0 = x, where m(x) = f(x) exactly, and never increases m.  Both
+solves compare model values relative to F(x) (``taylor._model``), so the
+comparisons round at the scale of the model's change, not of F(x).
 Condition (2) is certified either through the exact subdifferential distance
 (when h provides one) or through the prox-step witness subgradient.
 """
@@ -179,7 +181,7 @@ def _finish(center: ModelCenter, M: float, y: Vector, res: float, thr: float,
     Every solve ends here, for either p: the p = 1 closed-form step, a start
     point that is already certified, a p = 2 iterate whose residual cleared
     its target or whose step moved m by no more than its rounding
-    (eps * |m|), an iterate that no step size moves, and a spent budget.
+    (eps * |m - F(x)|), an iterate that no step size moves, and a spent budget.
     Given y's residual ``res`` and target ``thr`` = theta*||y - x||^p:
 
     * **certified** when the model decreased and ``res`` is at most ``thr``
@@ -235,11 +237,11 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     x, g = center.x, center.gx
     y = _prox(problem, x - g / M, 1.0 / M)
     witness = M * (x - y) - g
-    m_smooth, g_reg = _model(center, y, M)
+    dm, g_reg = _model(center, y, M)
     res = _residual(problem, g_reg, y, witness)
     step_norm = float(np.linalg.norm(y - x))
     thr = theta * step_norm
-    decrease_ok = m_smooth + float(h.value(y)) <= center.fx + float(h.value(x))
+    decrease_ok = dm + float(h.value(y)) <= float(h.value(x))
     return _finish_or_raise(center, M, y, res, thr, step_norm, 1, witness,
                             "closed-form prox step not certified",
                             decrease_ok=decrease_ok)
@@ -279,10 +281,12 @@ def solve_subproblem(
     Every solve, for either p, ends through one stopping rule, ``_finish``.
     The p = 2 iteration asks it once the residual clears its target plus
     the floor, or once a step changes the model value by no more than its
-    rounding (eps * |m|): near the model minimizer theta*||y - x||^p can drop
-    below what double precision resolves, and the resolution grows with
-    |f(x)| while the model decrease does not, so it is the rounding test
-    that ties a stop below the target to the floats.  An iterate that stops
+    rounding: near the model minimizer theta*||y - x||^p can drop below what
+    double precision resolves, and the resolution grows with |f(x)| while
+    the model decrease does not, so it is the rounding test that ties a
+    stop below the target to the floats.  The model value is taken relative
+    to the center, m(y) - F(x), so that rounding is eps * |m(y) - F(x)|: a
+    large constant in F does not change when it fires.  An iterate that stops
     moving (no step size gives a float-visible decrease) and a spent budget
     ask it too, and there a None from the rule raises
     ``InnerSolveFailure``; the driver responds by doubling M.  A certificate
@@ -308,14 +312,16 @@ def solve_subproblem(
         return _solve_first_order(problem, center, M, theta)
     h = problem.nonsmooth
     x = center.x
-    f_center = center.fx + float(h.value(x))
+    # model values relative to F(x) (``_model``): m(y) - F(x) = dm(y) + h(y),
+    # which is h(x) at the center
+    h_center = float(h.value(x))
 
-    y, m_smooth, m_total = x.copy(), center.fx, f_center  # the model is fx at x
+    y, m_smooth, m_total = x.copy(), 0.0, h_center
     g_reg = None
     if warm is not None:
         ms, g_warm = _model(center, warm, M)
         mt = ms + float(h.value(warm))
-        if np.isfinite(mt) and mt <= f_center:
+        if np.isfinite(mt) and mt <= h_center:
             y, m_smooth, m_total, g_reg = warm.copy(), ms, mt, g_warm
     if g_reg is None:
         g_reg = _model(center, y, M)[1]

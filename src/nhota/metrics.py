@@ -234,9 +234,9 @@ def remainder_check(
         ys = _sample_ball(rng, x, radius)
         center = ModelCenter.from_oracle(problem.smooth, xs, p)
         gap = float(np.linalg.norm(ys - xs))
-        t_ys, tg_ys = _model(center, ys, 0.0)  # T_p and its gradient at ys
+        dt_ys, tg_ys = _model(center, ys, 0.0)  # T_p(ys) - F(xs) and its gradient
         f_ys = float(problem.smooth.value(ys))
-        lhs = abs(f_ys - t_ys)
+        lhs = abs((f_ys - center.fx) - dt_ys)
         atol = _EVAL_ATOL * max(1.0, abs(f_ys))
         margin = min(margin, coeff_val * gap ** (p + 1) + atol - lhs)
         g_ys = np.asarray(problem.smooth.grad(ys), float)

@@ -7,6 +7,11 @@ The regularized model used by the solver is
 where T_p is the p-th order Taylor expansion of F around x (p = 1 or 2).
 The nonsmooth term h is *not* part of the model; callers add h(y) on top
 when they need the full subproblem objective.
+
+The solver works with the model relative to its center, T_p(y) - F(x) plus
+the regularization (``_model``): a difference of model values then rounds
+at the scale of the change, not of F(x), which may carry a large constant.
+The public ``taylor_value`` and ``model_value`` add F(x) back.
 """
 
 from __future__ import annotations
@@ -126,16 +131,18 @@ class ModelCenter:
 
 
 def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:
-    """Value and gradient of T_p(.; x) + M/(p+1)! * ||. - x||^(p+1) at y.
+    """Value and gradient of T_p(.; x) - F(x) + M/(p+1)! * ||. - x||^(p+1) at y.
 
-    Both come from one displacement d = y - x and one H.d; the
-    regularization gradient is M/p! * ||d||^(p-1) * d.  M = 0 gives the bare
-    Taylor polynomial.  No validation: callers check their inputs first.
+    The value is relative to the center: 0 at y = x, with no F(x) term to
+    round against.  Both come from one displacement d = y - x and one H.d;
+    the regularization gradient is M/p! * ||d||^(p-1) * d.  M = 0 gives the
+    bare Taylor polynomial less F(x).  No validation: callers check their
+    inputs first.
     """
     d = y - center.x
     r = float(np.linalg.norm(d))
     p = center.p
-    value, grad = center.fx + float(center.gx @ d), center.gx
+    value, grad = float(center.gx @ d), center.gx
     if p == 2:
         Hd = center.Hx @ d
         value, grad = value + 0.5 * float(d @ Hd), grad + Hd
@@ -145,13 +152,15 @@ def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:
 
 def _checked(center: ModelCenter, y: Vector,
              M: Optional[float] = None) -> tuple[float, Vector]:
-    """``_model`` at a validated y; without M, the bare Taylor polynomial."""
+    """``_model`` at a validated y with F(x) added back; without M, the bare
+    Taylor polynomial."""
     if M is not None and not M > 0:
         raise ValueError(f"M must be positive, got {M}")
     y = np.asarray(y, dtype=float)
     if y.shape != center.x.shape:
         raise ValueError(f"point shape {y.shape} != center shape {center.x.shape}")
-    return _model(center, y, 0.0 if M is None else M)
+    value, grad = _model(center, y, 0.0 if M is None else M)
+    return center.fx + value, grad
 
 
 def taylor_value(center: ModelCenter, y: Vector) -> float:

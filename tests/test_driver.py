@@ -1,6 +1,7 @@
 """Outer loop: reference sequence, acceptance rule, adaptive M, full runs."""
 
 from dataclasses import replace
+from math import factorial
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from nhota.driver import (
     try_step,
     update_reference,
 )
+from nhota.taylor import taylor_grad
 from support import (
     asymmetric_hessian,
     nan_hessian,
@@ -185,9 +187,9 @@ class _NumpyWithoutArrayEqual:
 
 
 def test_try_step_does_not_retest_a_repeated_warm_start(monkeypatch):
-    # on phase 8/32 seed 0 with p = 2 a rejected candidate is certified again
-    # at the doubled M and comes back unchanged; it would fail the same test
-    plain, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
+    # on phase 8/32 seed 1 with p = 2 a rejected candidate is certified again
+    # at the raised M and comes back unchanged; it would fail the same test
+    plain, _, x0 = gen_phase_retrieval(8, 32, seed=1, noise_scale=1.0)
     cfg = RunConfig(p=2, max_outer=30, stop_f=-np.inf)
     solve = driver.solve_subproblem
 
@@ -242,12 +244,9 @@ def test_run_evaluates_F_once_per_visited_point(monkeypatch, make, p):
 
 
 
-def test_m_is_kept_after_a_doubling_and_halved_after_a_first_try_step(monkeypatch):
-    # the M each try_step starts from, against the row before it: a step that
-    # needed a doubling hands on M_used, one that passed at the first M it
-    # tried hands on max(M_used/2, M0); no step starts below M0
-    prob, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
-    cfg = RunConfig(p=1, max_outer=60, stop_f=-np.inf, stop_stat=1e-6)
+def record_start_Ms(monkeypatch, problem, x0, cfg):
+    """Run ``nhota_steps``; return the M each ``try_step`` started from, the
+    (center, step) pairs and the trace."""
     started, step = [], driver.try_step
 
     def recording(problem, center, R, M_in, config):
@@ -255,12 +254,49 @@ def test_m_is_kept_after_a_doubling_and_halved_after_a_first_try_step(monkeypatc
         return step(problem, center, R, M_in, config)
 
     monkeypatch.setattr(driver, "try_step", recording)
-    trace = nhota_run(prob, x0, cfg)
+    trace = IterateTrace()
+    steps = list(nhota_steps(problem, x0, cfg, trace))
+    return started, steps, trace
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_each_step_starts_at_the_secant_M_of_the_step_before(monkeypatch, p):
+    # M_{k+1} = max(M0, ||grad F(y) - grad T_p(y; x)|| / (p! ||s||^p)),
+    # recomputed here from a fresh gradient
+    prob, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
+    cfg = RunConfig(p=p, max_outer=60, stop_f=-np.inf, stop_stat=1e-6)
+    started, steps, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     assert started[0] == cfg.M0 and min(started) >= cfg.M0
-    pairs = list(zip(trace.rows, started[1:]))
-    for row, M_in in pairs:
-        assert M_in == (row.M if row.backtracks else max(row.M / 2.0, cfg.M0)), row
-    assert {row.backtracks > 0 for row, _ in pairs} == {True, False}
+    assert len(steps) == len(trace.rows) >= 5
+    for (center, step), M_in in zip(steps, started[1:]):
+        s = step.y - center.x
+        err = np.linalg.norm(prob.smooth.grad(step.y) - taylor_grad(center, step.y))
+        estimate = err / (factorial(p) * np.linalg.norm(s) ** p)
+        assert M_in == pytest.approx(max(cfg.M0, estimate), rel=1e-12)
+    # unlike halving, the estimate can also raise M after a first-try step
+    assert any(not row.backtracks and M_in > row.M
+               for row, M_in in zip(trace.rows, started[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_p1_start_M_on_a_diagonal_quadratic_stays_within_its_curvature(monkeypatch, seed):
+    # grad F(y) - grad F(x) = D s, so the p = 1 secant estimate is a Rayleigh
+    # quotient of D: never above max d
+    prob, data, x0 = gen_diag_quad_l1(20, seed=seed)
+    cfg = RunConfig(p=1, stop_f=-np.inf, stop_stat=1e-9)
+    started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
+    assert len(trace.rows) >= 10
+    assert max(started) <= max(cfg.M0, float(np.max(data.d)))
+
+
+def test_p2_steps_on_a_diagonal_quadratic_start_at_M0(monkeypatch):
+    # F is its own second-order Taylor model, so grad F - grad T_2 is zero
+    # up to rounding and no step starts above M0
+    prob, _, x0 = gen_diag_quad_l1(20, seed=0)
+    cfg = RunConfig(p=2, stop_f=-np.inf)
+    started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
+    assert len(trace.rows) >= 3
+    assert started == [cfg.M0] * len(started)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

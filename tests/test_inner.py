@@ -169,11 +169,16 @@ def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
 @pytest.mark.parametrize("make, C, stop_stat", [
     (lambda: gen_diag_quad_l1(50, seed=0), 1e6, 1e-3),
     (lambda: gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0), 1e3, 1e-5),
-], ids=["diag+1e6", "phase+1e3"])
+    (lambda: gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0), 1e7, 1e-5),
+    (lambda: gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0), 1e8, 1e-5),
+], ids=["diag+1e6", "phase+1e3", "phase+1e7", "phase+1e8"])
 def test_large_objective_value_does_not_end_the_run_early(make, C, stop_stat):
     # the working-precision resolution grows with |f(x)|, so a stall rule
     # keyed on it alone ends the last solves, and then the run, at a
-    # stationarity far above stop_stat once F carries a large constant
+    # stationarity far above stop_stat once F carries a large constant.
+    # With model values that carried F(x), the inner solve's own rounding
+    # test fired at eps*|F(x)|: F + 1e7 ended at the precision floor after
+    # 7 rows at 3.4e-3, F + 1e8 after 6 rows at 0.28
     prob, _, x0 = make()
     cfg = RunConfig(p=2, stop_stat=stop_stat, stop_f=-np.inf)
     plain = nhota_run(prob, x0, cfg)
