@@ -566,24 +566,56 @@ def _sign_flipped_accept(R, f_cand, step_norm, Mtilde, p) -> bool:
     return f_cand <= R + Mtilde / factorial(p + 1) * step_norm ** (p + 1)
 
 
-@_named("fault_injection_catches_corruption")
-def _check_fault_injection() -> tuple[bool, str]:
-    """A corrupted acceptance test (Mtilde sign flipped) must be caught by
-    the reference-descent checker; this guards the checker itself.  Seed 3
-    is a run where the corrupted rule provably admits an uphill step.  The
-    checker must also pass a clean run and flag one of its reference values
-    pushed above its predecessor."""
-    problem, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
+# Phase 8/40 instances for the corrupted rule: on seeds 3, 8, 9 and 11 it
+# admits a step that ends above the reference.
+FAULT_SEEDS = range(3, 12)
+
+
+def _corrupted_run(seed: int) -> tuple[int, int, int]:
+    """One run under ``_sign_flipped_accept``: the steps it admitted that the
+    true ``accept_test`` rejects, how many of those are uphill (f(y) > R), and
+    the reference-descent violations the checker flags in the run."""
+    problem, _, x0 = gen_phase_retrieval(8, 40, seed=seed, noise_scale=1.0)
     config = RunConfig(p=2, Mtilde=10.0, u=1.0, max_outer=12,
                        stop_f=-np.inf, stop_stat=-1.0)
+    true_test = driver.accept_test
+    wrong = uphill = 0
+
+    def corrupted(R, f_cand, step_norm, Mtilde, p):
+        nonlocal wrong, uphill
+        admitted = _sign_flipped_accept(R, f_cand, step_norm, Mtilde, p)
+        if admitted and not true_test(R, f_cand, step_norm, Mtilde, p):
+            wrong += 1
+            uphill += f_cand > R
+        return admitted
+
     trace = IterateTrace()
     # The corrupted iterates quickly go wild; a solver failure along the way
     # just ends the run early, keeping the rows recorded before it.
-    with mock.patch.object(driver, "accept_test", _sign_flipped_accept), \
+    with mock.patch.object(driver, "accept_test", corrupted), \
             suppress(LineSearchFailure, InnerSolveFailure, OracleFailure):
         for _ in nhota_steps(problem, x0, config, trace):
             pass
-    violations = trace.check_invariants(config)
+    return wrong, uphill, len(trace.check_invariants(config))
+
+
+@_named("fault_injection_catches_corruption")
+def _check_fault_injection() -> tuple[bool, str]:
+    """A corrupted acceptance test (Mtilde sign flipped) must be caught by
+    the reference-descent checker; this guards the checker itself.
+
+    Over the ``FAULT_SEEDS`` runs it counts the steps the corrupted rule
+    admitted that the true test rejects.  Not each of those breaks the
+    invariant the checker states, which allows any u >= u_min and so only
+    asks R to fall by u_min * Mtilde/(p+1)! ||s||^(p+1); an uphill one
+    (f(y) > R, so R rises for every u) does.  So at least one uphill step
+    must occur, and every run with one must be flagged.  The checker must
+    also pass a clean run and flag one of its reference values pushed above
+    its predecessor."""
+    runs = [_corrupted_run(seed) for seed in FAULT_SEEDS]
+    wrong = sum(w for w, _, _ in runs)
+    uphill_runs = [flagged for _, uphill, flagged in runs if uphill]
+    violations = sum(flagged for _, _, flagged in runs)
 
     problem, _, x0 = gen_diag_quad_l1(12, seed=5)
     cfg = RunConfig(p=2, u=0.5, max_outer=30)
@@ -592,8 +624,11 @@ def _check_fault_injection() -> tuple[bool, str]:
     clean = check_reference_descent(f_vals, r_vals, steps, cfg.u_min, cfg.Mtilde, cfg.p)
     r_vals[len(r_vals) // 2] = r_vals[len(r_vals) // 2 - 1] + 1.0
     raised = check_reference_descent(f_vals, r_vals, steps, cfg.u_min, cfg.Mtilde, cfg.p)
-    return len(violations) > 0 and not clean and len(raised) > 0, (
-        f"checker flagged {len(violations)} violations of the corrupted rule and "
+    caught = len(uphill_runs) > 0 and all(uphill_runs)
+    return caught and not clean and len(raised) > 0, (
+        f"corrupted rule admitted {wrong} steps the true test rejects over "
+        f"{len(runs)} runs, uphill in {len(uphill_runs)} runs; checker flagged "
+        f"{violations} violations, in {sum(map(bool, uphill_runs))} of those runs, "
         f"{len(raised)} of a raised reference value, {len(clean)} on a clean run"
     )
 

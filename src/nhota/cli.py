@@ -34,6 +34,7 @@ from .driver import (
     RunConfig,
     format_trace_row,
     nhota_run,
+    shared_steps,
 )
 from .inner import InnerSolveFailure
 from .metrics import min_prefix, rate_fit
@@ -255,37 +256,42 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
     """One run per u in u_list, all on bit-identical problem data.
 
     Writes trace_u<...>.csv and summary_u<...>.txt per run plus a wide
-    comparison.csv holding, for each u, the objective and stationarity at
-    every iterate (blank after a run has stopped).  A failed run writes its
-    summary and ends the sweep.
+    comparison.csv (``write_comparison``).  A failed run writes its summary
+    and ends the sweep.
+
+    u is read only by the acceptance test, so the runs share their steps
+    (``driver.shared_steps``): each step two runs have in common is solved
+    once.  Every file equals that of a separate run for the same u, except
+    the wall-clock fields ``wall_millis`` and ``wall_millis_total``.
     """
     problem, data, x0 = build_problem(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = data_hash(data)
     traces: dict[float, IterateTrace] = {}
-    for u in cfg.u_list:
-        tag = f"u{u:g}"
-        traces[u] = _run_to_files(cfg, replace(cfg.run, u=u), problem, x0, digest,
-                                  out / f"trace_{tag}.csv", out / f"summary_{tag}.txt")
+    with shared_steps():
+        for u in cfg.u_list:
+            tag = f"u{u:g}"
+            traces[u] = _run_to_files(cfg, replace(cfg.run, u=u), problem, x0, digest,
+                                      out / f"trace_{tag}.csv", out / f"summary_{tag}.txt")
+    write_comparison(out / "comparison.csv", cfg.u_list, traces)
+    return traces
 
-    columns: dict[float, tuple[np.ndarray, np.ndarray]] = {
-        u: (t.f_values(), t.stationarity_values()) for u, t in traces.items()
-    }
-    depth = max(len(f) for f, _ in columns.values())
-    with open(out / "comparison.csv", "w") as fh:
-        names = ",".join(f"f_u{u:g},stat_u{u:g}" for u in cfg.u_list)
+
+def write_comparison(path: Path, u_list: list[float],
+                     traces: dict[float, IterateTrace]) -> None:
+    """The wide table k,f_u<...>,stat_u<...>,... holding, for each u in
+    u_list, the objective and stationarity at every iterate of its run
+    (blank after the run has stopped)."""
+    columns = [(traces[u].f_values(), traces[u].stationarity_values()) for u in u_list]
+    depth = max(len(f) for f, _ in columns)
+    with open(path, "w") as fh:
+        names = ",".join(f"f_u{u:g},stat_u{u:g}" for u in u_list)
         fh.write(f"k,{names}\n")
         for k in range(depth):
-            cells = []
-            for u in cfg.u_list:
-                f_vals, s_vals = columns[u]
-                if k < len(f_vals):
-                    cells.append(f"{float(f_vals[k])!r},{float(s_vals[k])!r}")
-                else:
-                    cells.append(",")
+            cells = [f"{float(f_vals[k])!r},{float(s_vals[k])!r}" if k < len(f_vals) else ","
+                     for f_vals, s_vals in columns]
             fh.write(f"{k},{','.join(cells)}\n")
-    return traces
 
 
 def gen_data(cfg: ExperimentConfig) -> Path:

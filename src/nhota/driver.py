@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterator, Optional, Union
@@ -41,7 +43,7 @@ from .inner import (
     solve_subproblem,
     stationarity_resolution,
 )
-from .taylor import ModelCenter, _model, taylor_grad
+from .taylor import ModelCenter, _model
 
 STATUS_STATIONARY = "stationary"
 STATUS_PRECISION_FLOOR = "precision-floor"
@@ -123,7 +125,7 @@ def update_reference(R: float, f_new: float, u: float) -> float:
     return (1.0 - u) * R + u * f_new
 
 
-def remainder_estimate(center: ModelCenter, y: Vector, F_y: float, step_norm: float,
+def remainder_estimate(F_change: float, model_change: float, step_norm: float, p: int,
                        Mtilde: float) -> float:
     """The M that would have let y pass: Mtilde + (p+1)! (F(y) - T_p(y)) / ||s||^(p+1).
 
@@ -132,15 +134,14 @@ def remainder_estimate(center: ModelCenter, y: Vector, F_y: float, step_norm: fl
     acceptance test once M reaches this value.  It is a local Lipschitz
     quotient of F's p-th derivative on the segment [x, y], so it never
     exceeds Mtilde plus that derivative's Lipschitz constant.  The remainder
-    is formed as (F(y) - F(x)) - (T_p(y) - F(x)), both differences at the
-    scale of the step.  A zero step gives 0, which leaves the choice to the
-    doubling.
+    is formed from ``F_change`` = F(y) - F(x) and ``model_change`` =
+    T_p(y) - F(x), both differences at the scale of the step.  A zero step
+    gives 0, which leaves the choice to the doubling.
     """
-    scale = step_norm ** (center.p + 1)
+    scale = step_norm ** (p + 1)
     if not scale > 0:
         return 0.0
-    remainder = (F_y - center.fx) - _model(center, y, 0.0)[0]
-    return Mtilde + factorial(center.p + 1) * remainder / scale
+    return Mtilde + factorial(p + 1) * (F_change - model_change) / scale
 
 
 def raised_M(M: float, estimate: float) -> float:
@@ -154,28 +155,172 @@ def accept_test(R: float, f_cand: float, step_norm: float, Mtilde: float, p: int
     return f_cand <= R - Mtilde / factorial(p + 1) * step_norm ** (p + 1)
 
 
+# How a trial ended: the inner solve failed; it stalled at a center that is
+# stationary to working precision; it returned the rejected warm start
+# unchanged; or it gave a candidate for the acceptance test.
+TRIAL_FAILED = "failed"
+TRIAL_STATIONARY = "stationary"
+TRIAL_REPEAT = "repeat"
+TRIAL_CANDIDATE = "candidate"
+
+
+@dataclass(frozen=True)
+class Trial:
+    """The part of one pass of ``try_step``'s loop that R does not enter.
+
+    That is the inner solve at (M, warm) and, for a candidate, everything
+    the acceptance test and the next step read: F(y), f(y), the remainder
+    estimate a rejection raises M by, and grad T_p(y; x), from which the
+    driver forms the next step's secant M.  A ``stationary`` trial keeps
+    the working-precision resolution the run reports.  None of it needs the
+    center's Hessian again, so a trial can be replayed from a center whose
+    Hessian was never formed.
+    """
+
+    outcome: str  # one of the TRIAL_* values
+    inner_iters: int
+    y: Optional[Vector] = None
+    cert: Optional[StepCertificate] = None
+    witness: Optional[Vector] = None
+    # F(y) + h(y) and F(y) alone; NaN unless the outcome is a candidate
+    f_cand: float = np.nan
+    F_cand: float = np.nan
+    needed: float = 0.0  # remainder_estimate of a candidate
+    taylor_grad: Optional[Vector] = None  # grad T_p(y; x) of a candidate
+    resolution: Optional[float] = None  # stationarity_resolution of a stationary trial
+
+
+def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
+              warm: Optional[Vector], config: RunConfig) -> Trial:
+    """One trial from the center at M, seeded with the rejected candidate
+    ``warm``; see ``try_step`` for what each outcome means."""
+    try:
+        y, cert, witness = solve_subproblem(
+            problem, center, M, config.theta, max_inner=config.max_inner, warm=warm,
+        )
+    except InnerSolveFailure as exc:
+        return Trial(TRIAL_FAILED, exc.iterations)
+    if cert.stalled and center_is_stationary(problem, center, M):
+        return Trial(TRIAL_STATIONARY, cert.inner_iters, y, cert, witness,
+                     resolution=stationarity_resolution(center, M))
+    if warm is not None and np.array_equal(y, warm):
+        return Trial(TRIAL_REPEAT, cert.inner_iters)
+    F_cand = float(problem.smooth.value(y))
+    f_cand = F_cand + float(problem.nonsmooth.value(y))
+    if np.isnan(f_cand):
+        raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
+    model_change, taylor_grad = _model(center, y, 0.0)  # one H.d for both
+    needed = remainder_estimate(F_cand - center.fx, model_change, cert.step_norm,
+                                center.p, config.Mtilde)
+    return Trial(TRIAL_CANDIDATE, cert.inner_iters, y, cert, witness, f_cand, F_cand,
+                 needed, taylor_grad)
+
+
+class _Identity:
+    """A dict-key wrapper equal only to a wrapper of the same object.  It
+    holds the object, so no other object can take its id while the key
+    lives."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return isinstance(other, _Identity) and other.obj is self.obj
+
+
+@dataclass
+class StepRecord:
+    """What the runs of one ``shared_steps`` scope share.
+
+    ``centers`` maps (problem, x, p) to F(x) and grad F(x); ``trials`` maps
+    (problem, x, M at the start of a step, the ``RunConfig`` fields a step
+    reads) to the trials run from there, in order.  Every entry is O(n)
+    floats; no Hessian is kept.
+    """
+
+    centers: dict[tuple, tuple[float, Vector]] = field(default_factory=dict)
+    trials: dict[tuple, list[Trial]] = field(default_factory=dict)
+
+
+_SHARED: ContextVar[Optional[StepRecord]] = ContextVar("nhota_shared_steps", default=None)
+
+
+@contextmanager
+def shared_steps() -> Iterator[None]:
+    """Let the runs inside this block share their steps.
+
+    R_k enters a step only through the acceptance test, so runs that differ
+    only in u, started at the same point and M, propose the same candidates
+    until their acceptance tests disagree.  Inside the block a center's
+    value and gradient and a step's trials (``Trial``) are recorded by the
+    first run that computes them; a later run at the same center and M
+    replays the trials, running only the acceptance test with its own R,
+    and solves live from where the record ends.  The record is dropped on
+    exit, so runs outside the block share nothing.
+    """
+    token = _SHARED.set(StepRecord())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _model_center(problem: CompositeProblem, x: Vector, p: int,
+                  fx: Optional[float] = None) -> ModelCenter:
+    """``ModelCenter.from_oracle`` at x, or inside ``shared_steps`` the
+    center an earlier run recorded there: no oracle call, and its Hessian is
+    formed only if a live solve reads it."""
+    record = _SHARED.get()
+    if record is None:
+        return ModelCenter.from_oracle(problem.smooth, x, p, fx=fx)
+    key = (_Identity(problem), x.tobytes(), p)
+    known = record.centers.get(key)
+    if known is not None:
+        return ModelCenter(x=x, fx=known[0], gx=known[1], p=p, oracle=problem.smooth)
+    center = ModelCenter.from_oracle(problem.smooth, x, p, fx=fx)
+    record.centers[key] = (center.fx, center.gx)
+    return center
+
+
+def _recorded_trials(problem: CompositeProblem, center: ModelCenter, M_in: float,
+                     config: RunConfig) -> list[Trial]:
+    """The trials recorded for a step from this center at M_in, which the
+    step extends; a fresh list outside ``shared_steps``."""
+    record = _SHARED.get()
+    if record is None:
+        return []
+    key = (_Identity(problem), center.x.tobytes(), M_in, config.p, config.M0,
+           config.Mtilde, config.theta, config.max_inner, config.max_doublings)
+    return record.trials.setdefault(key, [])
+
+
 @dataclass(frozen=True)
 class TryStepResult:
-    """One ``try_step``: the accepted candidate y with its certificate and
-    the M, raises of M and inner iterations it took.  ``f_cand`` and
-    ``F_cand`` are the values the acceptance test used, so the driver
-    evaluates F at y no second time."""
+    """One ``try_step``: the trial that ended it (an accepted candidate, or
+    a stop at a stationary center) and the M, raises of M and inner
+    iterations it took.  ``f_cand`` and ``F_cand`` are the values the
+    acceptance test used, so the driver evaluates F at y no second time."""
 
-    y: Vector
-    cert: StepCertificate
-    witness: Optional[Vector]
+    trial: Trial
     M_used: float
     doublings: int  # raises of M: by 2 on an inner failure, 2 to MAX_M_RAISE on a rejection
     inner_iters: int
-    # F(y) + h(y); NaN on a ``stationary`` result, which evaluates no
-    # candidate it would discard.
-    f_cand: float
-    # F(y) alone, the value f_cand was formed from, so the driver can make y
-    # the next center without calling F there again; NaN when f_cand is.
-    F_cand: float = np.nan
-    # The center is stationary to working precision; the driver stops there
-    # rather than stepping to y.
-    stationary: bool = False
+
+    y = property(lambda self: self.trial.y)
+    cert = property(lambda self: self.trial.cert)
+    witness = property(lambda self: self.trial.witness)
+    # F(y) + h(y) and F(y) alone; NaN on a ``stationary`` result, which
+    # evaluates no candidate it would discard
+    f_cand = property(lambda self: self.trial.f_cand)
+    F_cand = property(lambda self: self.trial.F_cand)
+    # the center is stationary to working precision; the driver stops there
+    # rather than stepping to y
+    stationary = property(lambda self: self.trial.outcome == TRIAL_STATIONARY)
 
 
 def try_step(
@@ -187,12 +332,13 @@ def try_step(
 ) -> TryStepResult:
     """Find an acceptable step from the center, raising M as needed.
 
-    Each trial runs the certified inner solve at the current M and retries
-    at a larger M when the candidate is not acceptable.  An inner failure
-    doubles M.  A candidate rejected by the acceptance test tells how much
-    M it needed (``remainder_estimate``): M becomes that estimate, but at
-    least 2M and at most ``MAX_M_RAISE`` * M (``raised_M``), and the next
-    solve is seeded with the rejected candidate.
+    Each trial (``run_trial``) runs the certified inner solve at the current
+    M and retries at a larger M when the candidate is not acceptable.  An
+    inner failure doubles M.  A candidate rejected by the acceptance test
+    tells how much M it needed (``remainder_estimate``): M becomes that
+    estimate, but at least 2M and at most ``MAX_M_RAISE`` * M
+    (``raised_M``), and the next solve is seeded with the rejected
+    candidate.
 
     A solve that stalled at the floating-point floor or returned a
     collapsed step (``cert.stalled``) forces a decision: if the center is
@@ -208,37 +354,34 @@ def try_step(
     re-tested: a solve that returns the rejected candidate unchanged would
     meet the same R, f(y) and ||y - x|| and fail again, so M is raised
     again by the estimate that candidate gave, without a call to F.
+
+    Only ``accept_test`` reads R, so the sequence of trials from a center
+    and M_in does not depend on it.  Inside ``shared_steps`` the trials are
+    recorded, and a later step from the same center and M_in replays them,
+    testing each candidate against its own R, until one passes or the
+    record ends; from there it runs trials live and appends them.
     Raises ``LineSearchFailure`` after ``config.max_doublings`` raises of M.
     """
+    trials = _recorded_trials(problem, center, M_in, config)
     M = M_in
     warm = None
     needed = 0.0  # the remainder estimate of the rejected candidate ``warm``
     total_inner = 0
     for i in range(config.max_doublings + 1):
-        try:
-            y, cert, witness = solve_subproblem(
-                problem, center, M, config.theta,
-                max_inner=config.max_inner, warm=warm,
-            )
-        except InnerSolveFailure as exc:
-            total_inner += exc.iterations
+        if i == len(trials):
+            trials.append(run_trial(problem, center, M, warm, config))
+        trial = trials[i]
+        total_inner += trial.inner_iters
+        if trial.outcome == TRIAL_FAILED:
             M *= 2.0
             continue
-        total_inner += cert.inner_iters
-        if cert.stalled and center_is_stationary(problem, center, M):
-            return TryStepResult(y, cert, witness, M, i, total_inner, np.nan,
-                                 stationary=True)
-        if warm is not None and np.array_equal(y, warm):
-            M = raised_M(M, needed)  # the rejected candidate again: it would fail again
-            continue
-        F_cand = float(problem.smooth.value(y))
-        f_cand = F_cand + float(problem.nonsmooth.value(y))
-        if np.isnan(f_cand):
-            raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
-        if accept_test(R, f_cand, cert.step_norm, config.Mtilde, config.p):
-            return TryStepResult(y, cert, witness, M, i, total_inner, f_cand, F_cand)
-        warm = y
-        needed = remainder_estimate(center, y, F_cand, cert.step_norm, config.Mtilde)
+        if trial.outcome == TRIAL_STATIONARY:
+            return TryStepResult(trial, M, i, total_inner)
+        if trial.outcome == TRIAL_CANDIDATE:
+            if accept_test(R, trial.f_cand, trial.cert.step_norm, config.Mtilde, config.p):
+                return TryStepResult(trial, M, i, total_inner)
+            warm, needed = trial.y, trial.needed
+        # rejected, or the rejected candidate again, which would fail again
         M = raised_M(M, needed)
     raise LineSearchFailure(
         f"no acceptable step after {config.max_doublings} doublings "
@@ -363,10 +506,11 @@ def check_reference_descent(
     return out
 
 
-def taylor_grad_error(center: ModelCenter, next_center: ModelCenter) -> float:
-    """||grad F(y) - grad T_p(y; x)|| at y = next_center.x, from the gradient
-    the next center already holds: no oracle call."""
-    return float(np.linalg.norm(next_center.gx - taylor_grad(center, next_center.x)))
+def taylor_grad_error(trial: Trial, next_center: ModelCenter) -> float:
+    """||grad F(y) - grad T_p(y; x)|| at the accepted candidate y =
+    next_center.x, from the gradient the next center already holds and the
+    trial's grad T_p(y; x): no oracle call and no Hessian product."""
+    return float(np.linalg.norm(next_center.gx - trial.taylor_grad))
 
 
 def secant_M(grad_err: float, step_norm: float, p: int, M0: float) -> float:
@@ -426,13 +570,15 @@ def nhota_steps(
 
     The trace's final fields always describe the latest iterate, so a run
     cut short by an exception leaves a consistent record of its steps.
+    Inside ``shared_steps`` the centers and the steps' trials are shared
+    with the other runs of the block.
     """
     x = as_vector(x0, dim=problem.dim)
     h = problem.nonsmooth
     exact_stat = h.subdiff_dist is not None
     trace.stationarity_kind = "exact" if exact_stat else "bound"
 
-    center = ModelCenter.from_oracle(problem.smooth, x, config.p)
+    center = _model_center(problem, x, config.p)
     fk = center.fx + float(h.value(x))
     if not np.isfinite(fk):
         raise OracleFailure("f(x0) is not finite")
@@ -466,15 +612,15 @@ def nhota_steps(
             # the stop_stat test above did not fire, so the point is
             # stationary only to working precision
             status = STATUS_PRECISION_FLOOR
-            trace.resolution = stationarity_resolution(center, step.M_used)
+            trace.resolution = step.trial.resolution
             break
 
         f_new = step.f_cand
         if not np.isfinite(f_new):
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
-        next_center = ModelCenter.from_oracle(problem.smooth, y, config.p, fx=step.F_cand)
-        taylor_err = taylor_grad_error(center, next_center)
+        next_center = _model_center(problem, y, config.p, fx=step.F_cand)
+        taylor_err = taylor_grad_error(step.trial, next_center)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
                     else _stationarity_bound(taylor_err, cert, step.M_used, config.p))
         wall = (time.perf_counter() - t0) * 1000.0

@@ -61,13 +61,14 @@ def with_oracle_calls(problem):
 
 
 def with_hessian_calls(problem, corrupt_from=None, corrupt=None):
-    """Same problem with the Hessian callback counted in the returned list;
-    from call number ``corrupt_from`` on, ``corrupt`` rewrites its matrix."""
+    """Same problem with the Hessian callback recorded in the returned list,
+    one entry (the point's bytes) per call; from call number
+    ``corrupt_from`` on, ``corrupt`` rewrites its matrix."""
     calls = []
     hess = problem.smooth.hess
 
     def counted(x):
-        calls.append(1)
+        calls.append(np.asarray(x, dtype=float).tobytes())
         H = hess(x)
         return H if corrupt_from is None or len(calls) < corrupt_from else corrupt(H)
 

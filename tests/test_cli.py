@@ -1,6 +1,8 @@
 """Config parsing, file outputs, determinism, and process exit codes."""
 
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nhota.cli import (
 )
 from nhota.driver import TRACE_HEADER, RunConfig
 from nhota.problems import data_hash, load_phase_retrieval
-from support import asymmetric_hessian, nan_hessian, with_hessian_calls
+from support import asymmetric_hessian, nan_hessian, with_hessian_calls, with_oracle_calls
 
 DIAG_CFG = """\
 # tiny strongly convex instance
@@ -180,6 +182,104 @@ def test_sweep_writes_per_u_files_and_comparison(tmp_path):
     # shorter runs leave blank cells, never zeros
     depth = max(len(t.f_values()) for t in traces.values())
     assert len(lines) == 1 + depth
+
+
+PHASE_SWEEP_CFG = """\
+problem = phase_retrieval
+n = 100
+m = 1000
+p = 2
+"""
+
+
+def _run_file_lines(path):
+    """A run's trace or summary file without its wall-clock fields: the
+    trace's last column, ``wall_millis``, and the summary's
+    ``wall_millis_total`` line."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        assert lines[0].endswith(",wall_millis")
+        return [line.rsplit(",", 1)[0] for line in lines]
+    return [line for line in lines if not line.startswith("wall_millis_total=")]
+
+
+@pytest.mark.parametrize("text, coincide", [
+    (PHASE_SWEEP_CFG + "seed = 0\n", True),   # all five runs take the same steps
+    (PHASE_SWEEP_CFG + "seed = 1\n", False),  # the runs split after a few steps
+    ("problem = diag_quad_l1\nn = 50\np = 1\n", None),
+], ids=["phase-seed0", "phase-seed1", "diag-p1"])
+def test_sweep_files_equal_separate_runs(tmp_path, text, coincide):
+    # the runs of a sweep share their steps; each file must still be the one
+    # a separate run for the same u writes, apart from wall-clock fields
+    cfg = parse_config(write(tmp_path, text))
+    cfg.out_dir = str(tmp_path / "sweep")
+    traces = sweep_u(cfg)
+    sweep = tmp_path / "sweep"
+    separate = {}
+    for u in cfg.u_list:
+        run_dir = tmp_path / f"u{u:g}"
+        separate[u] = run_experiment(replace(cfg, run=replace(cfg.run, u=u),
+                                             out_dir=str(run_dir)))
+        assert (_run_file_lines(sweep / f"trace_u{u:g}.csv")
+                == _run_file_lines(run_dir / "trace.csv"))
+        assert (_run_file_lines(sweep / f"summary_u{u:g}.txt")
+                == _run_file_lines(run_dir / "summary.txt"))
+        assert traces[u].x_final.tobytes() == separate[u].x_final.tobytes()
+    cli.write_comparison(tmp_path / "comparison.csv", cfg.u_list, separate)
+    assert ((sweep / "comparison.csv").read_text()
+            == (tmp_path / "comparison.csv").read_text())
+    steps = {tuple((r.M, r.step_norm, r.backtracks) for r in t.rows) for t in traces.values()}
+    if coincide is not None:
+        assert (len(steps) == 1) == coincide
+
+
+def _count_oracle_calls(monkeypatch, share_problem=False):
+    """``cli.build_problem`` with F's value, gradient and Hessian calls
+    counted; returns one (calls, hessian points) pair per problem built.
+    With ``share_problem`` every call returns the first problem object."""
+    build, made = cli.build_problem, []
+
+    def counted(cfg):
+        if share_problem and made:
+            return made[0][0]
+        problem, data, x0 = build(cfg)
+        problem, hess = with_hessian_calls(problem)
+        problem, calls = with_oracle_calls(problem)
+        made.append(((problem, data, x0), (calls, hess)))
+        return problem, data, x0
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    return made
+
+
+def test_sweep_whose_runs_coincide_makes_the_oracle_calls_of_one_run(tmp_path, monkeypatch):
+    made = _count_oracle_calls(monkeypatch)
+    cfg = parse_config(write(tmp_path, PHASE_SWEEP_CFG + "seed = 0\n"))
+    cfg.out_dir = str(tmp_path / "sweep")
+    traces = sweep_u(cfg)
+    run_experiment(replace(cfg, run=replace(cfg.run, u=1.0), out_dir=str(tmp_path / "one")))
+    (_, (sweep_calls, sweep_hess)), (_, (one_calls, one_hess)) = made
+    rows = {t.iterations() for t in traces.values()}
+    assert len(traces) == 5 and rows == {len(one_hess)}
+    # each distinct point's Hessian is formed once, at each center of one run
+    assert sorted(Counter(sweep_hess).values()) == [1] * len(one_hess)
+    assert sweep_hess == one_hess and sweep_calls == one_calls
+
+
+def test_sweeps_share_nothing_with_each_other(tmp_path, monkeypatch):
+    # the record of shared steps lives for one sweep: a second sweep on the
+    # same problem object makes the same oracle calls again
+    made = _count_oracle_calls(monkeypatch, share_problem=True)
+    cfg = parse_config(write(tmp_path, PHASE_SWEEP_CFG + "seed = 1\n"))
+    counts = []
+    for name in ("a", "b"):
+        cfg.out_dir = str(tmp_path / name)
+        sweep_u(cfg)
+        calls, hess = made[0][1]
+        counts.append((dict(calls), len(hess)))
+        calls.update(value=0, grad=0)
+        del hess[:]
+    assert len(made) == 1 and counts[0] == counts[1] and counts[0][1] > 0
 
 
 def test_gen_data_round_trips_phase_instances(tmp_path):
