@@ -24,7 +24,7 @@ from unittest import mock
 import numpy as np
 
 from . import driver
-from .core import OracleFailure, SmoothOracle, prox_l1, subdiff_dist_l1
+from .core import OracleFailure, SmoothOracle, dense_hessian, prox_l1, subdiff_dist_l1
 from .driver import (
     IterateTrace,
     LineSearchFailure,
@@ -122,7 +122,7 @@ def fd_errors(problem, points) -> tuple[float, float, float]:
     smooth = problem.smooth
     grad_err = hess_err = asym = 0.0
     for x in points:
-        g, H = smooth.grad(x), smooth.hess(x)
+        g, H = smooth.grad(x), dense_hessian(smooth.hess(x))
         grad_err = max(grad_err, _rel_err(fd_jac(smooth.value, x), g))
         hess_err = max(hess_err, _rel_err(fd_jac(smooth.grad, x), H))
         asym = max(asym, float(np.max(np.abs(H - H.T))))

@@ -1,7 +1,9 @@
 """Shared problem types and the l1 nonsmooth term.
 
 Conventions used throughout the package: iterates are 1-D float64 numpy
-arrays, ``||.||`` is the Euclidean norm, and Hessians are dense symmetric
+arrays and ``||.||`` is the Euclidean norm.  A Hessian is either a dense
+symmetric n-by-n matrix or, for a diagonal Hessian, the length-n vector of
+its diagonal; ``dense_hessian`` expands the second form for code that reads
 matrices.  No NaN or Inf is ever stored in an iterate; oracle outputs are
 checked at the points where they enter the solver.
 """
@@ -27,7 +29,8 @@ class OracleFailure(RuntimeError):
 
 class OracleContractError(OracleFailure, ValueError):
     """An oracle callback returned a value of the wrong shape or structure,
-    such as a gradient of the wrong length or an asymmetric Hessian."""
+    such as a gradient of the wrong length, a Hessian of the wrong shape or
+    an asymmetric Hessian."""
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
@@ -40,6 +43,14 @@ def as_vector(x, dim: int | None = None) -> Vector:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def dense_hessian(H) -> Matrix:
+    """A Hessian as ``SmoothOracle.hess`` returns it, as a float n-by-n matrix:
+    a 1-D array is the diagonal of a diagonal Hessian and becomes
+    ``np.diag(H)``; a matrix is returned as it is."""
+    H = np.asarray(H, dtype=float)
+    return np.diag(H) if H.ndim == 1 else H
 
 
 def _soft_threshold(v: Vector, tau: float) -> Vector:
@@ -89,8 +100,10 @@ class SmoothOracle:
     """Callbacks for the smooth part F of a composite objective.
 
     ``order`` is the highest derivative available (1 or 2).  All callbacks
-    must be deterministic and side-effect free; ``hess`` must return a dense
-    symmetric matrix.
+    must be deterministic and side-effect free.  ``hess`` returns either the
+    dense symmetric (n, n) matrix or, when the Hessian is diagonal (F is
+    separable), the length-n vector of its diagonal; the solver then forms
+    the second-order Taylor model in O(n) instead of O(n^2).
     """
 
     dim: int

@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import CapabilityError, CompositeProblem, Vector, as_vector
+from .core import CapabilityError, CompositeProblem, Vector, as_vector, dense_hessian
 from .driver import IterateTrace
 from .taylor import ModelCenter, _model
 
@@ -188,7 +188,7 @@ def _deriv_quotient(problem: CompositeProblem, u: np.ndarray, v: np.ndarray, p: 
     if p == 1:
         diff = np.asarray(problem.smooth.grad(u), float) - np.asarray(problem.smooth.grad(v), float)
         return float(np.linalg.norm(diff)) / gap
-    diff = np.asarray(problem.smooth.hess(u), float) - np.asarray(problem.smooth.hess(v), float)
+    diff = dense_hessian(problem.smooth.hess(u)) - dense_hessian(problem.smooth.hess(v))
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))))) / gap
 
 

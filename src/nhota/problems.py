@@ -211,17 +211,24 @@ def exact_solution_diag(data: DiagQuadL1Data) -> tuple[Vector, float]:
 
 
 def diag_quad_problem(data: DiagQuadL1Data) -> CompositeProblem:
-    """Wrap a diagonal instance, attaching its known optimum."""
+    """Wrap a diagonal instance, attaching its known optimum.
+
+    The Hessian callback returns the diagonal d, as one read-only view
+    shared by every call, so the solver forms its second-order model in
+    O(n) per evaluation.
+    """
     if np.any(data.d <= 0):
         raise ValueError("all curvatures d_i must be positive")
     d = data.d
     c = data.c
+    hess = d.view()
+    hess.flags.writeable = False
     smooth = SmoothOracle(
         dim=data.n,
         order=2,
         value=lambda x: 0.5 * float(d @ (as_vector(x, dim=data.n) - c) ** 2),
         grad=lambda x: d * (as_vector(x, dim=data.n) - c),
-        hess=lambda x: np.diag(d),
+        hess=lambda x: hess,
     )
     return CompositeProblem(
         smooth=smooth,

@@ -62,8 +62,10 @@ class ModelCenter:
     Holds everything needed to evaluate T_p and its gradient without
     further oracle calls.  ``Hx`` is None when p = 1; when p = 2 it is
     formed from ``oracle`` the first time it (or ``hess_absmax``) is read,
-    so a center that is only tested for stationarity never forms its n-by-n
-    matrix.
+    so a center that is only tested for stationarity never forms its
+    Hessian.  ``Hx`` keeps the shape the oracle returned: the dense (n, n)
+    matrix, or the length-n diagonal of a diagonal Hessian, which ``_model``
+    multiplies elementwise.
     """
 
     x: Vector
@@ -101,32 +103,38 @@ class ModelCenter:
     @cached_property
     def _hessian(self) -> tuple[Matrix, float]:
         """The Hessian at x, formed once and checked (shape, finite,
-        symmetric), with max |H_ij|, the scale its symmetry check uses."""
+        symmetric), with max |H_ij|, the scale its symmetry check uses.
+
+        A length-n vector is a diagonal, symmetric by construction; its
+        max |d_i| equals the dense matrix's max |H_ij| for n >= 1."""
         n = self.oracle.dim
         Hx = np.asarray(self.oracle.hess(self.x), dtype=float)
-        if Hx.shape != (n, n):
-            raise OracleContractError(f"Hessian shape {Hx.shape} != ({n}, {n})")
+        if Hx.shape not in ((n,), (n, n)):
+            raise OracleContractError(
+                f"Hessian shape {Hx.shape} is neither ({n}, {n}) nor ({n},)")
         if not np.all(np.isfinite(Hx)):
             raise OracleFailure("Hessian is non-finite")
-        asym = _max_asymmetry(Hx)
         absmax = max(float(Hx.max()), -float(Hx.min()))
-        tol = HESS_SYMMETRY_RTOL * max(1.0, absmax)
-        if asym > tol:
-            raise OracleContractError(
-                f"Hessian is not symmetric: max |H - H^T| = {asym:.3e} "
-                f"exceeds {HESS_SYMMETRY_RTOL:g} * max(1, max|H|) = {tol:.3e}"
-            )
+        if Hx.ndim == 2:
+            asym = _max_asymmetry(Hx)
+            tol = HESS_SYMMETRY_RTOL * max(1.0, absmax)
+            if asym > tol:
+                raise OracleContractError(
+                    f"Hessian is not symmetric: max |H - H^T| = {asym:.3e} "
+                    f"exceeds {HESS_SYMMETRY_RTOL:g} * max(1, max|H|) = {tol:.3e}"
+                )
         return Hx, absmax
 
     @cached_property
     def Hx(self) -> Optional[Matrix]:
-        """The Hessian at x, formed and checked on first read; None when p = 1."""
+        """The Hessian at x, formed and checked on first read, as the (n, n)
+        matrix or the length-n diagonal the oracle returned; None when p = 1."""
         return None if self.p == 1 else self._hessian[0]
 
     @cached_property
     def hess_absmax(self) -> float:
         """max |H_ij| at x (forming ``Hx`` if it is not formed yet), kept from
-        the symmetry check, so no second pass over the matrix; 0.0 when p = 1."""
+        the Hessian's checks, so no second pass over it; 0.0 when p = 1."""
         return 0.0 if self.p == 1 else self._hessian[1]
 
 
@@ -134,17 +142,18 @@ def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:
     """Value and gradient of T_p(.; x) - F(x) + M/(p+1)! * ||. - x||^(p+1) at y.
 
     The value is relative to the center: 0 at y = x, with no F(x) term to
-    round against.  Both come from one displacement d = y - x and one H.d;
-    the regularization gradient is M/p! * ||d||^(p-1) * d.  M = 0 gives the
-    bare Taylor polynomial less F(x).  No validation: callers check their
-    inputs first.
+    round against.  Both come from one displacement d = y - x and one H.d,
+    an elementwise product when ``Hx`` is a diagonal; the regularization
+    gradient is M/p! * ||d||^(p-1) * d.  M = 0 gives the bare Taylor
+    polynomial less F(x).  No validation: callers check their inputs first.
     """
     d = y - center.x
     r = float(np.linalg.norm(d))
     p = center.p
     value, grad = float(center.gx @ d), center.gx
     if p == 2:
-        Hd = center.Hx @ d
+        H = center.Hx
+        Hd = H * d if H.ndim == 1 else H @ d
         value, grad = value + 0.5 * float(d @ Hd), grad + Hd
     return (value + M / factorial(p + 1) * r ** (p + 1),
             grad + (M / factorial(p)) * r ** (p - 1) * d)

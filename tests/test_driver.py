@@ -5,7 +5,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhota import (
     DiagQuadL1Data,
@@ -42,6 +42,7 @@ from support import (
     nan_hessian,
     quadratic_1d,
     times,
+    with_dense_hessian,
     with_hessian_calls,
     with_oracle_calls,
     without_subdiff,
@@ -299,6 +300,23 @@ def test_x_scaled_runs_end_where_the_unscaled_run_does(log_a, p, family, seed):
         assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
     gap = np.linalg.norm(scaled.x_final / a - base.x_final)
     assert gap <= 1e-5 * max(1.0, float(np.linalg.norm(base.x_final)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**16),
+       lam=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), p=st.sampled_from([1, 2]),
+       u=st.floats(0.05, 1.0), stop_exp=st.floats(3.0, 9.0))
+@example(n=127, seed=54, lam=0.1, p=2, u=0.83, stop_exp=9.0)  # ends at precision-floor
+def test_diagonal_hessian_as_a_vector_runs_as_the_dense_matrix(n, seed, lam, p, u, stop_exp):
+    # the diagonal's elementwise product gives the doubles of the dense H @ d
+    # (each entry is d_i x_i plus exact zeros), so the runs agree bit for bit
+    prob, _, x0 = gen_diag_quad_l1(n, seed=seed, lam=lam)
+    cfg = RunConfig(p=p, u=u, stop_f=-np.inf, stop_stat=10.0 ** -stop_exp)
+    diag = nhota_run(prob, x0, cfg)
+    dense = nhota_run(with_dense_hessian(prob), x0, cfg)
+    assert _rows(diag) == _rows(dense)
+    assert (diag.status, diag.resolution) == (dense.status, dense.resolution)
+    assert diag.x_final.tobytes() == dense.x_final.tobytes()
 
 
 # ---------------------------------------------------------------- full runs

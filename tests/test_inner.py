@@ -257,6 +257,32 @@ def test_one_hessian_product_per_trial_point():
         assert 0 < len(products) <= len(prox_calls) + 2
 
 
+def test_one_diagonal_product_per_trial_point():
+    # a diagonal Hessian kept as its vector: one elementwise H * d per prox
+    # call, one at the start, one for a warm start, and no matrix product
+    products = []
+
+    class CountingVector(np.ndarray):
+        def __mul__(self, other):
+            products.append(1)
+            return self.view(np.ndarray) * other
+
+        def __matmul__(self, other):
+            raise AssertionError("a diagonal Hessian took a matrix product")
+
+    prob, _, x0 = gen_diag_quad_l1(50, seed=1, d_range=(0.01, 100.0))
+    prob, prox_calls = with_prox_counter(prob)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    assert center.Hx.shape == (50,)
+    vars(center)["Hx"] = center.Hx.view(CountingVector)  # the cached slot
+    warm, cert, _ = solve_subproblem(prob, center, M=1.0, theta=1e-6)
+    assert cert.inner_iters > 10 and 0 < len(products) <= len(prox_calls) + 1
+    for start in (warm, warm + 1e3):  # a warm start that is kept, one that is not
+        del prox_calls[:], products[:]
+        solve_subproblem(prob, center, M=2.0, theta=1e-6, warm=start)
+        assert 0 < len(products) <= len(prox_calls) + 2
+
+
 @pytest.mark.parametrize("exact_h", [True, False])
 @pytest.mark.parametrize("M", [1e-3, 0.1, 1e3])
 def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):

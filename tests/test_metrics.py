@@ -20,8 +20,9 @@ from nhota import (
     stationarity,
     subdiff_dist_l1,
 )
+from nhota.checks import fd_errors
 from nhota.taylor import ModelCenter
-from support import quartic_1d
+from support import quartic_1d, with_dense_hessian
 
 
 # ------------------------------------------------------------- stationarity
@@ -180,6 +181,20 @@ def test_remainder_one_hessian_product_per_sample(monkeypatch):
     prob, _, x0 = gen_phase_retrieval(8, 40, seed=7, noise_scale=1.0)
     remainder_check(prob, x0, radius=1.0, samples=60, p=2, pairs=60)
     assert len(products) == 60
+
+
+def test_dense_readers_give_the_same_numbers_for_a_diagonal_as_a_vector():
+    # fd_errors and remainder_check read the Hessian as a matrix; a diagonal
+    # given as its vector must read exactly as np.diag of it
+    prob, _, x0 = gen_diag_quad_l1(6, seed=2)
+    dense = with_dense_hessian(prob)
+    H = prob.smooth.hess(x0)
+    assert H.shape == (6,) and not H.flags.writeable  # the problem's d, read-only
+    assert dense.smooth.hess(x0).shape == (6, 6)
+    points = [x0, x0 + 0.5, -x0]
+    assert fd_errors(prob, points) == fd_errors(dense, points)
+    a = remainder_check(prob, x0, radius=1.0, samples=60, pairs=40, seed=3)
+    assert a == remainder_check(dense, x0, radius=1.0, samples=60, pairs=40, seed=3)
 
 
 def test_remainder_validation():

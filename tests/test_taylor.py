@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhota import CapabilityError, ModelCenter, OracleFailure, SmoothOracle
+from nhota.core import OracleContractError
 from nhota.checks import random_quadratic
 from nhota.taylor import model_grad, model_value, taylor_grad, taylor_value
 from support import quartic_1d
@@ -81,14 +82,13 @@ def test_from_oracle_rejects_order_mismatch():
     ModelCenter.from_oracle(first_order, np.zeros(1), p=1)
 
 
+def _oracle_with_hessian(n: int, H) -> SmoothOracle:
+    return SmoothOracle(dim=n, order=2, value=lambda x: 0.0, grad=lambda x: np.zeros(n),
+                        hess=lambda x: H)
+
+
 def test_asymmetric_hessian_is_rejected_on_first_read():
-    bad = SmoothOracle(
-        dim=2,
-        order=2,
-        value=lambda x: 0.0,
-        grad=lambda x: np.zeros(2),
-        hess=lambda x: np.array([[1.0, 0.5], [0.2, 1.0]]),
-    )
+    bad = _oracle_with_hessian(2, np.array([[1.0, 0.5], [0.2, 1.0]]))
     center = ModelCenter.from_oracle(bad, np.zeros(2), p=2)
     with pytest.raises(ValueError, match="not symmetric"):
         center.Hx
@@ -102,11 +102,7 @@ def test_asymmetric_hessian_is_rejected_on_first_read():
 ])
 def test_hessian_symmetry_tolerance_is_relative(scale, rel_asym, accepted):
     H = scale * np.array([[2.0, 1.0], [1.0 + rel_asym, 3.0]])
-    oracle = SmoothOracle(
-        dim=2, order=2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
-        hess=lambda x: H,
-    )
-    center = ModelCenter.from_oracle(oracle, np.zeros(2), p=2)
+    center = ModelCenter.from_oracle(_oracle_with_hessian(2, H), np.zeros(2), p=2)
     if accepted:
         assert center.Hx is not None
     else:
@@ -114,23 +110,47 @@ def test_hessian_symmetry_tolerance_is_relative(scale, rel_asym, accepted):
             center.Hx
 
 
+def test_diagonal_hessian_as_a_vector_is_accepted():
+    d = np.array([2.0, -7.5, 0.0, 3.0])
+    vector = ModelCenter.from_oracle(_oracle_with_hessian(4, d), np.zeros(4), p=2)
+    dense = ModelCenter.from_oracle(_oracle_with_hessian(4, np.diag(d)), np.zeros(4), p=2)
+    assert np.array_equal(vector.Hx, d)
+    assert vector.hess_absmax == 7.5 == dense.hess_absmax
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), (1, 3), (3, 4)])
+def test_hessian_of_the_wrong_shape_is_rejected(shape):
+    center = ModelCenter.from_oracle(_oracle_with_hessian(3, np.ones(shape)), np.zeros(3), p=2)
+    with pytest.raises(OracleContractError, match="Hessian shape"):
+        center.Hx
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_diagonal_hessian_is_rejected(bad):
+    center = ModelCenter.from_oracle(_oracle_with_hessian(3, np.array([1.0, bad, 2.0])),
+                                     np.zeros(3), p=2)
+    with pytest.raises(OracleFailure, match="Hessian is non-finite"):
+        center.Hx
+
+
 def test_deferred_hessian_is_formed_once_on_demand():
-    calls = []
     quartic = quartic_1d().smooth
+    for as_returned in (np.asarray, np.diagonal):  # the dense matrix, the diagonal
+        calls = []
 
-    def hess(x):
-        calls.append(1)
-        return quartic.hess(x)
+        def hess(x):
+            calls.append(1)
+            return as_returned(quartic.hess(x))
 
-    oracle = SmoothOracle(dim=1, order=2, value=quartic.value, grad=quartic.grad,
-                          hess=hess)
-    x = np.array([1.0])
-    center = ModelCenter.from_oracle(oracle, x, p=2)
-    assert calls == []
-    assert abs(model_value(center, np.array([1.1]), 6.0) - 1.461) <= 1e-12
-    assert len(calls) == 1
-    assert np.array_equal(center.Hx, quartic.hess(x)) and len(calls) == 1
-    assert ModelCenter.from_oracle(oracle, x, p=1).Hx is None and len(calls) == 1
+        oracle = SmoothOracle(dim=1, order=2, value=quartic.value, grad=quartic.grad,
+                              hess=hess)
+        x = np.array([1.0])
+        center = ModelCenter.from_oracle(oracle, x, p=2)
+        assert calls == []
+        assert abs(model_value(center, np.array([1.1]), 6.0) - 1.461) <= 1e-12
+        assert len(calls) == 1
+        assert np.array_equal(center.Hx, as_returned(quartic.hess(x))) and len(calls) == 1
+        assert ModelCenter.from_oracle(oracle, x, p=1).Hx is None and len(calls) == 1
 
 
 def test_from_oracle_rejects_nonfinite_values():
