@@ -193,7 +193,7 @@ def recertify_run(problem, x0, cfg: RunConfig) -> tuple[int, list[str]]:
     """
     checked, failures = 0, []
     for k, (center, step) in enumerate(nhota_steps(problem, x0, cfg, IterateTrace())):
-        fresh = certify(problem, center, step.y, step.M_used, cfg.theta,
+        fresh = certify(problem, center, step.y, step.M, cfg.theta,
                         witness_p=step.witness)
         checked += 1
         if not fresh.decrease_ok:

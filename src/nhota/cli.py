@@ -243,11 +243,21 @@ def _run_to_files(cfg: ExperimentConfig, runcfg: RunConfig, problem: CompositePr
     return trace
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """``cfg.out_dir``, created if missing; a path that cannot be a
+    directory (an existing file, or one under a file) raises ConfigError."""
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {cfg.out_dir!r} is not a usable directory: {exc}") from exc
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     """Single run: writes <out_dir>/trace.csv and <out_dir>/summary.txt."""
     problem, data, x0 = build_problem(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     return _run_to_files(cfg, cfg.run, problem, x0, data_hash(data),
                          out / "trace.csv", out / "summary.txt")
 
@@ -265,11 +275,10 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
     the wall-clock fields ``wall_millis`` and ``wall_millis_total``.
     """
     problem, data, x0 = build_problem(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     digest = data_hash(data)
     traces: dict[float, IterateTrace] = {}
-    with shared_steps():
+    with shared_steps(problem):
         for u in cfg.u_list:
             tag = f"u{u:g}"
             traces[u] = _run_to_files(cfg, replace(cfg.run, u=u), problem, x0, digest,
@@ -302,9 +311,7 @@ def gen_data(cfg: ExperimentConfig) -> Path:
             "are regenerated exactly from (n, seed, lambda)"
         )
     _, data, _ = build_problem(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "data.npz"
+    path = _out_dir(cfg) / "data.npz"
     save_phase_retrieval(data, path)
     return path
 

@@ -28,21 +28,14 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import factorial
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .core import CompositeProblem, OracleFailure, Vector, as_vector
-from .inner import (
-    InnerSolveFailure,
-    StepCertificate,
-    center_is_stationary,
-    center_stationarity,
-    solve_subproblem,
-    stationarity_resolution,
-)
+from .inner import InnerSolveFailure, StepCertificate, center_stationarity, solve_subproblem
 from .taylor import ModelCenter, _model
 
 STATUS_STATIONARY = "stationary"
@@ -166,19 +159,24 @@ TRIAL_CANDIDATE = "candidate"
 
 @dataclass(frozen=True)
 class Trial:
-    """The part of one pass of ``try_step``'s loop that R does not enter.
+    """One pass of ``try_step``'s loop up to the acceptance test, the one
+    part that reads R.
 
-    That is the inner solve at (M, warm) and, for a candidate, everything
-    the acceptance test and the next step read: F(y), f(y), the remainder
-    estimate a rejection raises M by, and grad T_p(y; x), from which the
-    driver forms the next step's secant M.  A ``stationary`` trial keeps
-    the working-precision resolution the run reports.  None of it needs the
-    center's Hessian again, so a trial can be replayed from a center whose
-    Hessian was never formed.
+    That is the inner solve at M, the raises of M before it and the step's
+    inner iterations up to and including it, and, for a candidate,
+    everything the acceptance test and the next step read: F(y), f(y), the
+    remainder estimate a rejection raises M by, and grad T_p(y; x), from
+    which the driver forms the next step's secant M.  A ``stationary``
+    trial's certificate keeps the working-precision resolution the run
+    reports.  None of it needs the center's Hessian again, so a trial can
+    be replayed from a center whose Hessian was never formed.
+    ``try_step`` returns the trial that ended the step.
     """
 
     outcome: str  # one of the TRIAL_* values
-    inner_iters: int
+    M: float
+    doublings: int  # raises of M before it: by 2 on a failure, 2 to MAX_M_RAISE on a rejection
+    step_iters: int  # the step's inner iterations, up to and including this trial
     y: Optional[Vector] = None
     cert: Optional[StepCertificate] = None
     witness: Optional[Vector] = None
@@ -187,24 +185,25 @@ class Trial:
     F_cand: float = np.nan
     needed: float = 0.0  # remainder_estimate of a candidate
     taylor_grad: Optional[Vector] = None  # grad T_p(y; x) of a candidate
-    resolution: Optional[float] = None  # stationarity_resolution of a stationary trial
 
 
 def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
-              warm: Optional[Vector], config: RunConfig) -> Trial:
+              warm: Optional[Vector], config: RunConfig, doublings: int,
+              prior_iters: int) -> Trial:
     """One trial from the center at M, seeded with the rejected candidate
-    ``warm``; see ``try_step`` for what each outcome means."""
+    ``warm``, after ``doublings`` raises of M and ``prior_iters`` inner
+    iterations in this step; see ``try_step`` for what each outcome means."""
     try:
         y, cert, witness = solve_subproblem(
             problem, center, M, config.theta, max_inner=config.max_inner, warm=warm,
         )
     except InnerSolveFailure as exc:
-        return Trial(TRIAL_FAILED, exc.iterations)
-    if cert.stalled and center_is_stationary(problem, center, M):
-        return Trial(TRIAL_STATIONARY, cert.inner_iters, y, cert, witness,
-                     resolution=stationarity_resolution(center, M))
+        return Trial(TRIAL_FAILED, M, doublings, prior_iters + exc.iterations)
+    step_iters = prior_iters + cert.inner_iters
+    if cert.resolution is not None:
+        return Trial(TRIAL_STATIONARY, M, doublings, step_iters, y, cert, witness)
     if warm is not None and np.array_equal(y, warm):
-        return Trial(TRIAL_REPEAT, cert.inner_iters)
+        return Trial(TRIAL_REPEAT, M, doublings, step_iters)
     F_cand = float(problem.smooth.value(y))
     f_cand = F_cand + float(problem.nonsmooth.value(y))
     if np.isnan(f_cand):
@@ -212,37 +211,21 @@ def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
     model_change, taylor_grad = _model(center, y, 0.0)  # one H.d for both
     needed = remainder_estimate(F_cand - center.fx, model_change, cert.step_norm,
                                 center.p, config.Mtilde)
-    return Trial(TRIAL_CANDIDATE, cert.inner_iters, y, cert, witness, f_cand, F_cand,
-                 needed, taylor_grad)
-
-
-class _Identity:
-    """A dict-key wrapper equal only to a wrapper of the same object.  It
-    holds the object, so no other object can take its id while the key
-    lives."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return isinstance(other, _Identity) and other.obj is self.obj
+    return Trial(TRIAL_CANDIDATE, M, doublings, step_iters, y, cert, witness, f_cand,
+                 F_cand, needed, taylor_grad)
 
 
 @dataclass
 class StepRecord:
-    """What the runs of one ``shared_steps`` scope share.
+    """What the runs on ``problem`` inside one ``shared_steps`` block share.
 
-    ``centers`` maps (problem, x, p) to F(x) and grad F(x); ``trials`` maps
-    (problem, x, M at the start of a step, the ``RunConfig`` fields a step
-    reads) to the trials run from there, in order.  Every entry is O(n)
-    floats; no Hessian is kept.
+    ``centers`` maps (x, p) to F(x) and grad F(x); ``trials`` maps (x, M at
+    the start of a step, the ``RunConfig`` fields a step reads) to the
+    trials run from there, in order.  Every entry is O(n) floats; no
+    Hessian is kept.
     """
 
+    problem: CompositeProblem
     centers: dict[tuple, tuple[float, Vector]] = field(default_factory=dict)
     trials: dict[tuple, list[Trial]] = field(default_factory=dict)
 
@@ -251,8 +234,8 @@ _SHARED: ContextVar[Optional[StepRecord]] = ContextVar("nhota_shared_steps", def
 
 
 @contextmanager
-def shared_steps() -> Iterator[None]:
-    """Let the runs inside this block share their steps.
+def shared_steps(problem: CompositeProblem) -> Iterator[None]:
+    """Let the runs on ``problem`` inside this block share their steps.
 
     R_k enters a step only through the acceptance test, so runs that differ
     only in u, started at the same point and M, propose the same candidates
@@ -260,14 +243,22 @@ def shared_steps() -> Iterator[None]:
     value and gradient and a step's trials (``Trial``) are recorded by the
     first run that computes them; a later run at the same center and M
     replays the trials, running only the acceptance test with its own R,
-    and solves live from where the record ends.  The record is dropped on
-    exit, so runs outside the block share nothing.
+    and solves live from where the record ends.  Only runs on this very
+    problem object take part; the record is dropped on exit, so runs on any
+    other problem, or outside the block, share nothing.
     """
-    token = _SHARED.set(StepRecord())
+    token = _SHARED.set(StepRecord(problem))
     try:
         yield
     finally:
         _SHARED.reset(token)
+
+
+def _record(problem: CompositeProblem) -> Optional[StepRecord]:
+    """The ``shared_steps`` record of the block around this run, if it is
+    bound to ``problem``."""
+    record = _SHARED.get()
+    return record if record is not None and record.problem is problem else None
 
 
 def _model_center(problem: CompositeProblem, x: Vector, p: int,
@@ -275,10 +266,10 @@ def _model_center(problem: CompositeProblem, x: Vector, p: int,
     """``ModelCenter.from_oracle`` at x, or inside ``shared_steps`` the
     center an earlier run recorded there: no oracle call, and its Hessian is
     formed only if a live solve reads it."""
-    record = _SHARED.get()
+    record = _record(problem)
     if record is None:
         return ModelCenter.from_oracle(problem.smooth, x, p, fx=fx)
-    key = (_Identity(problem), x.tobytes(), p)
+    key = (x.tobytes(), p)
     known = record.centers.get(key)
     if known is not None:
         return ModelCenter(x=x, fx=known[0], gx=known[1], p=p, oracle=problem.smooth)
@@ -291,36 +282,12 @@ def _recorded_trials(problem: CompositeProblem, center: ModelCenter, M_in: float
                      config: RunConfig) -> list[Trial]:
     """The trials recorded for a step from this center at M_in, which the
     step extends; a fresh list outside ``shared_steps``."""
-    record = _SHARED.get()
+    record = _record(problem)
     if record is None:
         return []
-    key = (_Identity(problem), center.x.tobytes(), M_in, config.p, config.M0,
-           config.Mtilde, config.theta, config.max_inner, config.max_doublings)
+    key = (center.x.tobytes(), M_in, config.p, config.M0, config.Mtilde, config.theta,
+           config.max_inner, config.max_doublings)
     return record.trials.setdefault(key, [])
-
-
-@dataclass(frozen=True)
-class TryStepResult:
-    """One ``try_step``: the trial that ended it (an accepted candidate, or
-    a stop at a stationary center) and the M, raises of M and inner
-    iterations it took.  ``f_cand`` and ``F_cand`` are the values the
-    acceptance test used, so the driver evaluates F at y no second time."""
-
-    trial: Trial
-    M_used: float
-    doublings: int  # raises of M: by 2 on an inner failure, 2 to MAX_M_RAISE on a rejection
-    inner_iters: int
-
-    y = property(lambda self: self.trial.y)
-    cert = property(lambda self: self.trial.cert)
-    witness = property(lambda self: self.trial.witness)
-    # F(y) + h(y) and F(y) alone; NaN on a ``stationary`` result, which
-    # evaluates no candidate it would discard
-    f_cand = property(lambda self: self.trial.f_cand)
-    F_cand = property(lambda self: self.trial.F_cand)
-    # the center is stationary to working precision; the driver stops there
-    # rather than stepping to y
-    stationary = property(lambda self: self.trial.outcome == TRIAL_STATIONARY)
 
 
 def try_step(
@@ -329,8 +296,9 @@ def try_step(
     R: float,
     M_in: float,
     config: RunConfig,
-) -> TryStepResult:
-    """Find an acceptable step from the center, raising M as needed.
+) -> Trial:
+    """Find an acceptable step from the center, raising M as needed, and
+    return the trial that ended it.
 
     Each trial (``run_trial``) runs the certified inner solve at the current
     M and retries at a larger M when the candidate is not acceptable.  An
@@ -341,15 +309,15 @@ def try_step(
     candidate.
 
     A solve that stalled at the floating-point floor or returned a
-    collapsed step (``cert.stalled``) forces a decision: if the center is
-    stationary to working precision (``center_is_stationary``), the result
-    is flagged ``stationary``, without evaluating the objective at y, and
-    the driver stops at the center; otherwise
-    the candidate — typically the model minimizer pinned down as far as
-    floats allow — goes through the ordinary acceptance test like any other
-    step.
+    collapsed step (``cert.stalled``) forces a decision, which the inner
+    solve has made (``StepCertificate.resolution``): if the center is
+    stationary to working precision, the trial is ``stationary``, without
+    evaluating the objective at y, and the driver stops at the center;
+    otherwise the candidate — typically the model minimizer pinned down as
+    far as floats allow — goes through the ordinary acceptance test like
+    any other step.
 
-    F is evaluated once per tested candidate, and the result carries that
+    F is evaluated once per tested candidate, and the trial carries that
     value (``F_cand``) for the next center.  A repeated warm start is not
     re-tested: a solve that returns the rejected candidate unchanged would
     meet the same R, f(y) and ||y - x|| and fail again, so M is raised
@@ -366,20 +334,19 @@ def try_step(
     M = M_in
     warm = None
     needed = 0.0  # the remainder estimate of the rejected candidate ``warm``
-    total_inner = 0
     for i in range(config.max_doublings + 1):
         if i == len(trials):
-            trials.append(run_trial(problem, center, M, warm, config))
+            prior_iters = trials[-1].step_iters if trials else 0
+            trials.append(run_trial(problem, center, M, warm, config, i, prior_iters))
         trial = trials[i]
-        total_inner += trial.inner_iters
         if trial.outcome == TRIAL_FAILED:
             M *= 2.0
             continue
         if trial.outcome == TRIAL_STATIONARY:
-            return TryStepResult(trial, M, i, total_inner)
+            return trial
         if trial.outcome == TRIAL_CANDIDATE:
             if accept_test(R, trial.f_cand, trial.cert.step_norm, config.Mtilde, config.p):
-                return TryStepResult(trial, M, i, total_inner)
+                return trial
             warm, needed = trial.y, trial.needed
         # rejected, or the rejected candidate again, which would fail again
         M = raised_M(M, needed)
@@ -409,15 +376,13 @@ class TraceRow:
     wall_millis: float
 
 
-TRACE_HEADER = "k,f,R,M,step_norm,stationarity,inner_iters,backtracks,wall_millis"
+_TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+TRACE_HEADER = ",".join(_TRACE_COLUMNS)
 
 
 def format_trace_row(row: TraceRow) -> str:
     """One CSV line matching TRACE_HEADER, shortest exact float formatting."""
-    return (
-        f"{row.k},{row.f!r},{row.R!r},{row.M!r},{row.step_norm!r},"
-        f"{row.stationarity!r},{row.inner_iters},{row.backtracks},{row.wall_millis!r}"
-    )
+    return ",".join(repr(getattr(row, name)) for name in _TRACE_COLUMNS)
 
 
 @dataclass
@@ -523,7 +488,7 @@ def secant_M(grad_err: float, step_norm: float, p: int, M0: float) -> float:
     return max(M0, grad_err / scale) if scale > 0 else M0
 
 
-def _stationarity_bound(taylor_err: float, cert: StepCertificate, M_used: float,
+def _stationarity_bound(taylor_err: float, cert: StepCertificate, M: float,
                         p: int) -> float:
     """Computable upper bound on dist(0, df(x_{k+1})) from the certificate.
 
@@ -531,7 +496,7 @@ def _stationarity_bound(taylor_err: float, cert: StepCertificate, M_used: float,
     (``taylor_grad_error``) plus the certified model residual plus the
     regularization gradient norm M/p! * ||step||^p.
     """
-    return taylor_err + cert.residual + M_used / factorial(p) * cert.step_norm**p
+    return taylor_err + cert.residual + M / factorial(p) * cert.step_norm**p
 
 
 def nhota_steps(
@@ -540,7 +505,7 @@ def nhota_steps(
     config: RunConfig,
     trace: IterateTrace,
     row_sink: Optional[Callable[[TraceRow], None]] = None,
-) -> Iterator[tuple[ModelCenter, TryStepResult]]:
+) -> Iterator[tuple[ModelCenter, Trial]]:
     """The outer loop, one accepted step at a time, recorded into ``trace``.
 
     Starts with R_0 = f(x_0) and M = M0; each iteration takes a certified,
@@ -570,8 +535,8 @@ def nhota_steps(
 
     The trace's final fields always describe the latest iterate, so a run
     cut short by an exception leaves a consistent record of its steps.
-    Inside ``shared_steps`` the centers and the steps' trials are shared
-    with the other runs of the block.
+    Inside ``shared_steps(problem)`` the centers and the steps' trials are
+    shared with the other runs of the block.
     """
     x = as_vector(x0, dim=problem.dim)
     h = problem.nonsmooth
@@ -608,11 +573,11 @@ def nhota_steps(
             raise
         y, cert = step.y, step.cert
 
-        if step.stationary:
+        if step.outcome == TRIAL_STATIONARY:
             # the stop_stat test above did not fire, so the point is
             # stationary only to working precision
             status = STATUS_PRECISION_FLOOR
-            trace.resolution = step.trial.resolution
+            trace.resolution = cert.resolution
             break
 
         f_new = step.f_cand
@@ -620,14 +585,14 @@ def nhota_steps(
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
         next_center = _model_center(problem, y, config.p, fx=step.F_cand)
-        taylor_err = taylor_grad_error(step.trial, next_center)
+        taylor_err = taylor_grad_error(step, next_center)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
-                    else _stationarity_bound(taylor_err, cert, step.M_used, config.p))
+                    else _stationarity_bound(taylor_err, cert, step.M, config.p))
         wall = (time.perf_counter() - t0) * 1000.0
 
         row = TraceRow(
-            k=k, f=fk, R=R, M=step.M_used, step_norm=cert.step_norm,
-            stationarity=new_stat, inner_iters=step.inner_iters,
+            k=k, f=fk, R=R, M=step.M, step_norm=cert.step_norm,
+            stationarity=new_stat, inner_iters=step.step_iters,
             backtracks=step.doublings, wall_millis=wall,
         )
         trace.rows.append(row)

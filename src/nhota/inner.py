@@ -96,28 +96,17 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     fixed-point residual ||x - prox_h(x - grad F(x))|| stands in: it is zero
     exactly at stationary points and continuous in x.
 
-    ``center_is_stationary`` compares this against the working-precision
-    resolution to decide whether a stalled inner solve means the *center* is
-    stationary (stop) or merely that the model minimizer has been pinned
-    down as far as floats allow (treat the candidate as an ordinary step and
-    let the acceptance test decide).
+    ``_finish`` compares this against the working-precision resolution to
+    decide whether a stalled inner solve means the *center* is stationary
+    (the driver stops) or merely that the model minimizer has been pinned
+    down as far as floats allow (the candidate goes through the acceptance
+    test).
     """
     h = problem.nonsmooth
     if h.subdiff_dist is not None:
         return float(h.subdiff_dist(center.gx, center.x))
     z = _prox(problem, center.x - center.gx, 1.0)
     return float(np.linalg.norm(center.x - z))
-
-
-def center_is_stationary(problem: CompositeProblem, center: ModelCenter,
-                         M: float) -> bool:
-    """Whether the center is stationary to working precision.
-
-    The driver asks this of every ``stalled`` certificate, with the M of the
-    solve that stalled (the p = 1 resolution grows with it): if so it stops
-    at the center; otherwise the candidate goes through the acceptance test.
-    """
-    return center_stationarity(problem, center) <= stationarity_resolution(center, M)
 
 
 class InnerSolveFailure(RuntimeError):
@@ -146,7 +135,10 @@ class StepCertificate:
     whatever its residual).  Such a candidate is the model minimizer to
     working precision, but its residual may sit far above
     theta*||y - x||^p, so the caller must not treat the threshold as
-    certified; ``center_is_stationary`` decides whether to stop there.
+    certified.  ``resolution`` is the stall verdict: on a stalled
+    certificate whose center is stationary to working precision it is that
+    resolution, ``stationarity_resolution(center, M)``, and the driver
+    stops at the center; otherwise it is None.
     """
 
     decrease_ok: bool
@@ -155,6 +147,7 @@ class StepCertificate:
     step_norm: float
     inner_iters: int
     stalled: bool = False
+    resolution: Optional[float] = None
 
     @property
     def valid(self) -> bool:
@@ -173,9 +166,9 @@ def _residual(problem: CompositeProblem, g_reg: Vector, y: Vector,
     return float(np.linalg.norm(g_reg + witness))
 
 
-def _finish(center: ModelCenter, M: float, y: Vector, res: float, thr: float,
-            step_norm: float, iters: int, witness: Optional[Vector],
-            decrease_ok: bool = True):
+def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
+            res: float, thr: float, step_norm: float, iters: int,
+            witness: Optional[Vector], decrease_ok: bool = True):
     """The inner solver's one stopping rule: (y, certificate, witness), or None.
 
     Every solve ends here, for either p: the p = 1 closed-form step, a start
@@ -189,8 +182,8 @@ def _finish(center: ModelCenter, M: float, y: Vector, res: float, thr: float,
       near-cancelling O(||grad||) terms and cannot resolve below that
       scale).  The certificate is marked ``stalled`` when the step has
       collapsed onto the center (``step_norm`` at most
-      ``DEGENERATE_STEP_RTOL * (1 + ||x||)``), so the driver asks whether
-      the center is stationary rather than looping on zero-length steps;
+      ``DEGENERATE_STEP_RTOL * (1 + ||x||)``), so the run does not loop on
+      zero-length steps;
     * **stalled** otherwise, when ``res`` is at most
       ``stationarity_resolution(center, M)``: floats have run out, and y is the
       model minimizer located as precisely as double precision allows, but
@@ -198,23 +191,31 @@ def _finish(center: ModelCenter, M: float, y: Vector, res: float, thr: float,
       ARC, Cartis, Gould & Toint 2011, met at the precision floor);
     * **None** in every other case.
 
+    A stalled certificate carries the stall verdict: its ``resolution`` is
+    the working-precision resolution (with this M, which the p = 1
+    resolution grows with) when the center's own stationarity
+    (``center_stationarity``) is at most that, and None when it is not.
     Callers that may not continue treat None as a failure
     (``_finish_or_raise``).
     """
-    if decrease_ok and res <= thr + residual_floor(center):
-        collapsed = step_norm <= DEGENERATE_STEP_RTOL * (1.0 + float(np.linalg.norm(center.x)))
-        return y, StepCertificate(True, res, thr, step_norm, iters, stalled=collapsed), witness
-    if res <= stationarity_resolution(center, M):
-        return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True), witness
-    return None
+    certified = decrease_ok and res <= thr + residual_floor(center)
+    if certified and step_norm > DEGENERATE_STEP_RTOL * (1.0 + float(np.linalg.norm(center.x))):
+        return y, StepCertificate(True, res, thr, step_norm, iters), witness
+    resolution = stationarity_resolution(center, M)
+    if not certified and res > resolution:
+        return None
+    if center_stationarity(problem, center) > resolution:
+        resolution = None
+    return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True,
+                              resolution=resolution), witness
 
 
-def _finish_or_raise(center: ModelCenter, M: float, y: Vector, res: float,
-                     thr: float, step_norm: float, iters: int,
+def _finish_or_raise(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
+                     res: float, thr: float, step_norm: float, iters: int,
                      witness: Optional[Vector], why: str, decrease_ok: bool = True):
     """``_finish``'s result, or ``InnerSolveFailure`` where it gives None; the
     driver responds to that by doubling M."""
-    out = _finish(center, M, y, res, thr, step_norm, iters, witness, decrease_ok)
+    out = _finish(problem, center, M, y, res, thr, step_norm, iters, witness, decrease_ok)
     if out is not None:
         return out
     raise InnerSolveFailure(
@@ -242,7 +243,7 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     step_norm = float(np.linalg.norm(y - x))
     thr = theta * step_norm
     decrease_ok = dm + float(h.value(y)) <= float(h.value(x))
-    return _finish_or_raise(center, M, y, res, thr, step_norm, 1, witness,
+    return _finish_or_raise(problem, center, M, y, res, thr, step_norm, 1, witness,
                             "closed-form prox step not certified",
                             decrease_ok=decrease_ok)
 
@@ -290,9 +291,10 @@ def solve_subproblem(
     moving (no step size gives a float-visible decrease) and a spent budget
     ask it too, and there a None from the rule raises
     ``InnerSolveFailure``; the driver responds by doubling M.  A certificate
-    marked ``stalled`` leaves the decision to the driver: stop if the center
-    itself is stationary to working precision (``center_is_stationary``),
-    otherwise put the candidate through the ordinary acceptance test.
+    marked ``stalled`` carries the stall verdict (``StepCertificate.resolution``):
+    the driver stops if the center itself is stationary to working
+    precision, and otherwise puts the candidate through the ordinary
+    acceptance test.
 
     Returns (y, certificate, witness); witness is None when the certificate
     came from the exact subdifferential distance at y = y0.
@@ -337,7 +339,7 @@ def solve_subproblem(
     # The start point may already be certified (e.g. a stationary center,
     # or a warm start that survived an M increase).
     if res <= thr + floor:
-        return _finish(center, M, y, res, thr, step_norm, 0, None)
+        return _finish(problem, center, M, y, res, thr, step_norm, 0, None)
 
     alpha = 0.5  # the first search starts at 1
     for t in range(1, max_inner + 1):
@@ -358,7 +360,7 @@ def solve_subproblem(
         if not frozen:
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
-            return _finish_or_raise(center, M, y, res, thr, step_norm, t, witness,
+            return _finish_or_raise(problem, center, M, y, res, thr, step_norm, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
         drop = m_total - mt_new
@@ -369,11 +371,11 @@ def solve_subproblem(
         # certified, or a step that moved m by no more than its rounding:
         # floats have run out
         if res <= thr + floor or drop <= _EPS * abs(m_total):
-            out = _finish(center, M, y, res, thr, step_norm, t, witness)
+            out = _finish(problem, center, M, y, res, thr, step_norm, t, witness)
             if out is not None:
                 return out
 
-    return _finish_or_raise(center, M, y, res, thr, step_norm, max_inner, witness,
+    return _finish_or_raise(problem, center, M, y, res, thr, step_norm, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")
 
 

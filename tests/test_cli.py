@@ -356,6 +356,24 @@ def test_main_bad_value_is_a_config_error_before_any_file(tmp_path, capsys, case
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd, problem", [
+    ("run", "diag_quad_l1"), ("sweep", "diag_quad_l1"), ("gen-data", "phase_retrieval"),
+])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_main_out_dir_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys,
+                                                                   cmd, problem, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+    cfg = write(tmp_path, f"problem = {problem}\nn = 6\nm = 24\nout_dir = {out}\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([cmd, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "out_dir" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_main_solver_failure_exit_two(tmp_path, capsys):
     # doubling-starved: M may never rise, so no step is ever accepted
     text = (

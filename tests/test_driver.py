@@ -116,8 +116,8 @@ def test_try_step_huge_M_accepts_without_doubling():
     center = ModelCenter.from_oracle(prob.smooth, np.zeros(1), p=2)
     cfg = RunConfig(p=2)
     step = try_step(prob, center, R=prob.f(np.zeros(1)), M_in=1e6, config=cfg)
-    assert step.doublings == 0 and step.M_used == 1e6
-    assert not step.stationary
+    assert step.doublings == 0 and step.M == 1e6
+    assert step.outcome != driver.TRIAL_STATIONARY
     assert step.f_cand == prob.f(step.y)
     assert accept_test(prob.f(np.zeros(1)), step.f_cand, step.cert.step_norm,
                        cfg.Mtilde, 2)
@@ -137,7 +137,7 @@ def test_try_step_raises_M_by_a_factor_in_two_to_four(monkeypatch):
 
     monkeypatch.setattr(driver, "solve_subproblem", recording)
     step = try_step(prob, center, R=prob.f(x0), M_in=1e-3, config=RunConfig(p=1))
-    assert step.doublings >= 1 and tried[0] == 1e-3 and tried[-1] == step.M_used
+    assert step.doublings >= 1 and tried[0] == 1e-3 and tried[-1] == step.M
     factors = np.array(tried[1:]) / np.array(tried[:-1])
     assert len(factors) == step.doublings
     assert np.all((factors >= 2.0) & (factors <= driver.MAX_M_RAISE))
@@ -156,7 +156,7 @@ def test_try_step_lands_on_the_remainder_estimate():
     assert 2.0 < cfg.Mtilde + d < 4.0
     step = try_step(prob, center, R=prob.f(x0), M_in=1.0, config=cfg)
     assert step.doublings == 1
-    assert step.M_used == pytest.approx(cfg.Mtilde + d, rel=1e-12)
+    assert step.M == pytest.approx(cfg.Mtilde + d, rel=1e-12)
 
 
 def test_try_step_at_a_stationary_center_evaluates_no_candidate():
@@ -171,7 +171,7 @@ def test_try_step_at_a_stationary_center_evaluates_no_candidate():
     center = ModelCenter.from_oracle(prob.smooth, x_star, p=2)
     del calls[:]
     step = try_step(prob, center, R=f_star, M_in=1e-2, config=RunConfig(p=2))
-    assert step.stationary and np.isnan(step.f_cand)
+    assert step.outcome == driver.TRIAL_STATIONARY and np.isnan(step.f_cand)
     assert calls == []
 
 
@@ -254,7 +254,7 @@ def _rows(trace):
 def test_shared_steps_replay_a_repeated_run_without_oracle_calls():
     problem, calls, hess, x0 = _phase_counted(1)
     cfg, other = RunConfig(p=2, stop_f=-np.inf), RunConfig(p=2, stop_f=-np.inf, u=0.05)
-    with shared_steps():
+    with shared_steps(problem):
         first, counts = _counted_run(problem, calls, hess, x0, cfg)
         again, replayed = _counted_run(problem, calls, hess, x0, cfg)
         # another u tests the recorded candidates against its own R
@@ -265,6 +265,21 @@ def test_shared_steps_replay_a_repeated_run_without_oracle_calls():
     for trace, same in ((again, first), (after, first), (shared, alone)):
         assert _rows(trace) == _rows(same)
         assert trace.x_final.tobytes() == same.x_final.tobytes()
+
+
+def test_shared_steps_share_nothing_with_another_problem_object():
+    # the record is bound to the problem the block names: a run on an equal
+    # but distinct problem object makes the oracle calls of a run outside
+    # any block, and a repeat on the named problem still replays
+    problem, calls, hess, x0 = _phase_counted(1)
+    cfg = RunConfig(p=2, stop_f=-np.inf)
+    alone, counts = _counted_run(problem, calls, hess, x0, cfg)
+    with shared_steps(problem):
+        _counted_run(problem, calls, hess, x0, cfg)
+        other, other_counts = _counted_run(replace(problem), calls, hess, x0, cfg)
+        _, replayed = _counted_run(problem, calls, hess, x0, cfg)
+    assert other_counts == counts and min(counts) > 0 and replayed == (0, 0, 0)
+    assert _rows(other) == _rows(alone)
 
 
 def _x_scaled(problem, lam: float, a: float):

@@ -159,6 +159,53 @@ def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
         assert fresh.residual <= stationarity_resolution(center, M)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("exact_h", [True, False])
+def test_stalled_certificate_carries_the_stall_verdict(exact_h, p):
+    # from the closed-form minimizer the solve collapses onto the center,
+    # which is stationary to working precision: the certificate is stalled
+    # and keeps the resolution the run reports.  (At M = 1e-2 the p = 1
+    # step from this minimizer is long enough not to collapse, and an
+    # opaque p = 2 solve from other seeds' minimizers freezes before any
+    # residual exists.)
+    prob, _, x0 = gen_diag_quad_l1(8, seed=1)
+    if not exact_h:
+        prob = without_subdiff(prob)
+    x_star, _ = prob.known_opt
+    M = 1.0
+    center = ModelCenter.from_oracle(prob.smooth, x_star, p=p)
+    _, cert, _ = solve_subproblem(prob, center, M=M, theta=0.1)
+    assert cert.stalled and cert.resolution == stationarity_resolution(center, M)
+    start = ModelCenter.from_oracle(prob.smooth, x0, p=p)
+    _, cert, _ = solve_subproblem(prob, start, M=M, theta=0.1)
+    assert cert.valid and not cert.stalled and cert.resolution is None
+
+
+def test_stall_verdict_follows_the_center_stationarity(monkeypatch):
+    # driven far past stop_stat, this p = 2 run stalls once at a center that
+    # is not yet stationary to working precision (the candidate goes to the
+    # acceptance test) and once at one that is (the run stops there)
+    prob, _, x0 = gen_diag_quad_l1(20, seed=0)
+    cfg = RunConfig(p=2, stop_stat=1e-12, stop_f=-np.inf, max_inner=100)
+    stalled = []
+
+    def recording(problem, center, M, theta, **kwargs):
+        out = solve_subproblem(problem, center, M, theta, **kwargs)
+        if out[1].stalled:
+            stalled.append((center, M, out[1]))
+        return out
+
+    monkeypatch.setattr(driver, "solve_subproblem", recording)
+    trace = nhota_run(prob, x0, cfg)
+    verdicts = []
+    for center, M, cert in stalled:
+        resolution = stationarity_resolution(center, M)
+        stationary = center_stationarity(prob, center) <= resolution
+        assert cert.resolution == (resolution if stationary else None)
+        verdicts.append(stationary)
+    assert verdicts == [False, True] and trace.resolution == stalled[-1][2].resolution
+
+
 def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
     """Same problem with C added to F: same minimizers, larger |f|."""
     s = problem.smooth
