@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 from pathlib import Path
 from typing import Callable
@@ -33,7 +33,13 @@ from .driver import (
     nhota_run,
     nhota_steps,
 )
-from .inner import InnerSolveFailure, certify, solve_subproblem
+from .inner import (
+    InnerSolveFailure,
+    _solve_separable,
+    certify,
+    residual_floor,
+    solve_subproblem,
+)
 from .metrics import kl_probe, rate_fit, remainder_check, stationarity
 from .problems import (
     DiagQuadL1Data,
@@ -203,6 +209,53 @@ def recertify_run(problem, x0, cfg: RunConfig) -> tuple[int, list[str]]:
             failures.append(f"k={k}: residual {fresh.residual:.3e} above "
                             f"threshold {bound:.3e} + 1e-8")
     return checked, failures
+
+
+def with_dense_hessian(problem):
+    """Same problem with ``hess`` returning the dense n-by-n matrix, also
+    where the problem's own callback returns a diagonal as a vector; a
+    diagonal problem then takes the proximal-gradient loop, not the
+    closed-form p = 2 step."""
+    hess = problem.smooth.hess
+    return replace(problem, smooth=replace(problem.smooth,
+                                           hess=lambda x: dense_hessian(hess(x))))
+
+
+def closed_form_against_loop(problem, x0, M: float,
+                             theta: float) -> tuple[float, list[str]]:
+    """The p = 2 subproblem at x0 solved both ways: in closed form, with the
+    diagonal Hessian as its vector, and by the proximal-gradient loop, with
+    it as the dense matrix (``with_dense_hessian``).
+
+    The closed form must certify without falling back to the loop; each
+    step must re-certify from scratch (``certify``: model decrease, residual
+    at most theta*||s||^2 + ``residual_floor``); and the closed form's model
+    value plus h, the subproblem's objective, must be at most the loop's
+    plus its rounding.  Returns (the closed form's model value less the
+    loop's, failure lines).
+    """
+    center = ModelCenter.from_oracle(problem.smooth, x0, 2)
+    closed = _solve_separable(problem, center, M, theta, max_inner=500)
+    if closed is None:
+        return np.nan, ["closed form did not certify"]
+    dense = with_dense_hessian(problem)
+    loop_center = ModelCenter.from_oracle(dense.smooth, x0, 2)
+    loop = solve_subproblem(dense, loop_center, M, theta)
+    failures, values = [], []
+    for label, prob, c, (y, _, witness) in (("closed form", problem, center, closed),
+                                             ("loop", dense, loop_center, loop)):
+        fresh = certify(prob, c, y, M, theta, witness_p=witness)
+        if not (fresh.decrease_ok and fresh.residual <= fresh.threshold + residual_floor(c)):
+            failures.append(f"{label} step does not re-certify: decrease "
+                            f"{fresh.decrease_ok}, residual {fresh.residual:.3e}, "
+                            f"threshold {fresh.threshold:.3e}")
+        values.append(model_value(c, y, M) + float(prob.nonsmooth.value(y)))
+    gap = values[0] - values[1]
+    rounding = 8.0 * np.finfo(float).eps * (abs(center.fx) + abs(values[1]))
+    if gap > rounding:
+        failures.append(f"closed-form model value {values[0]!r} above the loop's "
+                        f"{values[1]!r} by more than {rounding:.1e}")
+    return gap, failures
 
 
 def random_quadratic(n: int, seed: int) -> SmoothOracle:
@@ -513,6 +566,26 @@ def _check_inner_monotone_witness() -> tuple[bool, str]:
         f"model decrease {decrease:.2e}, residual {cert.residual:.2e} "
         f"<= threshold {cert.threshold:.2e}"
     )
+
+
+@_named("closed_form_p2_step_against_loop", scaled=True)
+def _check_closed_form_against_loop(scale: str) -> tuple[bool, str]:
+    """p = 2 subproblems on diagonal instances, solved in closed form and by
+    the dense proximal-gradient loop (``closed_form_against_loop``)."""
+    rng = np.random.default_rng(22)
+    count, largest_n = (12, 60) if scale == "quick" else (60, 300)
+    worst = -np.inf
+    for i in range(count):
+        n, seed = int(rng.integers(1, largest_n + 1)), int(rng.integers(0, 10_000))
+        lam = 0.0 if i % 3 == 0 else float(rng.choice([1e-3, 0.1, 1.0]))
+        M = float(10.0 ** rng.uniform(-4.0, 4.0))
+        problem, _, x0 = gen_diag_quad_l1(n, seed=seed, lam=lam)
+        gap, failures = closed_form_against_loop(problem, x0, M, theta=0.1)
+        if failures:
+            return False, f"n={n} seed={seed} lam={lam:g} M={M:.2e}: {failures[0]}"
+        worst = max(worst, gap)
+    return True, (f"{count} diagonal subproblems: both steps re-certified, closed-form "
+                  f"model value minus the loop's at most {worst:.1e}")
 
 
 # -------------------------------------------------------------- driver checks

@@ -53,8 +53,9 @@ def dense_hessian(H) -> Matrix:
     return np.diag(H) if H.ndim == 1 else H
 
 
-def _soft_threshold(v: Vector, tau: float) -> Vector:
-    """``prox_l1`` without its checks, for float arrays the solver built."""
+def _soft_threshold(v: Vector, tau: float | Vector) -> Vector:
+    """``prox_l1`` without its checks, for float arrays the solver built;
+    an array ``tau`` thresholds each coordinate at its own entry."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
@@ -125,15 +126,24 @@ class SmoothOracle:
 class NonsmoothTerm:
     """Callbacks for the nonsmooth part h (convex, prox-friendly).
 
-    ``prox(v, tau)`` returns argmin_y h(y) + (1/2 tau)||y - v||^2.
+    ``prox(v, tau)`` returns argmin_y h(y) + (1/2 tau)||y - v||^2.  ``tau``
+    is a positive float or a positive array of v's shape; an array is the
+    prox in the metric diag(1/tau), argmin_y h(y) + sum_i (y_i - v_i)^2 /
+    (2 tau_i), which for a separable h is coordinate i's prox at tau_i.
     ``subdiff_dist(g, x)`` returns dist(0, g + dh(x)) when the instance can
     compute it exactly; leave it ``None`` otherwise and callers fall back to
     a prox-residual surrogate.  Instances must be bounded below by an affine
     function (trivially true for the shipped l1 term).
+
+    Only the closed-form p = 2 step passes an array ``tau``, and it is
+    selected by a diagonal Hessian that ``SmoothOracle.hess`` returns as its
+    length-n vector together with an exact ``subdiff_dist``: a term that
+    provides ``subdiff_dist`` to a problem with such a Hessian must accept
+    array thresholds.  Every other solve passes a float.
     """
 
     value: Callable[[Vector], float]
-    prox: Callable[[Vector, float], Vector]
+    prox: Callable[[Vector, float | Vector], Vector]
     subdiff_dist: Optional[Callable[[Vector, Vector], float]] = None
 
 
@@ -150,9 +160,14 @@ def l1_term(lam: float) -> NonsmoothTerm:
     def value(x: Vector) -> float:
         return lam * float(np.abs(np.asarray(x, dtype=float)).sum())
 
-    def prox(v: Vector, tau: float) -> Vector:
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+    def prox(v: Vector, tau: float | Vector) -> Vector:
+        try:
+            bad = not tau > 0  # one comparison for a float, or a one-element array
+        except ValueError:  # an array of thresholds has no truth value
+            bad = np.shape(tau) != np.shape(v) or not np.all(tau > 0)
+        if bad:
+            raise ValueError(f"tau must be positive, a float or an array of shape "
+                             f"{np.shape(v)}, got {tau!r}")
         return np.array(v, dtype=float) if lam == 0.0 else _soft_threshold(v, tau * lam)
 
     def subdiff_dist(g: Vector, x: Vector) -> float:

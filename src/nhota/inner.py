@@ -9,13 +9,19 @@ A returned point y is acceptable when
 For p = 1 the subproblem f(x) + g.(y - x) + M/2 ||y - x||^2 + h(y) is
 solved in closed form: its exact minimizer is the single prox step
 prox_{h/M}(x - g/M) (Nesterov's composite gradient mapping), and both
-conditions are checked on that point in floating point.  For p = 2,
-condition (1) holds by construction: the proximal gradient iteration below
-starts at y0 = x, where m(x) = f(x) exactly, and never increases m.  Both
-solves compare model values relative to F(x) (``taylor._model``), so the
-comparisons round at the scale of the model's change, not of F(x).
-Condition (2) is certified either through the exact subdifferential distance
-(when h provides one) or through the prox-step witness subgradient.
+conditions are checked on that point in floating point.  For p = 2 with a
+diagonal Hessian H > 0 (kept as its vector) and an h that reports exact
+subdifferential distances, the subproblem is solved in closed form too: the
+minimizer is a per-coordinate prox step at the single root r of the
+secular equation ||y(r) - x|| = r of cubic regularization (Nesterov &
+Polyak 2006; Cartis, Gould & Toint 2011), found by a 1-D root finder.
+Every other p = 2 subproblem goes to a proximal gradient iteration, where
+condition (1) holds by construction: it starts at y0 = x, where m(x) =
+f(x) exactly, and never increases m.  All solves compare model values
+relative to F(x) (``taylor._model``), so the comparisons round at the scale
+of the model's change, not of F(x).  Condition (2) is certified either
+through the exact subdifferential distance (when h provides one) or through
+the prox-step witness subgradient.
 """
 
 from __future__ import annotations
@@ -171,10 +177,11 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
             witness: Optional[Vector], decrease_ok: bool = True):
     """The inner solver's one stopping rule: (y, certificate, witness), or None.
 
-    Every solve ends here, for either p: the p = 1 closed-form step, a start
-    point that is already certified, a p = 2 iterate whose residual cleared
-    its target or whose step moved m by no more than its rounding
-    (eps * |m - F(x)|), an iterate that no step size moves, and a spent budget.
+    Every solve ends here, for either p: the p = 1 and p = 2 closed-form
+    steps, a start point that is already certified, a p = 2 iterate whose
+    residual cleared its target or whose step moved m by no more than its
+    rounding (eps * |m - F(x)|), an iterate that no step size moves, and a
+    spent budget.
     Given y's residual ``res`` and target ``thr`` = theta*||y - x||^p:
 
     * **certified** when the model decreased and ``res`` is at most ``thr``
@@ -248,6 +255,57 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
                             decrease_ok=decrease_ok)
 
 
+def _solve_separable(problem: CompositeProblem, center: ModelCenter, M: float,
+                     theta: float, max_inner: int):
+    """The p = 2 subproblem with a diagonal Hessian H > 0, through one root.
+
+    The minimizer y of the model plus h satisfies 0 in g + a(y - x) + dh(y)
+    with a = H + M r/2 and r = ||y - x||.  For a fixed r that is the
+    optimality condition of a separable problem, solved by one prox call
+    with per-coordinate thresholds: y(r) = prox_{h, 1/a}(x - g/a).
+    phi(r) = ||y(r) - x|| - r decreases in r (a larger a shortens the
+    step), so the exact step is y(r) at phi's single root, bracketed by
+    [0, ||y(0) - x||] and found by Illinois regula falsi to working
+    precision.  The step ends through ``_finish`` with the exact
+    subdifferential distance, like any other solve; None when some
+    H_i <= 0 or the root does not certify.
+    """
+    x, g, H = center.x, center.gx, center.Hx
+    if not H.min() > 0.0:
+        return None
+
+    def y_at(r: float) -> tuple[Vector, float]:
+        tau = 1.0 / (H + (0.5 * M) * r)
+        y = _prox(problem, x - g * tau, tau)
+        return y, float(np.linalg.norm(y - x)) - r
+
+    y, f = y_at(0.0)
+    lo, hi, f_lo, f_hi, iters = 0.0, f, f, 0.0, 1
+    # phi's own rounding: y - x cancels at the scale of ||x|| + ||y(0) - x||
+    tol = 4.0 * _EPS * (hi + float(np.linalg.norm(x)))
+    r, side = hi, 0  # side: which end the last point replaced, +1 lo, -1 hi
+    while abs(f) > tol and hi - lo > _EPS * hi and iters < max_inner:
+        y, f = y_at(r)
+        iters += 1
+        if f > 0.0:
+            lo, f_lo = r, f
+            if side > 0:
+                f_hi *= 0.5  # Illinois: the end kept twice has its value halved
+            side = 1
+        else:
+            hi, f_hi = r, f
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+        r = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    dm, g_reg = _model(center, y, M)
+    h = problem.nonsmooth
+    step_norm = float(np.linalg.norm(y - x))
+    decrease_ok = dm + float(h.value(y)) <= float(h.value(x))
+    return _finish(problem, center, M, y, _residual(problem, g_reg, y, None),
+                   theta * step_norm**2, step_norm, iters, None, decrease_ok)
+
+
 def solve_subproblem(
     problem: CompositeProblem,
     center: ModelCenter,
@@ -264,11 +322,20 @@ def solve_subproblem(
     reports one inner iteration.  It does not depend on a start point or a
     step size, so ``max_inner`` and ``warm`` are validated but not used.
 
-    For p = 2, proximal gradient on the regularized model until certified.
-    Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the decrease
-    guarantee is preserved).  Each iteration backtracks the step size by
-    halving until the standard sufficient-decrease test holds and m does not
-    increase, takes the prox step, and keeps the witness subgradient
+    For p = 2 with a diagonal Hessian returned as its vector, all H_i > 0,
+    and an h with an exact ``subdiff_dist``, the exact minimizer in closed
+    form (``_solve_separable``): one prox call with per-coordinate
+    thresholds for each evaluation of the secular equation, at most
+    ``max_inner`` of them, reported as the certificate's inner iterations,
+    and the witness None; ``warm`` is not used.  It ends
+    through the same stopping rule as below; when it does not certify, or
+    some H_i <= 0, the iteration below solves the step instead.
+
+    Otherwise, for p = 2, proximal gradient on the regularized model until
+    certified.  Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the
+    decrease guarantee is preserved).  Each iteration backtracks the step
+    size by halving until the standard sufficient-decrease test holds and m
+    does not increase, takes the prox step, and keeps the witness subgradient
     p = (y_t - y_{t+1})/alpha - model_grad(y_t), which lies in dh(y_{t+1})
     by the prox optimality condition.  The first search starts at 1; each
     later one starts at 2 * alpha_prev, where alpha_prev is the step
@@ -297,7 +364,8 @@ def solve_subproblem(
     acceptance test.
 
     Returns (y, certificate, witness); witness is None when the certificate
-    came from the exact subdifferential distance at y = y0.
+    came from the exact subdifferential distance at y = y0 or from the
+    closed-form step.
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -313,6 +381,10 @@ def solve_subproblem(
     if p == 1:
         return _solve_first_order(problem, center, M, theta)
     h = problem.nonsmooth
+    if h.subdiff_dist is not None and center.Hx.ndim == 1:
+        out = _solve_separable(problem, center, M, theta, max_inner)
+        if out is not None:
+            return out
     x = center.x
     # model values relative to F(x) (``_model``): m(y) - F(x) = dm(y) + h(y),
     # which is h(x) at the center

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from nhota import CompositeProblem, SmoothOracle, l1_term
-from nhota.core import dense_hessian
+from nhota.checks import with_dense_hessian  # noqa: F401  (shared with nhota check)
 
 
 def _problem_1d(value, grad, hess) -> CompositeProblem:
@@ -41,14 +41,6 @@ def times(problem: CompositeProblem, lam: float, c: float) -> CompositeProblem:
 def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
     """Same problem, but h no longer reports exact subdifferential distances."""
     return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))
-
-
-def with_dense_hessian(problem):
-    """Same problem with ``hess`` returning the dense n-by-n matrix, also
-    where the problem's own callback returns a diagonal as a vector."""
-    hess = problem.smooth.hess
-    return replace(problem, smooth=replace(problem.smooth,
-                                           hess=lambda x: dense_hessian(hess(x))))
 
 
 def with_oracle_calls(problem):

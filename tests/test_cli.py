@@ -1,12 +1,16 @@
 """Config parsing, file outputs, determinism, and process exit codes."""
 
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nhota
 from nhota import cli, checks
 from nhota.cli import (
     ConfigError,
@@ -297,6 +301,17 @@ def test_gen_data_rejects_diagonal_instances(tmp_path):
     cfg = parse_config(write(tmp_path, DIAG_CFG))
     with pytest.raises(ConfigError):
         cli.gen_data(cfg)
+
+
+def test_import_loads_no_scipy():
+    # the bench times imports in fresh interpreters (setup_s), and a cold
+    # scipy import alone costs most of a second: the package must not load it
+    src = str(Path(nhota.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nhota, nhota.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- exit codes

@@ -93,6 +93,22 @@ def test_l1_term_zero_weight_is_identity_prox():
     assert abs(term.subdiff_dist(g, v) - 5.0) <= 1e-15
 
 
+@pytest.mark.parametrize("lam", [0.3, 0.0])
+def test_l1_term_prox_takes_a_threshold_per_coordinate(lam):
+    # an array tau is the prox in the metric diag(1/tau): coordinate i is
+    # soft-thresholded at tau_i * lam, as the scalar prox would at that tau
+    term = l1_term(lam)
+    v = np.array([1.0, -2.0, 0.0, 0.4])
+    tau = np.array([0.5, 4.0, 1.0, 2.0])
+    expected = [term.prox(v[i:i + 1], float(tau[i]))[0] for i in range(4)]
+    assert np.array_equal(term.prox(v, tau), expected)
+    for bad in (np.array([0.5, 0.0, 1.0, 2.0]), np.array([0.5, -4.0, 1.0, 2.0]),
+                np.array([0.5, np.nan, 1.0, 2.0]), np.full(3, 0.5), np.full((4, 1), 0.5),
+                np.full((4, 4), 0.5), 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            term.prox(v, bad)
+
+
 def test_l1_term_rejects_negative_weight():
     with pytest.raises(ValueError):
         l1_term(-0.1)

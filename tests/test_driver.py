@@ -324,8 +324,12 @@ def test_x_scaled_runs_end_where_the_unscaled_run_does(log_a, p, family, seed):
 @example(n=127, seed=54, lam=0.1, p=2, u=0.83, stop_exp=9.0)  # ends at precision-floor
 def test_diagonal_hessian_as_a_vector_runs_as_the_dense_matrix(n, seed, lam, p, u, stop_exp):
     # the diagonal's elementwise product gives the doubles of the dense H @ d
-    # (each entry is d_i x_i plus exact zeros), so the runs agree bit for bit
+    # (each entry is d_i x_i plus exact zeros), so the runs agree bit for bit.
+    # An opaque h keeps the diagonal p = 2 runs on the proximal-gradient loop;
+    # with an exact subdiff_dist they take the closed-form step instead
+    # (test_inner's closed-form property compares that step with the loop)
     prob, _, x0 = gen_diag_quad_l1(n, seed=seed, lam=lam)
+    prob = without_subdiff(prob)
     cfg = RunConfig(p=p, u=u, stop_f=-np.inf, stop_stat=10.0 ** -stop_exp)
     diag = nhota_run(prob, x0, cfg)
     dense = nhota_run(with_dense_hessian(prob), x0, cfg)
@@ -409,8 +413,11 @@ def test_p1_start_M_on_a_diagonal_quadratic_stays_within_its_curvature(monkeypat
 
 def test_p2_steps_on_a_diagonal_quadratic_start_at_M0(monkeypatch):
     # F is its own second-order Taylor model, so grad F - grad T_2 is zero
-    # up to rounding and no step starts above M0
+    # up to rounding and no step starts above M0.  The dense Hessian keeps
+    # the run on the proximal-gradient loop, whose inexact steps take more
+    # than the closed form's two
     prob, _, x0 = gen_diag_quad_l1(20, seed=0)
+    prob = with_dense_hessian(prob)
     cfg = RunConfig(p=2, stop_f=-np.inf)
     started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     assert len(trace.rows) >= 3
@@ -454,10 +461,11 @@ def test_scaled_objective_runs_end_stationary_or_at_the_floor(log_c, p, family, 
 def test_p2_run_on_a_flat_objective_keeps_its_inner_solves_short():
     # objective x 1e-3, so 1/L is far above 1.  With every inner step capped
     # at 1 this run took 123 steps, 45 of its 169 solves ran out of
-    # max_inner and one row spent 2500 inner iterations
+    # max_inner and one row spent 2500 inner iterations.  The dense Hessian
+    # keeps the run on the proximal-gradient loop
     prob, data, x0 = gen_diag_quad_l1(20, seed=0)
     cfg = RunConfig(p=2, stop_f=-np.inf, stop_stat=1e-12)
-    trace = nhota_run(times(prob, data.lam, 1e-3), x0, cfg)
+    trace = nhota_run(with_dense_hessian(times(prob, data.lam, 1e-3)), x0, cfg)
     assert trace.status == STATUS_PRECISION_FLOOR
     assert len(trace.rows) <= 50
     assert max(row.inner_iters for row in trace.rows) < cfg.max_inner

@@ -13,6 +13,7 @@ from nhota import (
     InnerSolveFailure,
     ModelCenter,
     RunConfig,
+    SmoothOracle,
     certify,
     diag_quad_problem,
     driver,
@@ -22,9 +23,10 @@ from nhota import (
     nhota_run,
     solve_subproblem,
 )
+from nhota.checks import closed_form_against_loop
 from nhota.inner import center_stationarity, residual_floor, stationarity_resolution
 from nhota.taylor import model_value
-from support import quadratic_1d, times, without_subdiff
+from support import quadratic_1d, times, with_dense_hessian, without_subdiff
 
 
 def test_quadratic_reaches_exact_minimizer():
@@ -102,7 +104,9 @@ def test_certify_needs_witness_when_h_is_opaque():
 
 
 def test_start_at_minimizer_is_certified_immediately():
-    prob, data, _ = gen_diag_quad_l1(8, seed=6)
+    # the proximal-gradient loop's start check; the dense Hessian keeps the
+    # solve off the closed-form step, which always takes one prox call
+    prob = with_dense_hessian(gen_diag_quad_l1(8, seed=6)[0])
     x_star, _ = prob.known_opt
     center = ModelCenter.from_oracle(prob.smooth, x_star, p=2)
     y, cert, witness = solve_subproblem(prob, center, M=1.0, theta=0.1)
@@ -184,8 +188,10 @@ def test_stalled_certificate_carries_the_stall_verdict(exact_h, p):
 def test_stall_verdict_follows_the_center_stationarity(monkeypatch):
     # driven far past stop_stat, this p = 2 run stalls once at a center that
     # is not yet stationary to working precision (the candidate goes to the
-    # acceptance test) and once at one that is (the run stops there)
+    # acceptance test) and once at one that is (the run stops there).  The
+    # dense Hessian keeps the run on the proximal-gradient loop
     prob, _, x0 = gen_diag_quad_l1(20, seed=0)
+    prob = with_dense_hessian(prob)
     cfg = RunConfig(p=2, stop_stat=1e-12, stop_f=-np.inf, max_inner=100)
     stalled = []
 
@@ -236,12 +242,14 @@ def test_large_objective_value_does_not_end_the_run_early(make, C, stop_stat):
 
 
 def with_prox_counter(problem: CompositeProblem) -> tuple[CompositeProblem, list]:
-    """Same problem with h.prox wrapped; the list collects one entry per call."""
+    """Same problem with h.prox wrapped; the list collects one entry per call,
+    a float array copy of its tau: 0-d for a scalar, v's shape for the
+    per-coordinate thresholds of the closed-form p = 2 step."""
     calls = []
     prox = problem.nonsmooth.prox
 
     def counted_prox(v, tau):
-        calls.append(tau)
+        calls.append(np.array(tau, dtype=float))
         return prox(v, tau)
 
     return replace(problem, nonsmooth=replace(problem.nonsmooth, prox=counted_prox)), calls
@@ -251,9 +259,9 @@ def test_backtracking_carries_the_step_size_between_iterations():
     # objective x 1e3, so 1/L is far below the first trial step 1: restarting
     # every search at 1 costs about log2(L) prox calls per inner iteration,
     # while a carried step pays that descent once and then at most a few per
-    # iteration
+    # iteration.  The dense Hessian keeps the solve on the loop
     prob, data, x0 = gen_diag_quad_l1(20, seed=3)
-    prob, calls = with_prox_counter(times(prob, data.lam, 1e3))
+    prob, calls = with_prox_counter(with_dense_hessian(times(prob, data.lam, 1e3)))
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     M, theta = 1e3, 1e-3
     y, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
@@ -272,9 +280,9 @@ def test_backtracking_carries_the_step_size_between_iterations():
 def test_carried_step_size_grows_past_one_on_a_flat_model():
     # objective x 1e-3, so 1/L is far above the first trial step 1: the
     # carried step doubles past it.  Capped at 1, this solve took 178
-    # iterations
+    # iterations.  The dense Hessian keeps the solve on the loop
     prob, data, x0 = gen_diag_quad_l1(20, seed=3)
-    prob, calls = with_prox_counter(times(prob, data.lam, 1e-3))
+    prob, calls = with_prox_counter(with_dense_hessian(times(prob, data.lam, 1e-3)))
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     y, cert, witness = solve_subproblem(prob, center, M=1e-3, theta=1e-3)
     assert cert.valid and not cert.stalled
@@ -306,7 +314,8 @@ def test_one_hessian_product_per_trial_point():
 
 def test_one_diagonal_product_per_trial_point():
     # a diagonal Hessian kept as its vector: one elementwise H * d per prox
-    # call, one at the start, one for a warm start, and no matrix product
+    # call, one at the start, one for a warm start, and no matrix product.
+    # An opaque h keeps the solve on the loop with H still a vector
     products = []
 
     class CountingVector(np.ndarray):
@@ -318,7 +327,7 @@ def test_one_diagonal_product_per_trial_point():
             raise AssertionError("a diagonal Hessian took a matrix product")
 
     prob, _, x0 = gen_diag_quad_l1(50, seed=1, d_range=(0.01, 100.0))
-    prob, prox_calls = with_prox_counter(prob)
+    prob, prox_calls = with_prox_counter(without_subdiff(prob))
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     assert center.Hx.shape == (50,)
     vars(center)["Hx"] = center.Hx.view(CountingVector)  # the cached slot
@@ -328,6 +337,41 @@ def test_one_diagonal_product_per_trial_point():
         del prox_calls[:], products[:]
         solve_subproblem(prob, center, M=2.0, theta=1e-6, warm=start)
         assert 0 < len(products) <= len(prox_calls) + 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**16),
+       lam=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), log_M=st.floats(-6.0, 6.0))
+def test_closed_form_p2_step_certifies_and_is_no_worse_than_the_loop(n, seed, lam, log_M):
+    # a diagonal Hessian as its vector and an exact subdiff_dist select the
+    # closed-form step: one prox call per root-finder evaluation, each with
+    # the per-coordinate thresholds 1/(H + M r/2).  It re-certifies from
+    # scratch, and the subproblem objective at it is at most the dense
+    # proximal-gradient loop's, plus rounding
+    M, theta = 10.0**log_M, 0.1
+    plain, _, x0 = gen_diag_quad_l1(n, seed=seed, lam=lam)
+    prob, calls = with_prox_counter(plain)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    _, cert, witness = solve_subproblem(prob, center, M=M, theta=theta)
+    assert witness is None and len(calls) == cert.inner_iters
+    assert all(tau.shape == (n,) and np.all(tau <= 1.0 / center.Hx) for tau in calls)
+    _, failures = closed_form_against_loop(plain, x0, M, theta)
+    assert not failures, failures
+
+
+def test_closed_form_falls_back_to_the_loop_on_a_nonpositive_curvature():
+    # with some H_i <= 0 some a_i = H_i + M r/2 is not positive near r = 0,
+    # so the root is not bracketed there and the loop solves the step
+    d = np.array([2.0, -1.0, 0.5])
+    smooth = SmoothOracle(dim=3, order=2, value=lambda x: 0.5 * float(d @ x**2),
+                          grad=lambda x: d * x, hess=lambda x: d)
+    prob, calls = with_prox_counter(CompositeProblem(smooth=smooth, nonsmooth=l1_term(0.1)))
+    x0 = np.array([1.0, 0.5, -1.0])
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    y, cert, witness = solve_subproblem(prob, center, M=1.0, theta=0.1)
+    assert cert.valid and witness is not None
+    assert calls and all(tau.shape == () for tau in calls)
+    assert certify(prob, center, y, M=1.0, theta=0.1).valid
 
 
 @pytest.mark.parametrize("exact_h", [True, False])
