@@ -11,6 +11,7 @@ checked at the points where they enter the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,15 +35,34 @@ class OracleContractError(OracleFailure, ValueError):
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
-    """Convert to a 1-D float64 array, rejecting non-finite entries."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    """Convert to a 1-D float64 array, rejecting non-finite entries.
+
+    A 1-D float64 ndarray is returned as it is, without a copy (as
+    ``np.asarray`` would), after the same shape, dimension and finiteness
+    checks; anything else (int, list, scalar, 0-d) goes through
+    ``np.asarray`` and ``np.atleast_1d`` first.
+    """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
+        v = x
+    else:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def norm(v: Vector) -> float:
+    """Euclidean norm of a real 1-D array, as a float.
+
+    ``sqrt(v @ v)`` is what ``np.linalg.norm`` computes for such an array,
+    bit for bit, without its dispatch on dtype, ``ord`` and ``axis``; the
+    solver calls this on every trial point.
+    """
+    return sqrt(float(v @ v))
 
 
 def dense_hessian(H) -> Matrix:
@@ -66,7 +86,7 @@ def _subdiff_dist_l1(g: Vector, x: Vector, lam: float) -> float:
         g + lam * np.sign(x),
         np.sign(g) * np.maximum(np.abs(g) - lam, 0.0),
     )
-    return float(np.linalg.norm(r))
+    return norm(r)
 
 
 def prox_l1(v: Vector, tau: float) -> Vector:
@@ -161,10 +181,16 @@ def l1_term(lam: float) -> NonsmoothTerm:
         return lam * float(np.abs(np.asarray(x, dtype=float)).sum())
 
     def prox(v: Vector, tau: float | Vector) -> Vector:
-        try:
-            bad = not tau > 0  # one comparison for a float, or a one-element array
-        except ValueError:  # an array of thresholds has no truth value
-            bad = np.shape(tau) != np.shape(v) or not np.all(tau > 0)
+        """Soft threshold at tau * lam, for a positive float ``tau`` or a
+        positive array of v's shape.  A float is tested with one
+        comparison and an array with one elementwise test; neither goes
+        through an exception."""
+        if isinstance(tau, float):
+            bad = not tau > 0
+        elif np.shape(tau) == np.shape(v):  # one threshold per coordinate
+            bad = not np.all(tau > 0)
+        else:  # another scalar type or a one-element array, broadcast over v
+            bad = np.size(tau) != 1 or not tau > 0
         if bad:
             raise ValueError(f"tau must be positive, a float or an array of shape "
                              f"{np.shape(v)}, got {tau!r}")

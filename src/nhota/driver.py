@@ -29,14 +29,14 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
-from math import factorial
+from math import factorial, isfinite, isnan
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .core import CompositeProblem, OracleFailure, Vector, as_vector
+from .core import CompositeProblem, OracleFailure, Vector, as_vector, norm
 from .inner import InnerSolveFailure, StepCertificate, center_stationarity, solve_subproblem
-from .taylor import ModelCenter, _model
+from .taylor import ModelCenter
 
 STATUS_STATIONARY = "stationary"
 STATUS_PRECISION_FLOOR = "precision-floor"
@@ -165,8 +165,9 @@ class Trial:
     That is the inner solve at M, the raises of M before it and the step's
     inner iterations up to and including it, and, for a candidate,
     everything the acceptance test and the next step read: F(y), f(y), the
-    remainder estimate a rejection raises M by, and grad T_p(y; x), from
-    which the driver forms the next step's secant M.  A ``stationary``
+    remainder estimate a rejection raises M by, and the certificate's h(y)
+    and grad T_p(y; x), from which the driver forms the next center and the
+    next step's secant M.  A ``stationary``
     trial's certificate keeps the working-precision resolution the run
     reports.  None of it needs the center's Hessian again, so a trial can
     be replayed from a center whose Hessian was never formed.
@@ -184,7 +185,6 @@ class Trial:
     f_cand: float = np.nan
     F_cand: float = np.nan
     needed: float = 0.0  # remainder_estimate of a candidate
-    taylor_grad: Optional[Vector] = None  # grad T_p(y; x) of a candidate
 
 
 def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
@@ -192,7 +192,9 @@ def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
               prior_iters: int) -> Trial:
     """One trial from the center at M, seeded with the rejected candidate
     ``warm``, after ``doublings`` raises of M and ``prior_iters`` inner
-    iterations in this step; see ``try_step`` for what each outcome means."""
+    iterations in this step; see ``try_step`` for what each outcome means.
+    A candidate costs one F(y): h(y) and the Taylor terms at y come with the
+    certificate."""
     try:
         y, cert, witness = solve_subproblem(
             problem, center, M, config.theta, max_inner=config.max_inner, warm=warm,
@@ -205,28 +207,27 @@ def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
     if warm is not None and np.array_equal(y, warm):
         return Trial(TRIAL_REPEAT, M, doublings, step_iters)
     F_cand = float(problem.smooth.value(y))
-    f_cand = F_cand + float(problem.nonsmooth.value(y))
-    if np.isnan(f_cand):
+    f_cand = F_cand + cert.h_value
+    if isnan(f_cand):
         raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
-    model_change, taylor_grad = _model(center, y, 0.0)  # one H.d for both
-    needed = remainder_estimate(F_cand - center.fx, model_change, cert.step_norm,
+    needed = remainder_estimate(F_cand - center.fx, cert.taylor_change, cert.step_norm,
                                 center.p, config.Mtilde)
     return Trial(TRIAL_CANDIDATE, M, doublings, step_iters, y, cert, witness, f_cand,
-                 F_cand, needed, taylor_grad)
+                 F_cand, needed)
 
 
 @dataclass
 class StepRecord:
     """What the runs on ``problem`` inside one ``shared_steps`` block share.
 
-    ``centers`` maps (x, p) to F(x) and grad F(x); ``trials`` maps (x, M at
+    ``centers`` maps (x, p) to F(x), grad F(x) and h(x); ``trials`` maps (x, M at
     the start of a step, the ``RunConfig`` fields a step reads) to the
     trials run from there, in order.  Every entry is O(n) floats; no
     Hessian is kept.
     """
 
     problem: CompositeProblem
-    centers: dict[tuple, tuple[float, Vector]] = field(default_factory=dict)
+    centers: dict[tuple, tuple[float, Vector, float]] = field(default_factory=dict)
     trials: dict[tuple, list[Trial]] = field(default_factory=dict)
 
 
@@ -261,20 +262,21 @@ def _record(problem: CompositeProblem) -> Optional[StepRecord]:
     return record if record is not None and record.problem is problem else None
 
 
-def _model_center(problem: CompositeProblem, x: Vector, p: int,
+def _model_center(problem: CompositeProblem, x: Vector, p: int, hx: float,
                   fx: Optional[float] = None) -> ModelCenter:
-    """``ModelCenter.from_oracle`` at x, or inside ``shared_steps`` the
-    center an earlier run recorded there: no oracle call, and its Hessian is
-    formed only if a live solve reads it."""
+    """``ModelCenter.from_oracle`` at x, with h(x) = ``hx``, or inside
+    ``shared_steps`` the center an earlier run recorded there: no oracle
+    call, and its Hessian is formed only if a live solve reads it."""
     record = _record(problem)
     if record is None:
-        return ModelCenter.from_oracle(problem.smooth, x, p, fx=fx)
+        return ModelCenter.from_oracle(problem.smooth, x, p, fx=fx, hx=hx)
     key = (x.tobytes(), p)
     known = record.centers.get(key)
     if known is not None:
-        return ModelCenter(x=x, fx=known[0], gx=known[1], p=p, oracle=problem.smooth)
-    center = ModelCenter.from_oracle(problem.smooth, x, p, fx=fx)
-    record.centers[key] = (center.fx, center.gx)
+        fx, gx, hx = known
+        return ModelCenter(x=x, fx=fx, gx=gx, p=p, oracle=problem.smooth, hx=hx)
+    center = ModelCenter.from_oracle(problem.smooth, x, p, fx=fx, hx=hx)
+    record.centers[key] = (center.fx, center.gx, hx)
     return center
 
 
@@ -474,8 +476,9 @@ def check_reference_descent(
 def taylor_grad_error(trial: Trial, next_center: ModelCenter) -> float:
     """||grad F(y) - grad T_p(y; x)|| at the accepted candidate y =
     next_center.x, from the gradient the next center already holds and the
-    trial's grad T_p(y; x): no oracle call and no Hessian product."""
-    return float(np.linalg.norm(next_center.gx - trial.taylor_grad))
+    grad T_p(y; x) on the trial's certificate: no oracle call and no Hessian
+    product."""
+    return norm(next_center.gx - trial.cert.taylor_grad)
 
 
 def secant_M(grad_err: float, step_norm: float, p: int, M0: float) -> float:
@@ -543,9 +546,10 @@ def nhota_steps(
     exact_stat = h.subdiff_dist is not None
     trace.stationarity_kind = "exact" if exact_stat else "bound"
 
-    center = _model_center(problem, x, config.p)
-    fk = center.fx + float(h.value(x))
-    if not np.isfinite(fk):
+    hx = float(h.value(x))
+    center = _model_center(problem, x, config.p, hx)
+    fk = center.fx + hx
+    if not isfinite(fk):
         raise OracleFailure("f(x0) is not finite")
     R = fk
     stat: Optional[float] = center_stationarity(problem, center) if exact_stat else None
@@ -581,10 +585,10 @@ def nhota_steps(
             break
 
         f_new = step.f_cand
-        if not np.isfinite(f_new):
+        if not isfinite(f_new):
             raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
-        next_center = _model_center(problem, y, config.p, fx=step.F_cand)
+        next_center = _model_center(problem, y, config.p, cert.h_value, fx=step.F_cand)
         taylor_err = taylor_grad_error(step, next_center)
         new_stat = (center_stationarity(problem, next_center) if exact_stat
                     else _stationarity_bound(taylor_err, cert, step.M, config.p))

@@ -26,12 +26,20 @@ the prox-step witness subgradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isfinite, sqrt
 from typing import Optional
 
 import numpy as np
 
-from .core import CompositeProblem, OracleContractError, Vector
+from .core import (
+    CompositeProblem,
+    NonsmoothTerm,
+    OracleContractError,
+    OracleFailure,
+    Vector,
+    norm,
+)
 from .taylor import ModelCenter, _model, model_grad, model_value
 
 # A certified candidate this close to the center is a collapsed step.  The
@@ -55,7 +63,7 @@ _SQRT_EPS = float(np.sqrt(_EPS))
 
 def residual_floor(center: ModelCenter) -> float:
     """Smallest residual distinguishable from zero at this center's scale."""
-    return RESIDUAL_FLOOR_COEFF * (1.0 + float(np.linalg.norm(center.gx)))
+    return RESIDUAL_FLOOR_COEFF * (1.0 + center.g_norm)
 
 
 def stationarity_resolution(center: ModelCenter, M: float) -> float:
@@ -80,17 +88,35 @@ def stationarity_resolution(center: ModelCenter, M: float) -> float:
     """
     magnitude = 1.0 + abs(center.fx)
     curvature = center.hess_absmax if center.p == 2 else M
-    return max(_SQRT_EPS * (magnitude + float(np.linalg.norm(center.gx))),
-               float(np.sqrt(_EPS * magnitude * curvature)))
+    return max(_SQRT_EPS * (magnitude + center.g_norm), sqrt(_EPS * magnitude * curvature))
 
 
-def _prox(problem: CompositeProblem, v: Vector, tau: float) -> Vector:
-    """h.prox(v, tau) as a float array, checked to have v's shape: the model
-    kernel does no validation and would broadcast any other shape."""
+def _prox(problem: CompositeProblem, v: Vector, tau: float | Vector) -> Vector:
+    """h.prox(v, tau) as a float array, checked to have v's shape (the model
+    kernel does no validation and would broadcast any other shape) and to be
+    finite wherever v is: a NaN or Inf point from a finite v is h's failure,
+    which no larger M can repair, so it raises ``OracleFailure``."""
     y = np.asarray(problem.nonsmooth.prox(v, tau), dtype=float)
     if y.shape != v.shape:
         raise OracleContractError(f"prox returned shape {y.shape} for a {v.shape} input")
+    if not np.isfinite(y).all() and np.isfinite(v).all():
+        raise OracleFailure("prox returned a non-finite point for a finite input")
     return y
+
+
+def _subdiff_dist(h: NonsmoothTerm, g: Vector, x: Vector) -> float:
+    """h.subdiff_dist(g, x) as a float, checked to be finite when g and x are:
+    a NaN there would pass for a residual below every threshold that the
+    stopping rule compares it with, so it raises ``OracleFailure``."""
+    dist = float(h.subdiff_dist(g, x))
+    if not isfinite(dist) and np.isfinite(g).all() and np.isfinite(x).all():
+        raise OracleFailure(f"subdiff_dist returned {dist} at a finite point")
+    return dist
+
+
+def _h_center(problem: CompositeProblem, center: ModelCenter) -> float:
+    """h(x) as the center carries it, or evaluated when it carries none."""
+    return float(problem.nonsmooth.value(center.x)) if center.hx is None else center.hx
 
 
 def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float:
@@ -110,9 +136,9 @@ def center_stationarity(problem: CompositeProblem, center: ModelCenter) -> float
     """
     h = problem.nonsmooth
     if h.subdiff_dist is not None:
-        return float(h.subdiff_dist(center.gx, center.x))
+        return _subdiff_dist(h, center.gx, center.x)
     z = _prox(problem, center.x - center.gx, 1.0)
-    return float(np.linalg.norm(center.x - z))
+    return norm(center.x - z)
 
 
 class InnerSolveFailure(RuntimeError):
@@ -145,6 +171,13 @@ class StepCertificate:
     certificate whose center is stationary to working precision it is that
     resolution, ``stationarity_resolution(center, M)``, and the driver
     stops at the center; otherwise it is None.
+
+    A certificate from ``solve_subproblem`` also carries what the solve
+    already formed at y for the driver's acceptance test and next step:
+    ``h_value`` = h(y), ``taylor_change`` = T_p(y; x) - F(x) and
+    ``taylor_grad`` = grad T_p(y; x), equal to a fresh ``h.value(y)`` and
+    ``taylor._model(center, y, 0.0)``.  ``certify`` recomputes only the
+    facts above and leaves them None.
     """
 
     decrease_ok: bool
@@ -154,6 +187,10 @@ class StepCertificate:
     inner_iters: int
     stalled: bool = False
     resolution: Optional[float] = None
+    # carried for the driver, not certified: equality ignores them
+    h_value: Optional[float] = field(default=None, compare=False)
+    taylor_change: Optional[float] = field(default=None, compare=False)
+    taylor_grad: Optional[Vector] = field(default=None, compare=False, repr=False)
 
     @property
     def valid(self) -> bool:
@@ -166,14 +203,14 @@ def _residual(problem: CompositeProblem, g_reg: Vector, y: Vector,
     otherwise the upper bound ||g_reg + witness|| from a prox witness."""
     h = problem.nonsmooth
     if h.subdiff_dist is not None:
-        return float(h.subdiff_dist(g_reg, y))
+        return _subdiff_dist(h, g_reg, y)
     if witness is None:
         raise ValueError("h has no subdiff_dist and no witness was supplied")
-    return float(np.linalg.norm(g_reg + witness))
+    return norm(g_reg + witness)
 
 
 def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
-            res: float, thr: float, step_norm: float, iters: int,
+            model_y: tuple, h_y: float, res: float, thr: float, iters: int,
             witness: Optional[Vector], decrease_ok: bool = True):
     """The inner solver's one stopping rule: (y, certificate, witness), or None.
 
@@ -182,7 +219,8 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
     residual cleared its target or whose step moved m by no more than its
     rounding (eps * |m - F(x)|), an iterate that no step size moves, and a
     spent budget.
-    Given y's residual ``res`` and target ``thr`` = theta*||y - x||^p:
+    Given y's model terms ``model_y`` (``_model(center, y, M)``), h(y) as
+    ``h_y``, y's residual ``res`` and target ``thr`` = theta*||y - x||^p:
 
     * **certified** when the model decreased and ``res`` is at most ``thr``
       plus ``residual_floor(center)`` (the residual is computed from
@@ -203,26 +241,29 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
     resolution grows with) when the center's own stationarity
     (``center_stationarity``) is at most that, and None when it is not.
     Callers that may not continue treat None as a failure
-    (``_finish_or_raise``).
+    (``_finish_or_raise``).  Every certificate carries h(y) and y's bare
+    Taylor terms, so the driver evaluates neither again.
     """
+    _, _, step_norm, taylor_change, taylor_grad = model_y
     certified = decrease_ok and res <= thr + residual_floor(center)
-    if certified and step_norm > DEGENERATE_STEP_RTOL * (1.0 + float(np.linalg.norm(center.x))):
-        return y, StepCertificate(True, res, thr, step_norm, iters), witness
-    resolution = stationarity_resolution(center, M)
-    if not certified and res > resolution:
-        return None
-    if center_stationarity(problem, center) > resolution:
-        resolution = None
-    return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled=True,
-                              resolution=resolution), witness
+    if certified and step_norm > DEGENERATE_STEP_RTOL * (1.0 + center.x_norm):
+        stalled, resolution = False, None
+    else:
+        stalled, resolution = True, stationarity_resolution(center, M)
+        if not certified and res > resolution:
+            return None
+        if center_stationarity(problem, center) > resolution:
+            resolution = None
+    return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled, resolution,
+                              h_y, taylor_change, taylor_grad), witness
 
 
 def _finish_or_raise(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
-                     res: float, thr: float, step_norm: float, iters: int,
+                     model_y: tuple, h_y: float, res: float, thr: float, iters: int,
                      witness: Optional[Vector], why: str, decrease_ok: bool = True):
     """``_finish``'s result, or ``InnerSolveFailure`` where it gives None; the
     driver responds to that by doubling M."""
-    out = _finish(problem, center, M, y, res, thr, step_norm, iters, witness, decrease_ok)
+    out = _finish(problem, center, M, y, model_y, h_y, res, thr, iters, witness, decrease_ok)
     if out is not None:
         return out
     raise InnerSolveFailure(
@@ -241,17 +282,15 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     point, through the same stopping rule (``_finish``) as the p = 2
     iteration.
     """
-    h = problem.nonsmooth
     x, g = center.x, center.gx
     y = _prox(problem, x - g / M, 1.0 / M)
     witness = M * (x - y) - g
-    dm, g_reg = _model(center, y, M)
-    res = _residual(problem, g_reg, y, witness)
-    step_norm = float(np.linalg.norm(y - x))
-    thr = theta * step_norm
-    decrease_ok = dm + float(h.value(y)) <= float(h.value(x))
-    return _finish_or_raise(problem, center, M, y, res, thr, step_norm, 1, witness,
-                            "closed-form prox step not certified",
+    model_y = _model(center, y, M)
+    h_y = float(problem.nonsmooth.value(y))
+    res = _residual(problem, model_y[1], y, witness)
+    decrease_ok = model_y[0] + h_y <= _h_center(problem, center)
+    return _finish_or_raise(problem, center, M, y, model_y, h_y, res, theta * model_y[2], 1,
+                            witness, "closed-form prox step not certified",
                             decrease_ok=decrease_ok)
 
 
@@ -277,12 +316,12 @@ def _solve_separable(problem: CompositeProblem, center: ModelCenter, M: float,
     def y_at(r: float) -> tuple[Vector, float]:
         tau = 1.0 / (H + (0.5 * M) * r)
         y = _prox(problem, x - g * tau, tau)
-        return y, float(np.linalg.norm(y - x)) - r
+        return y, norm(y - x) - r
 
     y, f = y_at(0.0)
     lo, hi, f_lo, f_hi, iters = 0.0, f, f, 0.0, 1
     # phi's own rounding: y - x cancels at the scale of ||x|| + ||y(0) - x||
-    tol = 4.0 * _EPS * (hi + float(np.linalg.norm(x)))
+    tol = 4.0 * _EPS * (hi + center.x_norm)
     r, side = hi, 0  # side: which end the last point replaced, +1 lo, -1 hi
     while abs(f) > tol and hi - lo > _EPS * hi and iters < max_inner:
         y, f = y_at(r)
@@ -298,12 +337,11 @@ def _solve_separable(problem: CompositeProblem, center: ModelCenter, M: float,
                 f_lo *= 0.5
             side = -1
         r = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-    dm, g_reg = _model(center, y, M)
-    h = problem.nonsmooth
-    step_norm = float(np.linalg.norm(y - x))
-    decrease_ok = dm + float(h.value(y)) <= float(h.value(x))
-    return _finish(problem, center, M, y, _residual(problem, g_reg, y, None),
-                   theta * step_norm**2, step_norm, iters, None, decrease_ok)
+    model_y = _model(center, y, M)
+    h_y = float(problem.nonsmooth.value(y))
+    decrease_ok = model_y[0] + h_y <= _h_center(problem, center)
+    return _finish(problem, center, M, y, model_y, h_y, _residual(problem, model_y[1], y, None),
+                   theta * model_y[2]**2, iters, None, decrease_ok)
 
 
 def solve_subproblem(
@@ -388,30 +426,31 @@ def solve_subproblem(
     x = center.x
     # model values relative to F(x) (``_model``): m(y) - F(x) = dm(y) + h(y),
     # which is h(x) at the center
-    h_center = float(h.value(x))
+    h_center = _h_center(problem, center)
 
-    y, m_smooth, m_total = x.copy(), 0.0, h_center
-    g_reg = None
+    # y's model terms, h(y) and m(y) - F(x), from the center or the warm start
+    y, model_y, h_y, m_total = x.copy(), None, h_center, h_center
     if warm is not None:
-        ms, g_warm = _model(center, warm, M)
-        mt = ms + float(h.value(warm))
-        if np.isfinite(mt) and mt <= h_center:
-            y, m_smooth, m_total, g_reg = warm.copy(), ms, mt, g_warm
-    if g_reg is None:
-        g_reg = _model(center, y, M)[1]
+        model_warm = _model(center, warm, M)
+        h_warm = float(h.value(warm))
+        mt = model_warm[0] + h_warm
+        if isfinite(mt) and mt <= h_center:
+            y, model_y, h_y, m_total = warm.copy(), model_warm, h_warm, mt
+    if model_y is None:
+        model_y = _model(center, y, M)
+    m_smooth, g_reg, step_norm = model_y[:3]
     floor = residual_floor(center)
 
     # res, thr, step_norm and witness always describe the current iterate y;
     # with an opaque h no residual exists until the first prox step, so res
     # starts at inf and a solve that freezes before one fails.
-    step_norm = float(np.linalg.norm(y - x))
     thr = theta * step_norm**p
     witness: Optional[Vector] = None
     res = _residual(problem, g_reg, y, None) if h.subdiff_dist is not None else np.inf
     # The start point may already be certified (e.g. a stationary center,
     # or a warm start that survived an M increase).
     if res <= thr + floor:
-        return _finish(problem, center, M, y, res, thr, step_norm, 0, None)
+        return _finish(problem, center, M, y, model_y, h_y, res, thr, 0, None)
 
     alpha = 0.5  # the first search starts at 1
     for t in range(1, max_inner + 1):
@@ -420,9 +459,11 @@ def solve_subproblem(
         while True:
             y_new = _prox(problem, y - alpha * g_reg, alpha)
             d = y_new - y
-            ms_new, g_new = _model(center, y_new, M)
+            model_new = _model(center, y_new, M)
+            ms_new = model_new[0]
             if ms_new <= m_smooth + float(g_reg @ d) + float(d @ d) / (2.0 * alpha):
-                mt_new = ms_new + float(h.value(y_new))
+                h_new = float(h.value(y_new))
+                mt_new = ms_new + h_new
                 if mt_new <= m_total:
                     break
             alpha *= 0.5
@@ -432,22 +473,22 @@ def solve_subproblem(
         if not frozen:
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
-            return _finish_or_raise(problem, center, M, y, res, thr, step_norm, t, witness,
+            return _finish_or_raise(problem, center, M, y, model_y, h_y, res, thr, t, witness,
                                     f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
         drop = m_total - mt_new
-        y, m_smooth, m_total, g_reg = y_new, ms_new, mt_new, g_new
-        step_norm = float(np.linalg.norm(y - x))
+        y, model_y, h_y, m_total = y_new, model_new, h_new, mt_new
+        m_smooth, g_reg, step_norm = model_y[:3]
         res = _residual(problem, g_reg, y, witness)
         thr = theta * step_norm**p
         # certified, or a step that moved m by no more than its rounding:
         # floats have run out
         if res <= thr + floor or drop <= _EPS * abs(m_total):
-            out = _finish(problem, center, M, y, res, thr, step_norm, t, witness)
+            out = _finish(problem, center, M, y, model_y, h_y, res, thr, t, witness)
             if out is not None:
                 return out
 
-    return _finish_or_raise(problem, center, M, y, res, thr, step_norm, max_inner, witness,
+    return _finish_or_raise(problem, center, M, y, model_y, h_y, res, thr, max_inner, witness,
                             f"no certificate within {max_inner} inner iterations")
 
 

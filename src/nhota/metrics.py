@@ -234,7 +234,7 @@ def remainder_check(
         ys = _sample_ball(rng, x, radius)
         center = ModelCenter.from_oracle(problem.smooth, xs, p)
         gap = float(np.linalg.norm(ys - xs))
-        dt_ys, tg_ys = _model(center, ys, 0.0)  # T_p(ys) - F(xs) and its gradient
+        dt_ys, tg_ys = _model(center, ys, 0.0)[3:]  # T_p(ys) - F(xs) and its gradient
         f_ys = float(problem.smooth.value(ys))
         lhs = abs((f_ys - center.fx) - dt_ys)
         atol = _EVAL_ATOL * max(1.0, abs(f_ys))

@@ -16,9 +16,9 @@ The public ``taylor_value`` and ``model_value`` add F(x) back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial
+from math import factorial, isfinite
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     SmoothOracle,
     Vector,
     as_vector,
+    norm,
 )
 
 # Per-entry tolerance on hess(x) - hess(x).T, relative to max(1, max|H|): a
@@ -57,7 +58,7 @@ def _max_asymmetry(H: Matrix) -> float:
 
 @dataclass(frozen=True)
 class ModelCenter:
-    """Cached derivatives of F at an expansion point x.
+    """Cached derivatives of F at an expansion point x, and h(x).
 
     Holds everything needed to evaluate T_p and its gradient without
     further oracle calls.  ``Hx`` is None when p = 1; when p = 2 it is
@@ -66,6 +67,13 @@ class ModelCenter:
     Hessian.  ``Hx`` keeps the shape the oracle returned: the dense (n, n)
     matrix, or the length-n diagonal of a diagonal Hessian, which ``_model``
     multiplies elementwise.
+
+    The scales the inner solve reads at every trial are formed once per
+    center: ``x_norm`` = ||x|| and ``g_norm`` = ||grad F(x)|| when it is
+    built, and ``hx`` = h(x) when the caller knows it.  The driver does: it
+    passes h(x0), and at each accepted candidate y the h(y) its solve
+    formed.  A center built without ``hx`` leaves it None, and the solve
+    evaluates h(x) itself.
     """
 
     x: Vector
@@ -73,15 +81,23 @@ class ModelCenter:
     gx: Vector
     p: int
     oracle: SmoothOracle
+    hx: Optional[float] = None
+    x_norm: float = field(init=False, repr=False)
+    g_norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_norm", norm(self.x))
+        object.__setattr__(self, "g_norm", norm(self.gx))
 
     @classmethod
     def from_oracle(cls, oracle: SmoothOracle, x: Vector, p: int,
-                    fx: Optional[float] = None) -> "ModelCenter":
+                    fx: Optional[float] = None, hx: Optional[float] = None) -> "ModelCenter":
         """Value and gradient at x, checked; the Hessian waits for ``Hx``.
 
         ``fx``, when given, is F(x) as the caller already evaluated it (the
         driver's acceptance test does at every accepted point); it is used
         instead of a second ``oracle.value`` call and checked the same way.
+        ``hx``, when given, is h(x), kept as it is.
         """
         if p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {p}")
@@ -91,14 +107,14 @@ class ModelCenter:
             )
         x = as_vector(x, dim=oracle.dim)
         fx = float(oracle.value(x) if fx is None else fx)
-        if not np.isfinite(fx):
+        if not isfinite(fx):
             raise OracleFailure(f"F(x) is non-finite at x = {x!r}")
         gx = np.asarray(oracle.grad(x), dtype=float)
         if gx.shape != x.shape:
             raise OracleContractError(f"gradient shape {gx.shape} != point shape {x.shape}")
-        if not np.all(np.isfinite(gx)):
+        if not np.isfinite(gx).all():
             raise OracleFailure("gradient is non-finite")
-        return cls(x=x, fx=fx, gx=gx, p=p, oracle=oracle)
+        return cls(x=x, fx=fx, gx=gx, p=p, oracle=oracle, hx=hx)
 
     @cached_property
     def _hessian(self) -> tuple[Matrix, float]:
@@ -138,25 +154,29 @@ class ModelCenter:
         return 0.0 if self.p == 1 else self._hessian[1]
 
 
-def _model(center: ModelCenter, y: Vector, M: float) -> tuple[float, Vector]:
-    """Value and gradient of T_p(.; x) - F(x) + M/(p+1)! * ||. - x||^(p+1) at y.
+def _model(center: ModelCenter, y: Vector,
+           M: float) -> tuple[float, Vector, float, float, Vector]:
+    """The regularized model at y and the terms it is built from.
 
-    The value is relative to the center: 0 at y = x, with no F(x) term to
-    round against.  Both come from one displacement d = y - x and one H.d,
-    an elementwise product when ``Hx`` is a diagonal; the regularization
-    gradient is M/p! * ||d||^(p-1) * d.  M = 0 gives the bare Taylor
-    polynomial less F(x).  No validation: callers check their inputs first.
+    Returns (m, grad m, r, t, grad t): m = T_p(y; x) - F(x) + M/(p+1)! * r^(p+1)
+    and its gradient, r = ||y - x||, and the bare Taylor terms t =
+    T_p(y; x) - F(x) and grad t = grad T_p(y; x), which the regularization
+    is added to.  Values are relative to the center: 0 at y = x, with no
+    F(x) term to round against.  All come from one displacement d = y - x
+    and one H.d, an elementwise product when ``Hx`` is a diagonal; the
+    regularization gradient is M/p! * r^(p-1) * d.  At p = 1, grad t is
+    ``center.gx`` itself.  No validation: callers check their inputs first.
     """
     d = y - center.x
-    r = float(np.linalg.norm(d))
+    r = norm(d)
     p = center.p
-    value, grad = float(center.gx @ d), center.gx
+    t, grad_t = float(center.gx @ d), center.gx
     if p == 2:
         H = center.Hx
         Hd = H * d if H.ndim == 1 else H @ d
-        value, grad = value + 0.5 * float(d @ Hd), grad + Hd
-    return (value + M / factorial(p + 1) * r ** (p + 1),
-            grad + (M / factorial(p)) * r ** (p - 1) * d)
+        t, grad_t = t + 0.5 * float(d @ Hd), grad_t + Hd
+    return (t + M / factorial(p + 1) * r ** (p + 1),
+            grad_t + (M / factorial(p)) * r ** (p - 1) * d, r, t, grad_t)
 
 
 def _checked(center: ModelCenter, y: Vector,
@@ -168,7 +188,7 @@ def _checked(center: ModelCenter, y: Vector,
     y = np.asarray(y, dtype=float)
     if y.shape != center.x.shape:
         raise ValueError(f"point shape {y.shape} != center shape {center.x.shape}")
-    value, grad = _model(center, y, 0.0 if M is None else M)
+    value, grad = _model(center, y, 0.0 if M is None else M)[:2]
     return center.fx + value, grad
 
 

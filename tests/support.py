@@ -2,6 +2,7 @@
 
 The one-dimensional problems have h = 0."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,31 @@ def with_oracle_calls(problem):
                      grad=counted("grad", problem.smooth.grad))
     problem = replace(problem, smooth=smooth)
     calls.update(value=0, grad=0)  # drop the known_opt check's gradient
+    return problem, calls
+
+
+def with_callback_counts(problem):
+    """Same problem with every callback of F and h counted in the returned
+    Counter, under "value", "grad", "hess", "h_value", "prox" and "subdiff"."""
+    calls = Counter()
+
+    def counted(name, fn):
+        if fn is None:
+            return None
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    s, h = problem.smooth, problem.nonsmooth
+    problem = replace(
+        problem,
+        smooth=replace(s, value=counted("value", s.value), grad=counted("grad", s.grad),
+                       hess=counted("hess", s.hess)),
+        nonsmooth=replace(h, value=counted("h_value", h.value), prox=counted("prox", h.prox),
+                          subdiff_dist=counted("subdiff", h.subdiff_dist)))
+    calls.clear()  # drop the known_opt check's calls
     return problem, calls
 
 

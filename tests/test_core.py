@@ -6,6 +6,7 @@ subdifferential distance are named checks in ``nhota.checks``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhota import (
     CompositeProblem,
@@ -15,7 +16,7 @@ from nhota import (
     prox_l1,
     subdiff_dist_l1,
 )
-from nhota.core import as_vector
+from nhota.core import as_vector, norm
 
 
 # -------------------------------------------------------------- as_vector
@@ -25,17 +26,36 @@ def test_as_vector_accepts_lists_and_scalars():
     v = as_vector([1, 2, 3])
     assert v.dtype == np.float64 and v.shape == (3,)
     assert as_vector(2.5).shape == (1,)
+    for x, expected in ((np.arange(3), [0.0, 1.0, 2.0]), (np.array(4.0), [4.0]),
+                        (np.array([1.5], dtype=np.float32), [1.5])):
+        v = as_vector(x)
+        assert v.dtype == np.float64 and v.ndim == 1 and v.tolist() == expected
+
+
+def test_as_vector_returns_a_float_vector_as_it_is():
+    v = np.array([1.0, -2.0, 3.5])
+    assert as_vector(v) is v and as_vector(v, dim=3) is v
 
 
 def test_as_vector_rejects_bad_input():
-    with pytest.raises(ValueError):
-        as_vector([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.inf])
-    with pytest.raises(ValueError):
-        as_vector([1.0, 2.0], dim=3)
+    for form in (list, np.array):  # a float array takes the fast path
+        with pytest.raises(ValueError):
+            as_vector(form([[1.0, 2.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                as_vector(form([1.0, bad]))
+        with pytest.raises(ValueError):
+            as_vector(form([1.0, 2.0]), dim=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4000), low=st.floats(-150.0, 150.0), width=st.floats(0.0, 300.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_is_numpys_norm_bit_for_bit(n, low, width, seed):
+    # entries of magnitude 10**low to 10**(low + width), capped at 1e150
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) * 10.0 ** rng.uniform(low, min(low + width, 150.0), size=n)
+    assert norm(v) == float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------- prox_l1

@@ -1,5 +1,6 @@
 """Outer loop: reference sequence, acceptance rule, adaptive M, full runs."""
 
+from collections import Counter
 from dataclasses import replace
 from math import factorial
 
@@ -42,6 +43,7 @@ from support import (
     nan_hessian,
     quadratic_1d,
     times,
+    with_callback_counts,
     with_dense_hessian,
     with_hessian_calls,
     with_oracle_calls,
@@ -618,3 +620,63 @@ def test_trace_csv_row_roundtrip():
     assert float(cells[2]) == row.R
     assert float(cells[5]) == row.stationarity
     assert int(cells[6]) == row.inner_iters
+
+
+# ------------------------------------------------------- work per step
+
+
+def test_diag_runs_evaluate_h_once_per_trial_and_once_per_run(monkeypatch):
+    # the benchmark's diagonal round (n in {50, 500}, seeds 0-3, p in {1, 2}):
+    # each solve hands h(y) to the driver on its certificate, and an accepted
+    # point's h(y) becomes its center's h(x), so h is evaluated once per
+    # trial and once at each x0; the other callbacks keep their counts
+    solve, solves = driver.solve_subproblem, []
+    monkeypatch.setattr(driver, "solve_subproblem",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    totals, runs = Counter(), 0
+    for seed in range(4):
+        for n in (50, 500):
+            plain, _, x0 = gen_diag_quad_l1(n, seed=seed)
+            for p in (1, 2):
+                prob, calls = with_callback_counts(plain)
+                trace = nhota_run(prob, x0, RunConfig(p=p, u=0.5, stop_stat=1e-3))
+                assert trace.status == STATUS_STATIONARY
+                totals += calls
+                runs += 1
+    assert totals["h_value"] == len(solves) + runs
+    assert dict(totals) == {"value": 220, "grad": 188, "hess": 24,
+                            "h_value": 220, "prox": 312, "subdiff": 392}
+
+
+def _nan_from_call(fn, first):
+    """``fn`` whose calls from number ``first`` on return NaN in its output's shape."""
+    calls = []
+
+    def call(*args):
+        calls.append(1)
+        out = fn(*args)
+        return out * np.nan if len(calls) >= first else out
+    return call
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("fault", ["subdiff_dist", "prox", "opaque prox"])
+@pytest.mark.parametrize("first", [1, 4])
+def test_a_nan_from_h_fails_the_run(fault, first, p):
+    # a NaN distance passes every "<=" the stopping rule would fail, and so
+    # read as a point stationary to working precision; a NaN prox point
+    # froze the solve.  Either is h's failure, whether it comes at x0's
+    # stationarity test or inside a later solve
+    prob, _, x0 = gen_diag_quad_l1(8, seed=0)
+    h = prob.nonsmooth
+    if fault == "subdiff_dist":
+        h = replace(h, subdiff_dist=_nan_from_call(h.subdiff_dist, first))
+    else:
+        h = replace(h, prox=_nan_from_call(h.prox, first),
+                    subdiff_dist=None if fault == "opaque prox" else h.subdiff_dist)
+    prob = replace(prob, nonsmooth=h, known_opt=None)
+    trace = IterateTrace()
+    with pytest.raises(OracleFailure, match="returned"):
+        for _ in nhota_steps(prob, x0, RunConfig(p=p), trace):
+            pass
+    assert trace.status == ""

@@ -25,7 +25,7 @@ from nhota import (
 )
 from nhota.checks import closed_form_against_loop
 from nhota.inner import center_stationarity, residual_floor, stationarity_resolution
-from nhota.taylor import model_value
+from nhota.taylor import _model, model_value
 from support import quadratic_1d, times, with_dense_hessian, without_subdiff
 
 
@@ -453,6 +453,38 @@ def test_second_order_solve_ends_by_the_stopping_rule(family, exact_h, seed,
     fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
     assert fresh.decrease_ok
     assert fresh.threshold == cert.threshold and fresh.step_norm == cert.step_norm
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(hessian=st.sampled_from(["vector", "dense", "phase"]), exact_h=st.booleans(),
+       p=st.sampled_from([1, 2]), warm=st.booleans(), seed=st.integers(0, 10_000),
+       log_M=st.floats(-4.0, 4.0))
+def test_certificate_carries_what_a_fresh_evaluation_gives(hessian, exact_h, p, warm,
+                                                           seed, log_M):
+    # the driver takes h(y), T_p(y; x) - F(x) and grad T_p(y; x) from the
+    # certificate instead of evaluating them again: on every solve path (p = 1,
+    # the closed-form p = 2 step, the loop's last or warm iterate) they must
+    # be exactly what a fresh evaluation at y gives
+    if hessian == "phase":
+        prob, _, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=0.5)
+    else:
+        prob, _, x0 = gen_diag_quad_l1(20, seed=seed)
+        if hessian == "dense":
+            prob = with_dense_hessian(prob)
+    if not exact_h:
+        prob = without_subdiff(prob)
+    M = 10.0**log_M
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=p)
+    try:
+        # a warm start as the driver seeds one: the candidate of a smaller M
+        start = solve_subproblem(prob, center, M=M / 4, theta=0.1)[0] if warm else None
+        y, cert, _ = solve_subproblem(prob, center, M=M, theta=0.1, warm=start)
+    except InnerSolveFailure:
+        return
+    change, grad = _model(center, y, 0.0)[:2]
+    assert cert.h_value == prob.nonsmooth.value(y)
+    assert cert.taylor_change == change
+    assert np.array_equal(cert.taylor_grad, grad)
 
 
 def test_worse_warm_start_is_ignored():
