@@ -65,6 +65,18 @@ def norm(v: Vector) -> float:
     return sqrt(float(v @ v))
 
 
+_SQRT_EPS = sqrt(float(np.finfo(float).eps))
+
+
+def scale_resolution(value: float, grad_norm: float) -> float:
+    """sqrt(eps) * (1 + |value| + grad_norm): the smallest stationarity
+    residual double precision resolves at a point with this objective value
+    and gradient norm, the problem's own scale.  The solver's working
+    precision (``inner.stationarity_resolution``) and the ``known_opt`` check
+    both use it."""
+    return _SQRT_EPS * (1.0 + abs(value) + grad_norm)
+
+
 def dense_hessian(H) -> Matrix:
     """A Hessian as ``SmoothOracle.hess`` returns it, as a float n-by-n matrix:
     a 1-D array is the diagonal of a diagonal Hessian and becomes
@@ -207,7 +219,10 @@ class CompositeProblem:
     """A composite objective f(x) = F(x) + h(x).
 
     ``known_opt`` optionally carries (x_star, f_star) when a closed-form
-    minimizer exists; it is validated for stationarity at construction.
+    minimizer exists.  When h reports subdifferential distances, x_star is
+    checked at construction to be stationary to working precision:
+    dist(0, grad F(x*) + dh(x*)) at most ``scale_resolution`` of f(x*) and
+    ||grad F(x*)||, with f(x*) from the callbacks.
     """
 
     smooth: SmoothOracle
@@ -223,7 +238,7 @@ class CompositeProblem:
             if self.nonsmooth.subdiff_dist is not None:
                 g = as_vector(self.smooth.grad(x_star), dim=self.smooth.dim)
                 d = self.nonsmooth.subdiff_dist(g, x_star)
-                if d > 1e-8:
+                if d > scale_resolution(self.f(x_star), norm(g)):
                     raise ValueError(
                         f"known_opt fails stationarity: dist(0, df(x*)) = {d:.3e}"
                     )

@@ -149,11 +149,10 @@ def accept_test(R: float, f_cand: float, step_norm: float, Mtilde: float, p: int
 
 
 # How a trial ended: the inner solve failed; it stalled at a center that is
-# stationary to working precision; it returned the rejected warm start
-# unchanged; or it gave a candidate for the acceptance test.
+# stationary to working precision; or it gave a candidate for the acceptance
+# test.
 TRIAL_FAILED = "failed"
 TRIAL_STATIONARY = "stationary"
-TRIAL_REPEAT = "repeat"
 TRIAL_CANDIDATE = "candidate"
 
 
@@ -162,13 +161,13 @@ class Trial:
     """One pass of ``try_step``'s loop up to the acceptance test, the one
     part that reads R.
 
-    That is the inner solve at M, the raises of M before it and the step's
-    inner iterations up to and including it, and, for a candidate,
-    everything the acceptance test and the next step read: F(y), f(y), the
-    remainder estimate a rejection raises M by, and the certificate's h(y)
-    and grad T_p(y; x), from which the driver forms the next center and the
-    next step's secant M.  A ``stationary``
-    trial's certificate keeps the working-precision resolution the run
+    That is the inner solve from the center at M, the raises of M before it
+    and the step's inner iterations up to and including it, and, for a
+    candidate, everything the acceptance test and the next step read: F(y),
+    f(y), the remainder estimate a rejection raises M by, and the
+    certificate's h(y) and grad T_p(y; x), from which the driver forms the
+    next center and the next step's secant M.  A ``stationary`` trial's
+    certificate keeps the working-precision resolution the run
     reports.  None of it needs the center's Hessian again, so a trial can
     be replayed from a center whose Hessian was never formed.
     ``try_step`` returns the trial that ended the step.
@@ -188,24 +187,19 @@ class Trial:
 
 
 def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
-              warm: Optional[Vector], config: RunConfig, doublings: int,
-              prior_iters: int) -> Trial:
-    """One trial from the center at M, seeded with the rejected candidate
-    ``warm``, after ``doublings`` raises of M and ``prior_iters`` inner
-    iterations in this step; see ``try_step`` for what each outcome means.
-    A candidate costs one F(y): h(y) and the Taylor terms at y come with the
-    certificate."""
+              config: RunConfig, doublings: int, prior_iters: int) -> Trial:
+    """One trial: the inner solve from the center at M, after ``doublings``
+    raises of M and ``prior_iters`` inner iterations in this step; see
+    ``try_step`` for what each outcome means.  A candidate costs one F(y):
+    h(y) and the Taylor terms at y come with the certificate."""
     try:
-        y, cert, witness = solve_subproblem(
-            problem, center, M, config.theta, max_inner=config.max_inner, warm=warm,
-        )
+        y, cert, witness = solve_subproblem(problem, center, M, config.theta,
+                                            max_inner=config.max_inner)
     except InnerSolveFailure as exc:
         return Trial(TRIAL_FAILED, M, doublings, prior_iters + exc.iterations)
     step_iters = prior_iters + cert.inner_iters
     if cert.resolution is not None:
         return Trial(TRIAL_STATIONARY, M, doublings, step_iters, y, cert, witness)
-    if warm is not None and np.array_equal(y, warm):
-        return Trial(TRIAL_REPEAT, M, doublings, step_iters)
     F_cand = float(problem.smooth.value(y))
     f_cand = F_cand + cert.h_value
     if isnan(f_cand):
@@ -302,13 +296,12 @@ def try_step(
     """Find an acceptable step from the center, raising M as needed, and
     return the trial that ended it.
 
-    Each trial (``run_trial``) runs the certified inner solve at the current
-    M and retries at a larger M when the candidate is not acceptable.  An
-    inner failure doubles M.  A candidate rejected by the acceptance test
-    tells how much M it needed (``remainder_estimate``): M becomes that
-    estimate, but at least 2M and at most ``MAX_M_RAISE`` * M
-    (``raised_M``), and the next solve is seeded with the rejected
-    candidate.
+    Each trial (``run_trial``) runs the certified inner solve from the
+    center at the current M and retries at a larger M when the candidate is
+    not acceptable.  An inner failure doubles M.  A candidate rejected by
+    the acceptance test tells how much M it needed (``remainder_estimate``,
+    the trial's ``needed``): M becomes that estimate, but at least 2M and at
+    most ``MAX_M_RAISE`` * M (``raised_M``).
 
     A solve that stalled at the floating-point floor or returned a
     collapsed step (``cert.stalled``) forces a decision, which the inner
@@ -320,10 +313,7 @@ def try_step(
     any other step.
 
     F is evaluated once per tested candidate, and the trial carries that
-    value (``F_cand``) for the next center.  A repeated warm start is not
-    re-tested: a solve that returns the rejected candidate unchanged would
-    meet the same R, f(y) and ||y - x|| and fail again, so M is raised
-    again by the estimate that candidate gave, without a call to F.
+    value (``F_cand``) for the next center.
 
     Only ``accept_test`` reads R, so the sequence of trials from a center
     and M_in does not depend on it.  Inside ``shared_steps`` the trials are
@@ -334,24 +324,18 @@ def try_step(
     """
     trials = _recorded_trials(problem, center, M_in, config)
     M = M_in
-    warm = None
-    needed = 0.0  # the remainder estimate of the rejected candidate ``warm``
     for i in range(config.max_doublings + 1):
         if i == len(trials):
             prior_iters = trials[-1].step_iters if trials else 0
-            trials.append(run_trial(problem, center, M, warm, config, i, prior_iters))
+            trials.append(run_trial(problem, center, M, config, i, prior_iters))
         trial = trials[i]
         if trial.outcome == TRIAL_FAILED:
             M *= 2.0
-            continue
-        if trial.outcome == TRIAL_STATIONARY:
+        elif (trial.outcome == TRIAL_STATIONARY
+              or accept_test(R, trial.f_cand, trial.cert.step_norm, config.Mtilde, config.p)):
             return trial
-        if trial.outcome == TRIAL_CANDIDATE:
-            if accept_test(R, trial.f_cand, trial.cert.step_norm, config.Mtilde, config.p):
-                return trial
-            warm, needed = trial.y, trial.needed
-        # rejected, or the rejected candidate again, which would fail again
-        M = raised_M(M, needed)
+        else:
+            M = raised_M(M, trial.needed)
     raise LineSearchFailure(
         f"no acceptable step after {config.max_doublings} doublings "
         f"(M reached {M:.3e} from {M_in:.3e})",

@@ -39,6 +39,7 @@ from .core import (
     OracleFailure,
     Vector,
     norm,
+    scale_resolution,
 )
 from .taylor import ModelCenter, _model, model_grad, model_value
 
@@ -58,7 +59,6 @@ RESIDUAL_FLOOR_COEFF = 1e-11
 _DECREASE_SLACK = 1e-12  # relative slack when re-checking model decrease
 
 _EPS = float(np.finfo(float).eps)
-_SQRT_EPS = float(np.sqrt(_EPS))
 
 
 def residual_floor(center: ModelCenter) -> float:
@@ -74,21 +74,23 @@ def stationarity_resolution(center: ModelCenter, M: float) -> float:
     around the model minimizer, where c is the model's curvature; the
     curvature turns that placement uncertainty back into a residual of
     sqrt(eps * |m| * c).  The resolution is the larger of two estimates of
-    it: sqrt(eps) * (1 + |F(x)| + ||grad F(x)||), the problem's own scale,
-    and sqrt(eps * (1 + |F(x)|) * c).  For p = 2, c is the center's largest
-    Hessian entry (``ModelCenter.hess_absmax``, kept from the Hessian's
-    symmetry check); for p = 1 it is M, the curvature of the regularized
-    first-order model, whose closed-form residual rounds at about
-    eps * M * ||x||.  Without the curvature term, a badly scaled p = 2
-    instance (large Hessian entries, moderate F and gradient) stalls above
-    the resolution at every M, and a p = 1 residual that grows with M stays
-    above it however far M is doubled; either way the driver doubles M to
-    exhaustion.  An inner solve stalled at or below the resolution has
-    located the minimizer as precisely as the arithmetic allows.
+    it: sqrt(eps) * (1 + |F(x)| + ||grad F(x)||), the problem's own scale
+    (``core.scale_resolution``), and sqrt(eps * (1 + |F(x)|) * c).  For
+    p = 2, c is the center's largest Hessian entry
+    (``ModelCenter.hess_absmax``, kept from the Hessian's symmetry check);
+    for p = 1 it is M, the curvature of the regularized first-order model,
+    whose closed-form residual rounds at about eps * M * ||x||.  Without
+    the curvature term, a badly scaled p = 2 instance (large Hessian
+    entries, moderate F and gradient) stalls above the resolution at every
+    M, and a p = 1 residual that grows with M stays above it however far M
+    is doubled; either way the driver doubles M to exhaustion.  An inner
+    solve stalled at or below the resolution has located the minimizer as
+    precisely as the arithmetic allows.
     """
     magnitude = 1.0 + abs(center.fx)
     curvature = center.hess_absmax if center.p == 2 else M
-    return max(_SQRT_EPS * (magnitude + center.g_norm), sqrt(_EPS * magnitude * curvature))
+    return max(scale_resolution(center.fx, center.g_norm),
+               sqrt(_EPS * magnitude * curvature))
 
 
 def _prox(problem: CompositeProblem, v: Vector, tau: float | Vector) -> Vector:
@@ -211,7 +213,7 @@ def _residual(problem: CompositeProblem, g_reg: Vector, y: Vector,
 
 def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
             model_y: tuple, h_y: float, res: float, thr: float, iters: int,
-            witness: Optional[Vector], decrease_ok: bool = True):
+            witness: Optional[Vector], decrease_ok: bool = True, why: Optional[str] = None):
     """The inner solver's one stopping rule: (y, certificate, witness), or None.
 
     Every solve ends here, for either p: the p = 1 and p = 2 closed-form
@@ -234,15 +236,16 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
       model minimizer located as precisely as double precision allows, but
       its residual may sit far above ``thr`` (the inner stopping rule of
       ARC, Cartis, Gould & Toint 2011, met at the precision floor);
-    * **None** in every other case.
+    * **None** in every other case, or ``InnerSolveFailure`` when the
+      caller cannot continue and passes the reason ``why``; the driver
+      responds to that by doubling M.
 
     A stalled certificate carries the stall verdict: its ``resolution`` is
     the working-precision resolution (with this M, which the p = 1
     resolution grows with) when the center's own stationarity
     (``center_stationarity``) is at most that, and None when it is not.
-    Callers that may not continue treat None as a failure
-    (``_finish_or_raise``).  Every certificate carries h(y) and y's bare
-    Taylor terms, so the driver evaluates neither again.
+    Every certificate carries h(y) and y's bare Taylor terms, so the
+    driver evaluates neither again.
     """
     _, _, step_norm, taylor_change, taylor_grad = model_y
     certified = decrease_ok and res <= thr + residual_floor(center)
@@ -251,25 +254,16 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
     else:
         stalled, resolution = True, stationarity_resolution(center, M)
         if not certified and res > resolution:
-            return None
+            if why is None:
+                return None
+            raise InnerSolveFailure(
+                f"{why}: residual {res:.3e} above the working-precision resolution "
+                f"{resolution:.3e} (threshold {thr:.3e})", iterations=iters,
+            )
         if center_stationarity(problem, center) > resolution:
             resolution = None
     return y, StepCertificate(decrease_ok, res, thr, step_norm, iters, stalled, resolution,
                               h_y, taylor_change, taylor_grad), witness
-
-
-def _finish_or_raise(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
-                     model_y: tuple, h_y: float, res: float, thr: float, iters: int,
-                     witness: Optional[Vector], why: str, decrease_ok: bool = True):
-    """``_finish``'s result, or ``InnerSolveFailure`` where it gives None; the
-    driver responds to that by doubling M."""
-    out = _finish(problem, center, M, y, model_y, h_y, res, thr, iters, witness, decrease_ok)
-    if out is not None:
-        return out
-    raise InnerSolveFailure(
-        f"{why}: residual {res:.3e} above the working-precision resolution "
-        f"{stationarity_resolution(center, M):.3e} (threshold {thr:.3e})", iterations=iters,
-    )
 
 
 def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
@@ -289,9 +283,8 @@ def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
     h_y = float(problem.nonsmooth.value(y))
     res = _residual(problem, model_y[1], y, witness)
     decrease_ok = model_y[0] + h_y <= _h_center(problem, center)
-    return _finish_or_raise(problem, center, M, y, model_y, h_y, res, theta * model_y[2], 1,
-                            witness, "closed-form prox step not certified",
-                            decrease_ok=decrease_ok)
+    return _finish(problem, center, M, y, model_y, h_y, res, theta * model_y[2], 1, witness,
+                   decrease_ok, why="closed-form prox step not certified")
 
 
 def _solve_separable(problem: CompositeProblem, center: ModelCenter, M: float,
@@ -350,37 +343,36 @@ def solve_subproblem(
     M: float,
     theta: float,
     max_inner: int = 500,
-    warm: Optional[Vector] = None,
 ) -> tuple[Vector, StepCertificate, Optional[Vector]]:
     """Certified approximate minimizer of the regularized model plus h.
 
     For p = 1 the minimizer is exact and takes one prox call: y =
     prox_{h/M}(x - g/M), certified with the witness M(x - y) - g and the
     same threshold and model-decrease tests as below; the certificate
-    reports one inner iteration.  It does not depend on a start point or a
-    step size, so ``max_inner`` and ``warm`` are validated but not used.
+    reports one inner iteration.  It takes no step size, so ``max_inner``
+    is validated but not used.
 
     For p = 2 with a diagonal Hessian returned as its vector, all H_i > 0,
     and an h with an exact ``subdiff_dist``, the exact minimizer in closed
     form (``_solve_separable``): one prox call with per-coordinate
     thresholds for each evaluation of the secular equation, at most
     ``max_inner`` of them, reported as the certificate's inner iterations,
-    and the witness None; ``warm`` is not used.  It ends
-    through the same stopping rule as below; when it does not certify, or
-    some H_i <= 0, the iteration below solves the step instead.
+    and the witness None.  It ends through the same stopping rule as below;
+    when it does not certify, or some H_i <= 0, the iteration below solves
+    the step instead.
 
     Otherwise, for p = 2, proximal gradient on the regularized model until
-    certified.  Starts at y0 = x (or at ``warm`` if m(warm) <= f(x), so the
-    decrease guarantee is preserved).  Each iteration backtracks the step
-    size by halving until the standard sufficient-decrease test holds and m
-    does not increase, takes the prox step, and keeps the witness subgradient
-    p = (y_t - y_{t+1})/alpha - model_grad(y_t), which lies in dh(y_{t+1})
-    by the prox optimality condition.  The first search starts at 1; each
-    later one starts at 2 * alpha_prev, where alpha_prev is the step
-    accepted on the previous iteration, with no cap, so a step size near 1/L
-    is found once per call, whether 1/L is far below 1 or far above it (the
-    carried step of Nesterov's composite gradient method and of FISTA's
-    backtracking).  The doubling lets the step grow back where the model is
+    certified.  Starts at y0 = x, where m(x) = f(x), at every M.  Each
+    iteration backtracks the step size by halving until the standard
+    sufficient-decrease test holds and m does not increase, takes the prox
+    step, and keeps the witness subgradient p = (y_t - y_{t+1})/alpha -
+    model_grad(y_t), which lies in dh(y_{t+1}) by the prox optimality
+    condition.  The first search starts at 1; each later one starts at
+    2 * alpha_prev, where alpha_prev is the step accepted on the previous
+    iteration, with no cap, so a step size near 1/L is found once per call,
+    whether 1/L is far below 1 or far above it (the carried step of
+    Nesterov's composite gradient method and of FISTA's backtracking).  The
+    doubling lets the step grow back where the model is
     flatter.  A search that halves below 2**-60 without a float-visible
     decrease leaves the iterate frozen.
 
@@ -395,11 +387,14 @@ def solve_subproblem(
     large constant in F does not change when it fires.  An iterate that stops
     moving (no step size gives a float-visible decrease) and a spent budget
     ask it too, and there a None from the rule raises
-    ``InnerSolveFailure``; the driver responds by doubling M.  A certificate
-    marked ``stalled`` carries the stall verdict (``StepCertificate.resolution``):
-    the driver stops if the center itself is stationary to working
-    precision, and otherwise puts the candidate through the ordinary
-    acceptance test.
+    ``InnerSolveFailure``; the driver responds by doubling M.  An iterate
+    frozen before its first prox step is still the center and, with an
+    opaque h, has no residual yet: it is judged by the center's own
+    (``center_stationarity``, the same prox step at step size 1).  A
+    certificate marked ``stalled`` carries the stall verdict
+    (``StepCertificate.resolution``): the driver stops if the center itself
+    is stationary to working precision, and otherwise puts the candidate
+    through the ordinary acceptance test.
 
     Returns (y, certificate, witness); witness is None when the certificate
     came from the exact subdifferential distance at y = y0 or from the
@@ -411,10 +406,6 @@ def solve_subproblem(
         raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     if not M > 0:
         raise ValueError(f"M must be positive, got {M}")
-    if warm is not None:
-        warm = np.asarray(warm, dtype=float)
-        if warm.shape != center.x.shape:
-            raise ValueError(f"warm shape {warm.shape} != center shape {center.x.shape}")
     p = center.p
     if p == 1:
         return _solve_first_order(problem, center, M, theta)
@@ -423,32 +414,21 @@ def solve_subproblem(
         out = _solve_separable(problem, center, M, theta, max_inner)
         if out is not None:
             return out
-    x = center.x
-    # model values relative to F(x) (``_model``): m(y) - F(x) = dm(y) + h(y),
-    # which is h(x) at the center
-    h_center = _h_center(problem, center)
-
-    # y's model terms, h(y) and m(y) - F(x), from the center or the warm start
-    y, model_y, h_y, m_total = x.copy(), None, h_center, h_center
-    if warm is not None:
-        model_warm = _model(center, warm, M)
-        h_warm = float(h.value(warm))
-        mt = model_warm[0] + h_warm
-        if isfinite(mt) and mt <= h_center:
-            y, model_y, h_y, m_total = warm.copy(), model_warm, h_warm, mt
-    if model_y is None:
-        model_y = _model(center, y, M)
+    # y0 = x with its model terms, h(y) and m(y) - F(x); model values are
+    # relative to F(x) (``_model``), so m(x) - F(x) = h(x)
+    y = center.x.copy()
+    h_y = m_total = _h_center(problem, center)
+    model_y = _model(center, y, M)
     m_smooth, g_reg, step_norm = model_y[:3]
     floor = residual_floor(center)
 
     # res, thr, step_norm and witness always describe the current iterate y;
     # with an opaque h no residual exists until the first prox step, so res
-    # starts at inf and a solve that freezes before one fails.
+    # starts at inf.
     thr = theta * step_norm**p
     witness: Optional[Vector] = None
     res = _residual(problem, g_reg, y, None) if h.subdiff_dist is not None else np.inf
-    # The start point may already be certified (e.g. a stationary center,
-    # or a warm start that survived an M increase).
+    # The start point may already be certified (a stationary center).
     if res <= thr + floor:
         return _finish(problem, center, M, y, model_y, h_y, res, thr, 0, None)
 
@@ -473,8 +453,10 @@ def solve_subproblem(
         if not frozen:
             frozen = bool(np.array_equal(y_new, y))
         if frozen:
-            return _finish_or_raise(problem, center, M, y, model_y, h_y, res, thr, t, witness,
-                                    f"inner iterate stalled at iteration {t}")
+            if res == np.inf:  # frozen at the center before its first residual
+                res = center_stationarity(problem, center)
+            return _finish(problem, center, M, y, model_y, h_y, res, thr, t, witness,
+                           why=f"inner iterate stalled at iteration {t}")
         witness = (y - y_new) / alpha - g_reg
         drop = m_total - mt_new
         y, model_y, h_y, m_total = y_new, model_new, h_new, mt_new
@@ -488,8 +470,8 @@ def solve_subproblem(
             if out is not None:
                 return out
 
-    return _finish_or_raise(problem, center, M, y, model_y, h_y, res, thr, max_inner, witness,
-                            f"no certificate within {max_inner} inner iterations")
+    return _finish(problem, center, M, y, model_y, h_y, res, thr, max_inner, witness,
+                   why=f"no certificate within {max_inner} inner iterations")
 
 
 def certify(

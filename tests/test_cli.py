@@ -131,6 +131,16 @@ def test_build_problem_custom_diagonal(tmp_path):
     assert problem.dim == 2 and len(x0) == 2
 
 
+def test_badly_scaled_custom_diagonal_runs(tmp_path, capsys):
+    # its closed-form minimizer's residual rounds to 6.6e-6, which an
+    # absolute 1e-8 known_opt check rejected as a bad instance (exit 1)
+    path = write(tmp_path, "problem = diag_quad_l1\nd = 1e6, 3e6, 7e5\n"
+                 "c = 1.2345e4, -3.3e4, 2.1e4\nlambda = 0.1\n"
+                 f"out_dir = {tmp_path / 'run'}\n")
+    assert cli.main(["run", str(path)]) == 0
+    assert "status=stationary" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------- file outputs
 
 

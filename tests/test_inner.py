@@ -124,15 +124,30 @@ def test_inner_failure_on_starved_budget():
     assert excinfo.value.iterations >= 1
 
 
-def test_opaque_solve_frozen_before_any_residual_fails():
-    # a prox that never leaves the center freezes the first iteration; with
-    # an opaque h no residual exists yet, so the rule cannot stall there
+def test_opaque_solve_frozen_at_the_center_is_judged_as_the_center():
+    # a prox that never leaves the center freezes the first iteration before
+    # an opaque h gives a residual; the iterate is still the center, so the
+    # center's own stationarity decides, read through the same stuck prox:
+    # 0, stationary to working precision
     prob, _, x0 = gen_diag_quad_l1(4, seed=5)
     stuck = without_subdiff(replace(
         prob, nonsmooth=replace(prob.nonsmooth, prox=lambda v, tau: x0.copy())))
     center = ModelCenter.from_oracle(stuck.smooth, x0, p=2)
-    with pytest.raises(InnerSolveFailure, match="residual inf") as excinfo:
-        solve_subproblem(stuck, center, M=1.0, theta=0.1)
+    y, cert, _ = solve_subproblem(stuck, center, M=1.0, theta=0.1)
+    assert np.array_equal(y, x0) and cert.inner_iters == 1 and cert.residual == 0.0
+    assert cert.stalled and cert.resolution == stationarity_resolution(center, 1.0)
+
+
+def test_opaque_solve_frozen_at_a_nonstationary_center_fails():
+    # a prox that always lands far from the center never decreases the
+    # model, so the first search halves its step to 2**-60 and the iterate
+    # freezes at the center, whose prox residual is far above the resolution
+    prob, _, x0 = gen_diag_quad_l1(4, seed=5)
+    far = without_subdiff(replace(
+        prob, nonsmooth=replace(prob.nonsmooth, prox=lambda v, tau: x0 + 1e3)))
+    center = ModelCenter.from_oracle(far.smooth, x0, p=2)
+    with pytest.raises(InnerSolveFailure, match="stalled at iteration 1") as excinfo:
+        solve_subproblem(far, center, M=1.0, theta=0.1)
     assert excinfo.value.iterations == 1
 
 
@@ -169,9 +184,7 @@ def test_stalled_certificate_carries_the_stall_verdict(exact_h, p):
     # from the closed-form minimizer the solve collapses onto the center,
     # which is stationary to working precision: the certificate is stalled
     # and keeps the resolution the run reports.  (At M = 1e-2 the p = 1
-    # step from this minimizer is long enough not to collapse, and an
-    # opaque p = 2 solve from other seeds' minimizers freezes before any
-    # residual exists.)
+    # step from this minimizer is long enough not to collapse.)
     prob, _, x0 = gen_diag_quad_l1(8, seed=1)
     if not exact_h:
         prob = without_subdiff(prob)
@@ -292,7 +305,7 @@ def test_carried_step_size_grows_past_one_on_a_flat_model():
 
 def test_one_hessian_product_per_trial_point():
     # the model's value and gradient come from one H @ d: one product per
-    # prox call (one trial point each), one at the start, one for a warm start
+    # prox call (one trial point each) and one at the start
     products = []
 
     class CountingMatrix(np.ndarray):
@@ -304,17 +317,13 @@ def test_one_hessian_product_per_trial_point():
     prob, prox_calls = with_prox_counter(prob)
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     vars(center)["Hx"] = center.Hx.view(CountingMatrix)  # the cached slot
-    warm, cert, _ = solve_subproblem(prob, center, M=1.0, theta=0.1)
+    _, cert, _ = solve_subproblem(prob, center, M=1.0, theta=0.1)
     assert cert.inner_iters > 10 and 0 < len(products) <= len(prox_calls) + 1
-    for start in (warm, warm + 1e3):  # a warm start that is kept, one that is not
-        del prox_calls[:], products[:]
-        solve_subproblem(prob, center, M=2.0, theta=0.1, warm=start)
-        assert 0 < len(products) <= len(prox_calls) + 2
 
 
 def test_one_diagonal_product_per_trial_point():
     # a diagonal Hessian kept as its vector: one elementwise H * d per prox
-    # call, one at the start, one for a warm start, and no matrix product.
+    # call and one at the start, and no matrix product.
     # An opaque h keeps the solve on the loop with H still a vector
     products = []
 
@@ -331,12 +340,8 @@ def test_one_diagonal_product_per_trial_point():
     center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
     assert center.Hx.shape == (50,)
     vars(center)["Hx"] = center.Hx.view(CountingVector)  # the cached slot
-    warm, cert, _ = solve_subproblem(prob, center, M=1.0, theta=1e-6)
+    _, cert, _ = solve_subproblem(prob, center, M=1.0, theta=1e-6)
     assert cert.inner_iters > 10 and 0 < len(products) <= len(prox_calls) + 1
-    for start in (warm, warm + 1e3):  # a warm start that is kept, one that is not
-        del prox_calls[:], products[:]
-        solve_subproblem(prob, center, M=2.0, theta=1e-6, warm=start)
-        assert 0 < len(products) <= len(prox_calls) + 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -457,13 +462,11 @@ def test_second_order_solve_ends_by_the_stopping_rule(family, exact_h, seed,
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(hessian=st.sampled_from(["vector", "dense", "phase"]), exact_h=st.booleans(),
-       p=st.sampled_from([1, 2]), warm=st.booleans(), seed=st.integers(0, 10_000),
-       log_M=st.floats(-4.0, 4.0))
-def test_certificate_carries_what_a_fresh_evaluation_gives(hessian, exact_h, p, warm,
-                                                           seed, log_M):
+       p=st.sampled_from([1, 2]), seed=st.integers(0, 10_000), log_M=st.floats(-4.0, 4.0))
+def test_certificate_carries_what_a_fresh_evaluation_gives(hessian, exact_h, p, seed, log_M):
     # the driver takes h(y), T_p(y; x) - F(x) and grad T_p(y; x) from the
     # certificate instead of evaluating them again: on every solve path (p = 1,
-    # the closed-form p = 2 step, the loop's last or warm iterate) they must
+    # the closed-form p = 2 step, the loop's start or last iterate) they must
     # be exactly what a fresh evaluation at y gives
     if hessian == "phase":
         prob, _, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=0.5)
@@ -476,25 +479,13 @@ def test_certificate_carries_what_a_fresh_evaluation_gives(hessian, exact_h, p, 
     M = 10.0**log_M
     center = ModelCenter.from_oracle(prob.smooth, x0, p=p)
     try:
-        # a warm start as the driver seeds one: the candidate of a smaller M
-        start = solve_subproblem(prob, center, M=M / 4, theta=0.1)[0] if warm else None
-        y, cert, _ = solve_subproblem(prob, center, M=M, theta=0.1, warm=start)
+        y, cert, _ = solve_subproblem(prob, center, M=M, theta=0.1)
     except InnerSolveFailure:
         return
     change, grad = _model(center, y, 0.0)[:2]
     assert cert.h_value == prob.nonsmooth.value(y)
     assert cert.taylor_change == change
     assert np.array_equal(cert.taylor_grad, grad)
-
-
-def test_worse_warm_start_is_ignored():
-    prob, _, x0 = gen_phase_retrieval(6, 24, seed=1, noise_scale=0.5)
-    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
-    plain = solve_subproblem(prob, center, M=5.0, theta=0.1)
-    warmed = solve_subproblem(prob, center, M=5.0, theta=0.1,
-                              warm=x0 + 1e3)
-    assert np.array_equal(plain[0], warmed[0])
-    assert plain[1] == warmed[1]
 
 
 def test_parameter_validation():
@@ -507,14 +498,11 @@ def test_parameter_validation():
     for M in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             solve_subproblem(prob, center, M=M, theta=0.1)
-    # a one-entry warm start would broadcast silently against a 3-vector
-    # center, and an opaque h has no subdifferential check to trip over it
+    # a prox callback that returns the wrong shape would broadcast silently
+    # against a 3-vector center, and an opaque h has no subdifferential
+    # check to trip over it
     diag, _, x0 = gen_diag_quad_l1(3, seed=0)
     diag = without_subdiff(diag)
-    center3 = ModelCenter.from_oracle(diag.smooth, x0, p=2)
-    with pytest.raises(ValueError):
-        solve_subproblem(diag, center3, M=1.0, theta=0.1, warm=np.zeros(1))
-    # so would a prox callback that returns the wrong shape
     short = replace(diag, nonsmooth=replace(diag.nonsmooth, prox=lambda v, tau: v[:1]))
     for p in (1, 2):
         with pytest.raises(ValueError):

@@ -162,6 +162,16 @@ def test_diag_problem_attaches_known_opt():
     assert abs(prob.f(x_star) - f_star) <= 1e-12 * max(1.0, abs(f_star))
 
 
+def test_badly_scaled_diag_instances_keep_their_known_opt():
+    # curvatures up to 1e6 and targets of size 1e3: the residual of the
+    # computed minimizer rounds to ~2e-7, above an absolute 1e-8, which
+    # rejected every one of these seeds; the check is relative to the
+    # problem's scale
+    for seed in range(20):
+        prob, data, _ = gen_diag_quad_l1(50, seed, d_range=(1e5, 1e6), c_std=1e3)
+        assert np.array_equal(prob.known_opt[0], exact_solution_diag(data)[0])
+
+
 def test_diag_generator_validation():
     with pytest.raises(ValueError):
         gen_diag_quad_l1(0, seed=0)
