@@ -65,7 +65,8 @@ def norm(v: Vector) -> float:
     return sqrt(float(v @ v))
 
 
-_SQRT_EPS = sqrt(float(np.finfo(float).eps))
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = sqrt(_EPS)
 
 
 def scale_resolution(value: float, grad_norm: float) -> float:
@@ -73,8 +74,18 @@ def scale_resolution(value: float, grad_norm: float) -> float:
     residual double precision resolves at a point with this objective value
     and gradient norm, the problem's own scale.  The solver's working
     precision (``inner.stationarity_resolution``) and the ``known_opt`` check
-    both use it."""
+    both use it, each with ``curvature_resolution`` beside it."""
     return _SQRT_EPS * (1.0 + abs(value) + grad_norm)
+
+
+def curvature_resolution(value: float, curvature: float) -> float:
+    """sqrt(eps * (1 + |value|) * curvature): the stationarity residual that
+    rounding leaves at a point placed as precisely as values of this size
+    allow, on a model or function whose curvature (max |H_ij|, or M) is
+    ``curvature``.  Where the curvature is large beside the value and the
+    gradient, it exceeds ``scale_resolution``; the solver's working
+    precision and the ``known_opt`` check take the larger of the two."""
+    return sqrt(_EPS * (1.0 + abs(value)) * curvature)
 
 
 def dense_hessian(H) -> Matrix:
@@ -221,8 +232,11 @@ class CompositeProblem:
     ``known_opt`` optionally carries (x_star, f_star) when a closed-form
     minimizer exists.  When h reports subdifferential distances, x_star is
     checked at construction to be stationary to working precision:
-    dist(0, grad F(x*) + dh(x*)) at most ``scale_resolution`` of f(x*) and
-    ||grad F(x*)||, with f(x*) from the callbacks.
+    dist(0, grad F(x*) + dh(x*)) at most the larger of ``scale_resolution``
+    of f(x*) and ||grad F(x*)|| and ``curvature_resolution`` of f(x*) and
+    max |hess F(x*)|, with f(x*) from the callbacks.  The Hessian is
+    evaluated only for a distance the first term does not cover, and its
+    term is 0 for a first-order oracle.
     """
 
     smooth: SmoothOracle
@@ -238,10 +252,19 @@ class CompositeProblem:
             if self.nonsmooth.subdiff_dist is not None:
                 g = as_vector(self.smooth.grad(x_star), dim=self.smooth.dim)
                 d = self.nonsmooth.subdiff_dist(g, x_star)
-                if d > scale_resolution(self.f(x_star), norm(g)):
+                f = self.f(x_star)
+                if d > scale_resolution(f, norm(g)) and d > curvature_resolution(
+                        f, self._curvature(x_star)):
                     raise ValueError(
                         f"known_opt fails stationarity: dist(0, df(x*)) = {d:.3e}"
                     )
+
+    def _curvature(self, x: Vector) -> float:
+        """max |hess F(x)| (a diagonal Hessian's vector or the matrix), or
+        0.0 when F has no Hessian."""
+        if self.smooth.hess is None:
+            return 0.0
+        return float(np.max(np.abs(self.smooth.hess(x))))
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ the prox-step witness subgradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     OracleContractError,
     OracleFailure,
     Vector,
+    curvature_resolution,
     norm,
     scale_resolution,
 )
@@ -75,9 +76,10 @@ def stationarity_resolution(center: ModelCenter, M: float) -> float:
     curvature turns that placement uncertainty back into a residual of
     sqrt(eps * |m| * c).  The resolution is the larger of two estimates of
     it: sqrt(eps) * (1 + |F(x)| + ||grad F(x)||), the problem's own scale
-    (``core.scale_resolution``), and sqrt(eps * (1 + |F(x)|) * c).  For
-    p = 2, c is the center's largest Hessian entry
-    (``ModelCenter.hess_absmax``, kept from the Hessian's symmetry check);
+    (``core.scale_resolution``), and sqrt(eps * (1 + |F(x)|) * c)
+    (``core.curvature_resolution``).  For p = 2, c is the center's largest
+    Hessian entry (``ModelCenter.hess_absmax``, kept from the Hessian's
+    symmetry check);
     for p = 1 it is M, the curvature of the regularized first-order model,
     whose closed-form residual rounds at about eps * M * ||x||.  Without
     the curvature term, a badly scaled p = 2 instance (large Hessian
@@ -87,10 +89,9 @@ def stationarity_resolution(center: ModelCenter, M: float) -> float:
     solve stalled at or below the resolution has located the minimizer as
     precisely as the arithmetic allows.
     """
-    magnitude = 1.0 + abs(center.fx)
     curvature = center.hess_absmax if center.p == 2 else M
     return max(scale_resolution(center.fx, center.g_norm),
-               sqrt(_EPS * magnitude * curvature))
+               curvature_resolution(center.fx, curvature))
 
 
 def _prox(problem: CompositeProblem, v: Vector, tau: float | Vector) -> Vector:

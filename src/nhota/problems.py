@@ -82,31 +82,72 @@ def gen_phase_retrieval(
     return phase_retrieval_problem(data), data, x0
 
 
+# Byte budget of the phase Hessian's scratch block of rows of A: the scratch
+# is one block, not an m-by-n array, whatever m.  At n = 400 a block holds
+# 655 rows, enough for syrk to run near its speed over all of A
+# (BENCH_27.json's block-size table).
+_HESS_BLOCK_BYTES = 1 << 21
+
+
 def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
     """Value (order 0), gradient (1) or dense Hessian (2) of the smooth part.
 
     With s_i = a_i.x and residual r_i = y_i - s_i^2:
         F(x)    = 1/(2m) sum r_i^2
         grad    = 2/m sum (s_i^2 - y_i) s_i a_i
-        hess    = 2/m sum (3 s_i^2 - y_i) a_i a_i^T
-    Results are deterministic for identical inputs at a fixed BLAS thread
-    count.  The products with A go through BLAS, whose reduction order
-    depends on the number of threads, so another thread count can change
-    the last bits of every value and with them a solver's trajectory.
+        hess    = 2/m sum (3 s_i^2 - y_i) a_i a_i^T = 2/m (3 S(x) - G)
+    with S(x) = sum s_i^2 a_i a_i^T and G = sum y_i a_i a_i^T, both summed
+    over blocks of rows (see ``_phase_from_product``).  Each call forms G
+    afresh, so the result equals the Hessian of ``phase_retrieval_problem``,
+    which forms G once, bit for bit.  Results are deterministic for
+    identical inputs at a fixed BLAS thread count.  The products with A go
+    through BLAS, whose reduction order depends on the number of threads, so
+    another thread count can change the last bits of every value and with
+    them a solver's trajectory.
     """
     return _phase_from_product(data, data.A @ as_vector(x, dim=data.n), order)
 
 
+def _hessian_work(data: PhaseRetrievalData) -> tuple[Matrix, Matrix]:
+    """(block, G): a scratch block of as many rows of A as fit in
+    ``_HESS_BLOCK_BYTES`` (at least one, at most m), and G = sum y_i a_i a_i^T
+    summed over such blocks and symmetrized, the part of the phase Hessian
+    that does not depend on x."""
+    rows = max(1, _HESS_BLOCK_BYTES // (8 * data.n))
+    block = np.empty((min(rows, data.m), data.n))
+    G = np.zeros((data.n, data.n))
+    for B, A_b in _scaled_blocks(data.A, data.y, block):
+        G += B.T @ A_b
+    return block, 0.5 * (G + G.T)
+
+
+def _scaled_blocks(A: Matrix, w: Vector, block: Matrix):
+    """(w_b * A_b, A_b) over consecutive blocks of ``block``'s height of rows
+    of A, the scaled rows written into ``block``."""
+    k = block.shape[0]
+    for i in range(0, A.shape[0], k):
+        A_b = A[i:i + k]
+        yield np.multiply(A_b, w[i:i + k, None], out=block[:A_b.shape[0]]), A_b
+
+
 def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
-                        out: Optional[Matrix] = None):
+                        work: Optional[tuple[Matrix, Matrix]] = None):
     """``phase_oracle`` from the product s = A.x; s is not modified.
 
-    ``out``, for order 2, is an m-by-n float array that receives the
-    weighted rows (3 s_i^2 - y_i) a_i before the product.  Reusing one keeps
-    each Hessian from allocating and freeing an m-by-n temporary; the
-    allocator keeps such freed blocks resident, so a run's peak memory would
-    otherwise depend on how they happen to be laid out.  The Hessian's bytes
-    are the same either way.
+    Order 2 forms H = 2/m (3 S(x) - G).  S(x) = sum_b B_b^T B_b over blocks
+    of rows, B_b = s_b * A_b: each product of a block with its own transpose
+    goes to BLAS ``syrk``, half the flops of a general product, and is
+    symmetric bit for bit, so with G symmetrized every Hessian is too.
+    ``work`` is ``_hessian_work(data)``, the block scratch and G, which a
+    caller that evaluates many Hessians keeps; without it both are formed
+    for this call.  The scratch is one block, so no m-by-n temporary is
+    allocated.  The split rounds differently from summing the rows'
+    (3 s_i^2 - y_i) a_i a_i^T: each entry is within a small multiple of
+    eps * m * 2/m * max_jl sum_i (3 s_i^2 + |y_i|) |a_ij| |a_il| of the
+    exact one, a bound that holds at every BLAS thread count, though the
+    last bits depend on it.  Near z / sqrt(3), where 3 s_i^2 is close to
+    y_i, the two terms cancel, and the error is relative to that sum, not
+    to the entries of H.
     """
     if order == 0:
         r = data.y - s**2
@@ -115,9 +156,14 @@ def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
         w = (s**2 - data.y) * s
         return (2.0 / data.m) * (data.A.T @ w)
     if order == 2:
-        w = 3.0 * s**2 - data.y
-        rows = np.multiply(data.A, w[:, None], out=out)
-        return (2.0 / data.m) * (rows.T @ data.A)
+        block, G = _hessian_work(data) if work is None else work
+        H = np.zeros((data.n, data.n))
+        for B, _ in _scaled_blocks(data.A, s, block):
+            H += B.T @ B
+        H *= 3.0
+        H -= G
+        H *= 2.0 / data.m
+        return H
     raise ValueError(f"order must be 0, 1 or 2, got {order}")
 
 
@@ -129,28 +175,35 @@ def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
     m-by-n product between them, and a point changed in place since, even
     in the caller's own array, misses the cache.  The same bytes give the
     same product, so results match ``phase_oracle``'s bit for bit.  The
-    Hessian callback also reuses one m-by-n scratch array (see
-    ``_phase_from_product``), untouched, and costing no resident memory,
-    until the first Hessian is evaluated.  Neither is locked: the callbacks
-    of one problem must not be called concurrently.
+    Hessian callback forms its scratch block and G (``_hessian_work``) at
+    the problem's first Hessian and keeps them for the problem's lifetime:
+    a run that forms no Hessian (p = 1) pays for neither, and each later
+    Hessian costs the syrk products of S(x) alone.  Nothing is locked: the
+    callbacks of one problem must not be called concurrently.
     """
-    rows = np.empty(data.A.shape)
     last_key, last_s = b"", None  # no point has empty bytes: the first call misses
+    work = None
 
-    def at(x: Vector, order: int, out: Optional[Matrix] = None):
+    def at(x: Vector, order: int):
         nonlocal last_key, last_s
         x = as_vector(x, dim=data.n)
         key = x.tobytes()
         if key != last_key:
             last_key, last_s = key, data.A @ x
-        return _phase_from_product(data, last_s, order, out)
+        return _phase_from_product(data, last_s, order, work)
+
+    def hess(x: Vector) -> Matrix:
+        nonlocal work
+        if work is None:
+            work = _hessian_work(data)
+        return at(x, 2)
 
     smooth = SmoothOracle(
         dim=data.n,
         order=2,
         value=lambda x: at(x, 0),
         grad=lambda x: at(x, 1),
-        hess=lambda x: at(x, 2, out=rows),
+        hess=hess,
     )
     return CompositeProblem(smooth=smooth, nonsmooth=l1_term(data.lam))
 

@@ -1,6 +1,7 @@
 """Seeded problem generators: formulas, draw order, closed forms, round-trips."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,11 @@ from nhota import (
     save_phase_retrieval,
     subdiff_dist_l1,
 )
+from nhota import problems
+from nhota.core import CompositeProblem, norm, scale_resolution
 from nhota.driver import format_trace_row
 from nhota.problems import DiagQuadL1Data, data_hash, diag_quad_problem, phase_oracle
+from support import with_callback_counts
 
 
 # --------------------------------------------------------- phase retrieval
@@ -58,9 +62,9 @@ def test_phase_draw_order_is_frozen():
 
 
 def test_phase_hessian_scratch_reuse_keeps_bytes_and_results():
-    # the problem's Hessian callback reuses one m-by-n scratch array: its
-    # output must match a fresh-temporary evaluation bit for bit, and a later
-    # call must not overwrite an earlier result
+    # the problem's Hessian callback reuses one scratch block and one G: its
+    # output must match phase_oracle's, which forms both afresh, bit for bit,
+    # and a later call must not overwrite an earlier result
     prob, data, x0 = gen_phase_retrieval(7, 30, seed=11, noise_scale=0.5)
     x1 = x0 + 0.3
     H0 = prob.smooth.hess(x0)
@@ -69,6 +73,89 @@ def test_phase_hessian_scratch_reuse_keeps_bytes_and_results():
     assert np.array_equal(H0, H0_before)
     assert np.array_equal(H0, phase_oracle(data, x0, 2))
     assert np.array_equal(H1, phase_oracle(data, x1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    seed=st.integers(0, 10_000),
+    gen_variance=st.sampled_from([0.05, 0.5, 5.0, 50.0]),
+    noise_scale=st.sampled_from([0.0, 1.0]),
+    block_rows=st.integers(1, 24),
+    shape=st.sampled_from(["below", "equal", "multiple", "ragged"]),
+    j=st.integers(1, 23),
+    point=st.sampled_from(["x0", "near z", "z/sqrt(3)"]),
+)
+def test_phase_hessian_is_the_row_sum_to_rounding(n, seed, gen_variance, noise_scale,
+                                                  block_rows, shape, j, point):
+    # H = 2/m (3 S(x) - G), summed over row blocks, against
+    # 2/m sum_i (3 s_i^2 - y_i) a_i a_i^T formed row by row from the same
+    # s = A.x: within c * eps * m of the entries' absolute sum, for m below,
+    # equal to, a multiple of and not a multiple of the block's rows, and at
+    # z / sqrt(3), where 3 s_i^2 = y_i - noise_i and the terms cancel
+    j = 1 + (j - 1) % block_rows
+    m = {"below": max(1, block_rows - j), "equal": block_rows,
+         "multiple": 3 * block_rows, "ragged": 2 * block_rows + j}[shape]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "_HESS_BLOCK_BYTES", 8 * n * block_rows)
+        prob, data, x0 = gen_phase_retrieval(n, m, seed=seed, noise_scale=noise_scale,
+                                             gen_variance=gen_variance)
+        rng = np.random.default_rng(seed)
+        x = {"x0": x0, "near z": data.z + 1e-3 * rng.normal(size=n),
+             "z/sqrt(3)": data.z / np.sqrt(3.0)}[point]
+        H = prob.smooth.hess(x)
+        assert np.array_equal(H, phase_oracle(data, x, 2))
+    s = data.A @ x
+    ref = np.zeros((n, n))
+    scale = np.zeros((n, n))
+    for a, s_i, y_i in zip(data.A, s, data.y):
+        ref += (3.0 * s_i * s_i - y_i) * np.outer(a, a)
+        scale += (3.0 * s_i * s_i + abs(y_i)) * np.outer(np.abs(a), np.abs(a))
+    ref *= 2.0 / m
+    scale *= 2.0 / m
+    assert np.array_equal(H, H.T)
+    assert np.max(np.abs(H - ref)) <= 8.0 * np.finfo(float).eps * m * np.max(scale)
+
+
+def test_phase_hessian_working_set_is_one_block():
+    # the first Hessian forms the scratch block and G; a later one (at a
+    # point whose A.x is cached, as in a run) allocates a few n-by-n arrays;
+    # the problem keeps the block, G and the cached A.x, and at no time an
+    # m-by-n array
+    n = 200
+    rows = problems._HESS_BLOCK_BYTES // (8 * n)
+    _, data, x0 = gen_phase_retrieval(n, 3 * rows + 17, seed=0, noise_scale=1.0)
+    block, square = rows * n * 8, n * n * 8
+    assert block + 4 * square < data.A.nbytes
+    peaks = []
+    tracemalloc.start()
+    try:
+        prob = problems.phase_retrieval_problem(data)
+        for point in (x0, x0 + 0.1):
+            prob.smooth.value(point)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            prob.smooth.hess(point)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < block + 4 * square
+    assert peaks[1] < 4 * square
+    assert held < block + 2 * square + 2 * data.y.nbytes
+
+
+def test_phase_gram_is_formed_once_per_problem_and_never_at_p1(monkeypatch):
+    formed = []
+    form = problems._hessian_work
+    monkeypatch.setattr(problems, "_hessian_work", lambda data: formed.append(1) or form(data))
+    prob, _, x0 = gen_phase_retrieval(10, 50, seed=3, noise_scale=1.0)
+    prob, calls = with_callback_counts(prob)
+    cfg = RunConfig(stop_stat=1e-9, stop_f=-np.inf, max_outer=30)
+    nhota_run(prob, x0, replace(cfg, p=1))
+    assert not formed and calls["hess"] == 0 and calls["grad"] > 1
+    nhota_run(prob, x0, replace(cfg, p=2))
+    assert formed == [1] and calls["hess"] > 1
 
 
 def test_phase_product_cache_misses_after_in_place_change():
@@ -170,6 +257,22 @@ def test_badly_scaled_diag_instances_keep_their_known_opt():
     for seed in range(20):
         prob, data, _ = gen_diag_quad_l1(50, seed, d_range=(1e5, 1e6), c_std=1e3)
         assert np.array_equal(prob.known_opt[0], exact_solution_diag(data)[0])
+
+
+def test_known_opt_allows_for_the_curvature_at_x_star():
+    # d(x* - c) rounds at eps * d * |c| ~ 2e-5 here, above the scale term
+    # sqrt(eps) * (1 + |f| + ||grad||) ~ 2.5e-8 but below the curvature term
+    # sqrt(eps * (1 + |f|) * max d) ~ 3e-5; one step of 1e-9 off x* is not
+    # rounding and still fails
+    data = DiagQuadL1Data(d=np.array([1e6, 3e6, 7e5]),
+                          c=np.array([1.2345e4, -3.3e4, 2.1e4]), lam=1e-5)
+    prob = diag_quad_problem(data)
+    x_star, f_star = exact_solution_diag(data)
+    g = prob.smooth.grad(x_star)
+    assert subdiff_dist_l1(g, x_star, data.lam) > scale_resolution(prob.f(x_star), norm(g))
+    with pytest.raises(ValueError, match="known_opt fails stationarity"):
+        CompositeProblem(smooth=prob.smooth, nonsmooth=prob.nonsmooth,
+                         known_opt=(x_star + np.array([0.0, 1e-9, 0.0]), f_star))
 
 
 def test_diag_generator_validation():
