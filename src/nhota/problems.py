@@ -85,7 +85,8 @@ def gen_phase_retrieval(
 # Byte budget of the phase Hessian's scratch block of rows of A: the scratch
 # is one block, not an m-by-n array, whatever m.  At n = 400 a block holds
 # 655 rows, enough for syrk to run near its speed over all of A
-# (BENCH_27.json's block-size table).
+# (BENCH_27.json's block-size table); the rows of each sign are gathered
+# into it in turn.
 _HESS_BLOCK_BYTES = 1 << 21
 
 
@@ -95,11 +96,11 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
     With s_i = a_i.x and residual r_i = y_i - s_i^2:
         F(x)    = 1/(2m) sum r_i^2
         grad    = 2/m sum (s_i^2 - y_i) s_i a_i
-        hess    = 2/m sum (3 s_i^2 - y_i) a_i a_i^T = 2/m (3 S(x) - G)
-    with S(x) = sum s_i^2 a_i a_i^T and G = sum y_i a_i a_i^T, both summed
-    over blocks of rows (see ``_phase_from_product``).  Each call forms G
-    afresh, so the result equals the Hessian of ``phase_retrieval_problem``,
-    which forms G once, bit for bit.  Results are deterministic for
+        hess    = 2/m sum w_i a_i a_i^T,  w_i = 3 s_i^2 - y_i
+    with the weighted sum split by the sign of w_i (see
+    ``_phase_from_product``).  A call allocates its own scratch block and
+    forms no x-independent term, and the result equals the Hessian of
+    ``phase_retrieval_problem`` bit for bit.  Results are deterministic for
     identical inputs at a fixed BLAS thread count.  The products with A go
     through BLAS, whose reduction order depends on the number of threads, so
     another thread count can change the last bits of every value and with
@@ -108,46 +109,32 @@ def phase_oracle(data: PhaseRetrievalData, x: Vector, order: int):
     return _phase_from_product(data, data.A @ as_vector(x, dim=data.n), order)
 
 
-def _hessian_work(data: PhaseRetrievalData) -> tuple[Matrix, Matrix]:
-    """(block, G): a scratch block of as many rows of A as fit in
-    ``_HESS_BLOCK_BYTES`` (at least one, at most m), and G = sum y_i a_i a_i^T
-    summed over such blocks and symmetrized, the part of the phase Hessian
-    that does not depend on x."""
+def _hessian_block(data: PhaseRetrievalData) -> Matrix:
+    """Scratch block of as many rows of A as fit in ``_HESS_BLOCK_BYTES``
+    (at least one, at most m)."""
     rows = max(1, _HESS_BLOCK_BYTES // (8 * data.n))
-    block = np.empty((min(rows, data.m), data.n))
-    G = np.zeros((data.n, data.n))
-    for B, A_b in _scaled_blocks(data.A, data.y, block):
-        G += B.T @ A_b
-    return block, 0.5 * (G + G.T)
-
-
-def _scaled_blocks(A: Matrix, w: Vector, block: Matrix):
-    """(w_b * A_b, A_b) over consecutive blocks of ``block``'s height of rows
-    of A, the scaled rows written into ``block``."""
-    k = block.shape[0]
-    for i in range(0, A.shape[0], k):
-        A_b = A[i:i + k]
-        yield np.multiply(A_b, w[i:i + k, None], out=block[:A_b.shape[0]]), A_b
+    return np.empty((min(rows, data.m), data.n))
 
 
 def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
-                        work: Optional[tuple[Matrix, Matrix]] = None):
+                        block: Optional[Matrix] = None):
     """``phase_oracle`` from the product s = A.x; s is not modified.
 
-    Order 2 forms H = 2/m (3 S(x) - G).  S(x) = sum_b B_b^T B_b over blocks
-    of rows, B_b = s_b * A_b: each product of a block with its own transpose
-    goes to BLAS ``syrk``, half the flops of a general product, and is
-    symmetric bit for bit, so with G symmetrized every Hessian is too.
-    ``work`` is ``_hessian_work(data)``, the block scratch and G, which a
-    caller that evaluates many Hessians keeps; without it both are formed
-    for this call.  The scratch is one block, so no m-by-n temporary is
-    allocated.  The split rounds differently from summing the rows'
-    (3 s_i^2 - y_i) a_i a_i^T: each entry is within a small multiple of
+    Order 2 forms H = 2/m (P^T P - N^T N), where P stacks the rows
+    sqrt(w_i) a_i with w_i = 3 s_i^2 - y_i >= 0 and N the rows
+    sqrt(-w_i) a_i with w_i < 0.  Each side's rows are gathered in
+    ascending order into ``block``, one block at a time, and scaled there;
+    each product of a block with its own transpose goes to BLAS ``syrk``
+    and is symmetric bit for bit, so H is too.  ``block`` is
+    ``_hessian_block(data)``, which a caller that evaluates many Hessians
+    keeps; without it one is allocated for this call.  No m-by-n or
+    x-independent n-by-n array is formed.  The syrk work over both sides is
+    that of one pass over A, about m n^2 flops.  P and N hold disjoint
+    rows, so no two m-term sums cancel; forming w_i rounds relative to
+    3 s_i^2 + |y_i|, so each entry is within a small multiple of
     eps * m * 2/m * max_jl sum_i (3 s_i^2 + |y_i|) |a_ij| |a_il| of the
     exact one, a bound that holds at every BLAS thread count, though the
-    last bits depend on it.  Near z / sqrt(3), where 3 s_i^2 is close to
-    y_i, the two terms cancel, and the error is relative to that sum, not
-    to the entries of H.
+    last bits depend on it.  A NaN w_i goes to P and makes H NaN.
     """
     if order == 0:
         r = data.y - s**2
@@ -156,12 +143,19 @@ def _phase_from_product(data: PhaseRetrievalData, s: Vector, order: int,
         w = (s**2 - data.y) * s
         return (2.0 / data.m) * (data.A.T @ w)
     if order == 2:
-        block, G = _hessian_work(data) if work is None else work
+        if block is None:
+            block = _hessian_block(data)
+        w = 3.0 * s**2 - data.y
+        neg = w < 0
+        r = np.sqrt(np.abs(w))
         H = np.zeros((data.n, data.n))
-        for B, _ in _scaled_blocks(data.A, s, block):
-            H += B.T @ B
-        H *= 3.0
-        H -= G
+        k = block.shape[0]
+        for rows, op in ((np.flatnonzero(~neg), np.add), (np.flatnonzero(neg), np.subtract)):
+            for i in range(0, rows.size, k):
+                idx = rows[i:i + k]
+                B = np.take(data.A, idx, axis=0, out=block[:idx.size], mode="clip")
+                B *= r[idx, None]
+                op(H, B.T @ B, out=H)
         H *= 2.0 / data.m
         return H
     raise ValueError(f"order must be 0, 1 or 2, got {order}")
@@ -175,14 +169,14 @@ def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
     m-by-n product between them, and a point changed in place since, even
     in the caller's own array, misses the cache.  The same bytes give the
     same product, so results match ``phase_oracle``'s bit for bit.  The
-    Hessian callback forms its scratch block and G (``_hessian_work``) at
-    the problem's first Hessian and keeps them for the problem's lifetime:
-    a run that forms no Hessian (p = 1) pays for neither, and each later
-    Hessian costs the syrk products of S(x) alone.  Nothing is locked: the
-    callbacks of one problem must not be called concurrently.
+    Hessian callback forms its scratch block (``_hessian_block``) at the
+    problem's first Hessian and keeps it for the problem's lifetime: a run
+    that forms no Hessian (p = 1) never allocates it, and the problem holds
+    no n-by-n array.  Nothing is locked: the callbacks of one problem must
+    not be called concurrently.
     """
     last_key, last_s = b"", None  # no point has empty bytes: the first call misses
-    work = None
+    block = None
 
     def at(x: Vector, order: int):
         nonlocal last_key, last_s
@@ -190,12 +184,12 @@ def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
         key = x.tobytes()
         if key != last_key:
             last_key, last_s = key, data.A @ x
-        return _phase_from_product(data, last_s, order, work)
+        return _phase_from_product(data, last_s, order, block)
 
     def hess(x: Vector) -> Matrix:
-        nonlocal work
-        if work is None:
-            work = _hessian_work(data)
+        nonlocal block
+        if block is None:
+            block = _hessian_block(data)
         return at(x, 2)
 
     smooth = SmoothOracle(

@@ -62,9 +62,9 @@ def test_phase_draw_order_is_frozen():
 
 
 def test_phase_hessian_scratch_reuse_keeps_bytes_and_results():
-    # the problem's Hessian callback reuses one scratch block and one G: its
-    # output must match phase_oracle's, which forms both afresh, bit for bit,
-    # and a later call must not overwrite an earlier result
+    # the problem's Hessian callback reuses one scratch block: its output
+    # must match phase_oracle's, which allocates a block per call, bit for
+    # bit, and a later call must not overwrite an earlier result
     prob, data, x0 = gen_phase_retrieval(7, 30, seed=11, noise_scale=0.5)
     x1 = x0 + 0.3
     H0 = prob.smooth.hess(x0)
@@ -84,15 +84,17 @@ def test_phase_hessian_scratch_reuse_keeps_bytes_and_results():
     block_rows=st.integers(1, 24),
     shape=st.sampled_from(["below", "equal", "multiple", "ragged"]),
     j=st.integers(1, 23),
-    point=st.sampled_from(["x0", "near z", "z/sqrt(3)"]),
+    point=st.sampled_from(["x0", "near z", "z/sqrt(3)", "0", "10 x0"]),
 )
 def test_phase_hessian_is_the_row_sum_to_rounding(n, seed, gen_variance, noise_scale,
                                                   block_rows, shape, j, point):
-    # H = 2/m (3 S(x) - G), summed over row blocks, against
-    # 2/m sum_i (3 s_i^2 - y_i) a_i a_i^T formed row by row from the same
-    # s = A.x: within c * eps * m of the entries' absolute sum, for m below,
-    # equal to, a multiple of and not a multiple of the block's rows, and at
-    # z / sqrt(3), where 3 s_i^2 = y_i - noise_i and the terms cancel
+    # H = 2/m (P^T P - N^T N), summed over row blocks of each sign of
+    # w_i = 3 s_i^2 - y_i, against 2/m sum_i w_i a_i a_i^T formed row by row
+    # from the same s = A.x: within c * eps * m of the entries' absolute sum,
+    # for m below, equal to, a multiple of and not a multiple of the block's
+    # rows; at z / sqrt(3), where 3 s_i^2 = y_i - noise_i and the terms
+    # cancel; at 0, where every w_i = -y_i; and at 10 x0, where nearly every
+    # w_i is positive, so each side in turn is empty or fills several blocks
     j = 1 + (j - 1) % block_rows
     m = {"below": max(1, block_rows - j), "equal": block_rows,
          "multiple": 3 * block_rows, "ragged": 2 * block_rows + j}[shape]
@@ -102,7 +104,7 @@ def test_phase_hessian_is_the_row_sum_to_rounding(n, seed, gen_variance, noise_s
                                              gen_variance=gen_variance)
         rng = np.random.default_rng(seed)
         x = {"x0": x0, "near z": data.z + 1e-3 * rng.normal(size=n),
-             "z/sqrt(3)": data.z / np.sqrt(3.0)}[point]
+             "z/sqrt(3)": data.z / np.sqrt(3.0), "0": np.zeros(n), "10 x0": 10.0 * x0}[point]
         H = prob.smooth.hess(x)
         assert np.array_equal(H, phase_oracle(data, x, 2))
     s = data.A @ x
@@ -118,10 +120,11 @@ def test_phase_hessian_is_the_row_sum_to_rounding(n, seed, gen_variance, noise_s
 
 
 def test_phase_hessian_working_set_is_one_block():
-    # the first Hessian forms the scratch block and G; a later one (at a
-    # point whose A.x is cached, as in a run) allocates a few n-by-n arrays;
-    # the problem keeps the block, G and the cached A.x, and at no time an
-    # m-by-n array
+    # the first Hessian forms the scratch block and allocates H, one
+    # product and a few m-vectors; a later one (at a point whose A.x is
+    # cached, as in a run) the same without the block; the problem keeps the
+    # block and the cached A.x, no n-by-n array, and at no time an m-by-n
+    # array
     n = 200
     rows = problems._HESS_BLOCK_BYTES // (8 * n)
     _, data, x0 = gen_phase_retrieval(n, 3 * rows + 17, seed=0, noise_scale=1.0)
@@ -140,15 +143,15 @@ def test_phase_hessian_working_set_is_one_block():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peaks[0] < block + 4 * square
+    assert peaks[0] < block + 3 * square
     assert peaks[1] < 4 * square
-    assert held < block + 2 * square + 2 * data.y.nbytes
+    assert held < block + 2 * data.y.nbytes
 
 
-def test_phase_gram_is_formed_once_per_problem_and_never_at_p1(monkeypatch):
+def test_phase_hessian_block_is_formed_once_per_problem_and_never_at_p1(monkeypatch):
     formed = []
-    form = problems._hessian_work
-    monkeypatch.setattr(problems, "_hessian_work", lambda data: formed.append(1) or form(data))
+    form = problems._hessian_block
+    monkeypatch.setattr(problems, "_hessian_block", lambda data: formed.append(1) or form(data))
     prob, _, x0 = gen_phase_retrieval(10, 50, seed=3, noise_scale=1.0)
     prob, calls = with_callback_counts(prob)
     cfg = RunConfig(stop_stat=1e-9, stop_f=-np.inf, max_outer=30)
