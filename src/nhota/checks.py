@@ -35,7 +35,7 @@ from .driver import (
 )
 from .inner import (
     InnerSolveFailure,
-    _solve_separable,
+    _solve_closed_form,
     certify,
     residual_floor,
     solve_subproblem,
@@ -235,7 +235,7 @@ def closed_form_against_loop(problem, x0, M: float,
     loop's, failure lines).
     """
     center = ModelCenter.from_oracle(problem.smooth, x0, 2)
-    closed = _solve_separable(problem, center, M, theta, max_inner=500)
+    closed = _solve_closed_form(problem, center, M, theta, max_inner=500)
     if closed is None:
         return np.nan, ["closed form did not certify"]
     dense = with_dense_hessian(problem)

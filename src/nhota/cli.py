@@ -130,6 +130,11 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _u_tag(u: float) -> str:
+    """The tag in a sweep's file and column names for the run at u."""
+    return f"u{u:g}"
+
+
 def _validate(cfg: ExperimentConfig, solver: dict[str, object], path) -> None:
     if cfg.problem not in _PROBLEMS:
         raise ConfigError(
@@ -152,6 +157,10 @@ def _validate(cfg: ExperimentConfig, solver: dict[str, object], path) -> None:
             replace(cfg.run, u=u)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad u_list entry: {exc}") from exc
+    tags = [_u_tag(u) for u in cfg.u_list]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"{path}: u_list repeats a file tag ({', '.join(tags)}): "
+                          "two runs would write one set of files")
     if SEED_ENV_VAR in os.environ:
         try:
             cfg.seed = int(os.environ[SEED_ENV_VAR])
@@ -280,7 +289,7 @@ def sweep_u(cfg: ExperimentConfig) -> dict[float, IterateTrace]:
     traces: dict[float, IterateTrace] = {}
     with shared_steps(problem):
         for u in cfg.u_list:
-            tag = f"u{u:g}"
+            tag = _u_tag(u)
             traces[u] = _run_to_files(cfg, replace(cfg.run, u=u), problem, x0, digest,
                                       out / f"trace_{tag}.csv", out / f"summary_{tag}.txt")
     write_comparison(out / "comparison.csv", cfg.u_list, traces)
@@ -295,7 +304,7 @@ def write_comparison(path: Path, u_list: list[float],
     columns = [(traces[u].f_values(), traces[u].stationarity_values()) for u in u_list]
     depth = max(len(f) for f, _ in columns)
     with open(path, "w") as fh:
-        names = ",".join(f"f_u{u:g},stat_u{u:g}" for u in u_list)
+        names = ",".join(f"f_{_u_tag(u)},stat_{_u_tag(u)}" for u in u_list)
         fh.write(f"k,{names}\n")
         for k in range(depth):
             cells = [f"{float(f_vals[k])!r},{float(s_vals[k])!r}" if k < len(f_vals) else ","

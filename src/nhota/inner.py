@@ -6,20 +6,19 @@ A returned point y is acceptable when
   (1) m(y) <= f(x)                                   (model decrease), and
   (2) dist(0, model_grad(y) + dh(y)) <= theta*||y - x||^p   (residual).
 
-For p = 1 the subproblem f(x) + g.(y - x) + M/2 ||y - x||^2 + h(y) is
-solved in closed form: its exact minimizer is the single prox step
-prox_{h/M}(x - g/M) (Nesterov's composite gradient mapping), and both
-conditions are checked on that point in floating point.  For p = 2 with a
-diagonal Hessian H > 0 (kept as its vector) and an h that reports exact
-subdifferential distances, the subproblem is solved in closed form too: the
-minimizer is a per-coordinate prox step at the single root r of the
-secular equation ||y(r) - x|| = r of cubic regularization (Nesterov &
-Polyak 2006; Cartis, Gould & Toint 2011), found by a 1-D root finder.
-Every other p = 2 subproblem goes to a proximal gradient iteration, where
-condition (1) holds by construction: it starts at y0 = x, where m(x) =
-f(x) exactly, and never increases m.  All solves compare model values
-relative to F(x) (``taylor._model``), so the comparisons round at the scale
-of the model's change, not of F(x).  Condition (2) is certified either
+For p = 1, and for p = 2 with a diagonal Hessian H > 0 (kept as its
+vector), the subproblem is solved in closed form: its exact minimizer is one
+prox step in the metric diag(a), y = prox_{h, 1/a}(x - g/a), with a = M
+for p = 1 (Nesterov's composite gradient mapping) and a = H + M r/2 for
+p = 2, at the single root r of the secular equation ||y(r) - x|| = r of
+cubic regularization (Nesterov & Polyak 2006; Cartis, Gould & Toint 2011),
+found by a 1-D root finder; the p = 2 form needs an h that reports exact
+subdifferential distances.  Both conditions are checked on that point in
+floating point.  Every other p = 2 subproblem goes to a proximal gradient
+iteration, where condition (1) holds by construction: it starts at y0 = x,
+where m(x) = f(x) exactly, and never increases m.  All solves compare model
+values relative to F(x) (``taylor._model``), so the comparisons round at the
+scale of the model's change, not of F(x).  Condition (2) is certified either
 through the exact subdifferential distance (when h provides one) or through
 the prox-step witness subgradient.
 """
@@ -217,11 +216,11 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
             witness: Optional[Vector], decrease_ok: bool = True, why: Optional[str] = None):
     """The inner solver's one stopping rule: (y, certificate, witness), or None.
 
-    Every solve ends here, for either p: the p = 1 and p = 2 closed-form
-    steps, a start point that is already certified, a p = 2 iterate whose
-    residual cleared its target or whose step moved m by no more than its
-    rounding (eps * |m - F(x)|), an iterate that no step size moves, and a
-    spent budget.
+    Every solve ends here, for either p: the closed-form step, a start point
+    that is already certified, a p = 2 iterate whose residual cleared its
+    target or whose step moved m by no more than its rounding
+    (eps * |m - F(x)|), an iterate that no step size moves, and a spent
+    budget.
     Given y's model terms ``model_y`` (``_model(center, y, M)``), h(y) as
     ``h_y``, y's residual ``res`` and target ``thr`` = theta*||y - x||^p:
 
@@ -267,75 +266,61 @@ def _finish(problem: CompositeProblem, center: ModelCenter, M: float, y: Vector,
                               h_y, taylor_change, taylor_grad), witness
 
 
-def _solve_first_order(problem: CompositeProblem, center: ModelCenter,
-                       M: float, theta: float):
-    """The p = 1 subproblem in closed form: y = prox_{h/M}(x - g/M).
+def _solve_closed_form(problem: CompositeProblem, center: ModelCenter, M: float,
+                       theta: float, max_inner: int):
+    """The exact subproblem minimizer for p = 1, and for p = 2 with a
+    diagonal Hessian H > 0.
 
-    The prox optimality condition puts the witness M(x - y) - g in dh(y),
-    so the model gradient g + M(y - x) plus the witness is zero up to
-    roundoff.  Both certificate conditions are still tested in floating
-    point, through the same stopping rule (``_finish``) as the p = 2
-    iteration.
-    """
-    x, g = center.x, center.gx
-    y = _prox(problem, x - g / M, 1.0 / M)
-    witness = M * (x - y) - g
-    model_y = _model(center, y, M)
-    h_y = float(problem.nonsmooth.value(y))
-    res = _residual(problem, model_y[1], y, witness)
-    decrease_ok = model_y[0] + h_y <= _h_center(problem, center)
-    return _finish(problem, center, M, y, model_y, h_y, res, theta * model_y[2], 1, witness,
-                   decrease_ok, why="closed-form prox step not certified")
-
-
-def _solve_separable(problem: CompositeProblem, center: ModelCenter, M: float,
-                     theta: float, max_inner: int):
-    """The p = 2 subproblem with a diagonal Hessian H > 0, through one root.
-
-    The minimizer y of the model plus h satisfies 0 in g + a(y - x) + dh(y)
-    with a = H + M r/2 and r = ||y - x||.  For a fixed r that is the
+    Both minimizers satisfy 0 in g + a(y - x) + dh(y), with a = M for p = 1
+    and a = H + M r/2, r = ||y - x||, for p = 2.  For a fixed a that is the
     optimality condition of a separable problem, solved by one prox call
-    with per-coordinate thresholds: y(r) = prox_{h, 1/a}(x - g/a).
-    phi(r) = ||y(r) - x|| - r decreases in r (a larger a shortens the
-    step), so the exact step is y(r) at phi's single root, bracketed by
+    with per-coordinate thresholds: y(a) = prox_{h, 1/a}(x - g/a), which
+    for p = 1 is Nesterov's composite gradient mapping.  For p = 2,
+    phi(r) = ||y(r) - x|| - r decreases in r (a larger a shortens the step),
+    so the exact step is y(r) at phi's single root, bracketed by
     [0, ||y(0) - x||] and found by Illinois regula falsi to working
-    precision.  The step ends through ``_finish`` with the exact
-    subdifferential distance, like any other solve; None when some
-    H_i <= 0 or the root does not certify.
+    precision.  Both end through ``_finish``; the witness a(x - y) - g,
+    which the prox optimality condition puts in dh(y), comes back only when
+    h has no ``subdiff_dist``.  An uncertified p = 1 step raises
+    ``InnerSolveFailure``; a p = 2 step returns None when some H_i <= 0 or
+    the root does not certify.
     """
-    x, g, H = center.x, center.gx, center.Hx
-    if not H.min() > 0.0:
+    x, g, p, h = center.x, center.gx, center.p, problem.nonsmooth
+    a = H = M if p == 1 else center.Hx  # a at r = 0; H is read only at p = 2
+    if p == 2 and not H.min() > 0.0:
         return None
-
-    def y_at(r: float) -> tuple[Vector, float]:
-        tau = 1.0 / (H + (0.5 * M) * r)
-        y = _prox(problem, x - g * tau, tau)
-        return y, norm(y - x) - r
-
-    y, f = y_at(0.0)
-    lo, hi, f_lo, f_hi, iters = 0.0, f, f, 0.0, 1
-    # phi's own rounding: y - x cancels at the scale of ||x|| + ||y(0) - x||
-    tol = 4.0 * _EPS * (hi + center.x_norm)
-    r, side = hi, 0  # side: which end the last point replaced, +1 lo, -1 hi
-    while abs(f) > tol and hi - lo > _EPS * hi and iters < max_inner:
-        y, f = y_at(r)
-        iters += 1
-        if f > 0.0:
-            lo, f_lo = r, f
-            if side > 0:
-                f_hi *= 0.5  # Illinois: the end kept twice has its value halved
-            side = 1
-        else:
-            hi, f_hi = r, f
-            if side < 0:
-                f_lo *= 0.5
-            side = -1
-        r = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    y = _prox(problem, x - g / a, 1.0 / a)
+    iters = 1
+    if p == 2:
+        f = hi = norm(y - x)
+        lo, f_lo, f_hi = 0.0, f, 0.0
+        # phi's own rounding: y - x cancels at the scale of ||x|| + ||y(0) - x||
+        tol = 4.0 * _EPS * (hi + center.x_norm)
+        r, side = hi, 0  # side: which end the last point replaced, +1 lo, -1 hi
+        while abs(f) > tol and hi - lo > _EPS * hi and iters < max_inner:
+            a = H + (0.5 * M) * r
+            y = _prox(problem, x - g / a, 1.0 / a)
+            f = norm(y - x) - r
+            iters += 1
+            if f > 0.0:
+                lo, f_lo = r, f
+                if side > 0:
+                    f_hi *= 0.5  # Illinois: the end kept twice has its value halved
+                side = 1
+            else:
+                hi, f_hi = r, f
+                if side < 0:
+                    f_lo *= 0.5
+                side = -1
+            r = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    witness = None if h.subdiff_dist is not None else a * (x - y) - g
     model_y = _model(center, y, M)
-    h_y = float(problem.nonsmooth.value(y))
+    h_y = float(h.value(y))
     decrease_ok = model_y[0] + h_y <= _h_center(problem, center)
-    return _finish(problem, center, M, y, model_y, h_y, _residual(problem, model_y[1], y, None),
-                   theta * model_y[2]**2, iters, None, decrease_ok)
+    res = _residual(problem, model_y[1], y, witness)
+    why = "closed-form prox step not certified" if p == 1 else None  # p = 2 falls back
+    return _finish(problem, center, M, y, model_y, h_y, res, theta * model_y[2]**p, iters,
+                   witness, decrease_ok, why)
 
 
 def solve_subproblem(
@@ -347,20 +332,15 @@ def solve_subproblem(
 ) -> tuple[Vector, StepCertificate, Optional[Vector]]:
     """Certified approximate minimizer of the regularized model plus h.
 
-    For p = 1 the minimizer is exact and takes one prox call: y =
-    prox_{h/M}(x - g/M), certified with the witness M(x - y) - g and the
-    same threshold and model-decrease tests as below; the certificate
-    reports one inner iteration.  It takes no step size, so ``max_inner``
-    is validated but not used.
-
-    For p = 2 with a diagonal Hessian returned as its vector, all H_i > 0,
-    and an h with an exact ``subdiff_dist``, the exact minimizer in closed
-    form (``_solve_separable``): one prox call with per-coordinate
-    thresholds for each evaluation of the secular equation, at most
-    ``max_inner`` of them, reported as the certificate's inner iterations,
-    and the witness None.  It ends through the same stopping rule as below;
-    when it does not certify, or some H_i <= 0, the iteration below solves
-    the step instead.
+    For p = 1, and for p = 2 with a diagonal Hessian returned as its
+    vector, all H_i > 0 and an h with an exact ``subdiff_dist``, the exact
+    minimizer in closed form (``_solve_closed_form``): one prox call in the
+    metric diag(a), a = M for p = 1, and for p = 2 one per evaluation of the
+    secular equation, at most ``max_inner`` of them; the prox calls are the
+    certificate's inner iterations.  It ends through the same stopping rule
+    as below.  An uncertified p = 1 step raises ``InnerSolveFailure``; when a
+    p = 2 step does not certify, or some H_i <= 0, the iteration below
+    solves it instead.
 
     Otherwise, for p = 2, proximal gradient on the regularized model until
     certified.  Starts at y0 = x, where m(x) = f(x), at every M.  Each
@@ -398,8 +378,8 @@ def solve_subproblem(
     through the ordinary acceptance test.
 
     Returns (y, certificate, witness); witness is None when the certificate
-    came from the exact subdifferential distance at y = y0 or from the
-    closed-form step.
+    came from the exact subdifferential distance at y = y0 or from a
+    closed-form step with an h that has a ``subdiff_dist``.
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -407,12 +387,9 @@ def solve_subproblem(
         raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     if not M > 0:
         raise ValueError(f"M must be positive, got {M}")
-    p = center.p
-    if p == 1:
-        return _solve_first_order(problem, center, M, theta)
-    h = problem.nonsmooth
-    if h.subdiff_dist is not None and center.Hx.ndim == 1:
-        out = _solve_separable(problem, center, M, theta, max_inner)
+    p, h = center.p, problem.nonsmooth
+    if p == 1 or (h.subdiff_dist is not None and center.Hx.ndim == 1):
+        out = _solve_closed_form(problem, center, M, theta, max_inner)
         if out is not None:
             return out
     # y0 = x with its model terms, h(y) and m(y) - F(x); model values are

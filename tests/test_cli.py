@@ -365,9 +365,13 @@ BAD_CONFIGS = {
     "max_inner": ("run", DIAG_CFG + "max_inner = 0\n"),
     "max_doublings": ("sweep", DIAG_CFG + "max_doublings = -1\n"),
     "u_list": ("sweep", DIAG_CFG + "u_list = 0.5, 2\n"),
+    # two runs whose file tags u<u:g> coincide would write one trace file
+    "u_list_repeated": ("sweep", DIAG_CFG + "u_list = 0.5, 0.5\n"),
+    "u_list_same_tag": ("sweep", DIAG_CFG + "u_list = 0.1234561, 0.1234562\n"),
 }
 # the name each error line must mention, where it is not the case's own name
-ERROR_NAMES = {"lambda_phase": "lambda", "d_c_with_phase": "d", "u_at_u_min": "u"}
+ERROR_NAMES = {"lambda_phase": "lambda", "d_c_with_phase": "d", "u_at_u_min": "u",
+               "u_list_repeated": "u_list", "u_list_same_tag": "u_list"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

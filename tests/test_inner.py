@@ -396,6 +396,12 @@ def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
     expected = np.sign(v) * np.maximum(np.abs(v) - data.lam / M, 0.0)
     assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
     assert cert.valid and not cert.stalled and cert.inner_iters == 1
+    # the step's arithmetic, pinned bit for bit: one prox at x - g/M with
+    # threshold 1/M, and the witness M(x - y) - g only where h is opaque
+    assert np.array_equal(y, prob.nonsmooth.prox(x0 - center.gx / M, 1.0 / M))
+    assert (witness is None) == exact_h
+    if not exact_h:
+        assert np.array_equal(witness, M * (x0 - y) - center.gx)
     fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
     assert fresh.valid and fresh.decrease_ok
 
