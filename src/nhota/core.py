@@ -4,8 +4,11 @@ Conventions used throughout the package: iterates are 1-D float64 numpy
 arrays and ``||.||`` is the Euclidean norm.  A Hessian is either a dense
 symmetric n-by-n matrix or, for a diagonal Hessian, the length-n vector of
 its diagonal; ``dense_hessian`` expands the second form for code that reads
-matrices.  No NaN or Inf is ever stored in an iterate; oracle outputs are
-checked at the points where they enter the solver.
+matrices.  Arrays are checked at the boundary: the public entry points check
+those a caller hands them, and the solver checks each oracle output where it
+comes back.  So no NaN or Inf is ever stored in an iterate, and every
+callback receives a finite 1-D float64 array of length ``dim`` that the
+solver built, which it may use as given.
 """
 
 from __future__ import annotations
@@ -35,19 +38,11 @@ class OracleContractError(OracleFailure, ValueError):
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
-    """Convert to a 1-D float64 array, rejecting non-finite entries.
-
-    A 1-D float64 ndarray is returned as it is, without a copy (as
-    ``np.asarray`` would), after the same shape, dimension and finiteness
-    checks; anything else (int, list, scalar, 0-d) goes through
-    ``np.asarray`` and ``np.atleast_1d`` first.
-    """
-    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
-        v = x
-    else:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    """Convert to a 1-D float64 array, rejecting non-finite entries; a 1-D
+    float64 ndarray comes back as it is, without a copy."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
     if not np.isfinite(v).all():
@@ -103,12 +98,9 @@ def _soft_threshold(v: Vector, tau: float | Vector) -> Vector:
 
 
 def _subdiff_dist_l1(g: Vector, x: Vector, lam: float) -> float:
-    """``subdiff_dist_l1`` without its checks, for float arrays the solver built."""
-    r = np.where(
-        x != 0.0,
-        g + lam * np.sign(x),
-        np.sign(g) * np.maximum(np.abs(g) - lam, 0.0),
-    )
+    """``subdiff_dist_l1`` without its checks, for float arrays the solver built;
+    only |r_i| enters the norm, so a zero coordinate keeps max(|g_i| - lam, 0)."""
+    r = np.where(x != 0.0, g + lam * np.sign(x), np.maximum(np.abs(g) - lam, 0.0))
     return norm(r)
 
 
@@ -147,7 +139,9 @@ class SmoothOracle:
     must be deterministic and side-effect free.  ``hess`` returns either the
     dense symmetric (n, n) matrix or, when the Hessian is diagonal (F is
     separable), the length-n vector of its diagonal; the solver then forms
-    the second-order Taylor model in O(n) instead of O(n^2).
+    the second-order Taylor model in O(n) instead of O(n^2).  Each callback
+    receives a finite 1-D float64 array of length ``dim`` that the solver
+    built, and may use it as given; the solver checks what it returns.
     """
 
     dim: int
@@ -201,7 +195,7 @@ def l1_term(lam: float) -> NonsmoothTerm:
         raise ValueError(f"lam must be nonnegative, got {lam}")
 
     def value(x: Vector) -> float:
-        return lam * float(np.abs(np.asarray(x, dtype=float)).sum())
+        return lam * float(np.abs(x).sum())
 
     def prox(v: Vector, tau: float | Vector) -> Vector:
         """Soft threshold at tau * lam, for a positive float ``tau`` or a
@@ -271,5 +265,6 @@ class CompositeProblem:
         return self.smooth.dim
 
     def f(self, x: Vector) -> float:
-        """Full objective value F(x) + h(x)."""
+        """Full objective value F(x) + h(x), at x checked as ``nhota_run`` checks x0."""
+        x = as_vector(x, dim=self.dim)
         return float(self.smooth.value(x)) + float(self.nonsmooth.value(x))

@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _EPS,
     CompositeProblem,
     NonsmoothTerm,
     OracleContractError,
@@ -57,8 +58,6 @@ DEGENERATE_STEP_RTOL = 1e-14
 RESIDUAL_FLOOR_COEFF = 1e-11
 
 _DECREASE_SLACK = 1e-12  # relative slack when re-checking model decrease
-
-_EPS = float(np.finfo(float).eps)
 
 
 def residual_floor(center: ModelCenter) -> float:

@@ -173,14 +173,14 @@ def phase_retrieval_problem(data: PhaseRetrievalData) -> CompositeProblem:
     problem's first Hessian and keeps it for the problem's lifetime: a run
     that forms no Hessian (p = 1) never allocates it, and the problem holds
     no n-by-n array.  Nothing is locked: the callbacks of one problem must
-    not be called concurrently.
+    not be called concurrently.  They take x unchecked, as the solver builds
+    it; ``phase_oracle`` is the checked entry point.
     """
     last_key, last_s = b"", None  # no point has empty bytes: the first call misses
     block = None
 
     def at(x: Vector, order: int):
         nonlocal last_key, last_s
-        x = as_vector(x, dim=data.n)
         key = x.tobytes()
         if key != last_key:
             last_key, last_s = key, data.A @ x
@@ -262,7 +262,7 @@ def diag_quad_problem(data: DiagQuadL1Data) -> CompositeProblem:
 
     The Hessian callback returns the diagonal d, as one read-only view
     shared by every call, so the solver forms its second-order model in
-    O(n) per evaluation.
+    O(n) per evaluation.  The callbacks take x unchecked, as the solver builds it.
     """
     if np.any(data.d <= 0):
         raise ValueError("all curvatures d_i must be positive")
@@ -273,8 +273,8 @@ def diag_quad_problem(data: DiagQuadL1Data) -> CompositeProblem:
     smooth = SmoothOracle(
         dim=data.n,
         order=2,
-        value=lambda x: 0.5 * float(d @ (as_vector(x, dim=data.n) - c) ** 2),
-        grad=lambda x: d * (as_vector(x, dim=data.n) - c),
+        value=lambda x: 0.5 * float(d @ (x - c) ** 2),
+        grad=lambda x: d * (x - c),
         hess=lambda x: hess,
     )
     return CompositeProblem(

@@ -30,7 +30,6 @@ from .core import (
     OracleFailure,
     SmoothOracle,
     Vector,
-    as_vector,
     norm,
 )
 
@@ -94,10 +93,11 @@ class ModelCenter:
                     fx: Optional[float] = None, hx: Optional[float] = None) -> "ModelCenter":
         """Value and gradient at x, checked; the Hessian waits for ``Hx``.
 
-        ``fx``, when given, is F(x) as the caller already evaluated it (the
-        driver's acceptance test does at every accepted point); it is used
-        instead of a second ``oracle.value`` call and checked the same way.
-        ``hx``, when given, is h(x), kept as it is.
+        x is taken unchecked, as the solver builds it; the checks are on what
+        the oracle returns.  ``fx``, when given, is F(x) as the caller already
+        evaluated it (the driver's acceptance test does at every accepted
+        point); it is used instead of a second ``oracle.value`` call and
+        checked the same way.  ``hx``, when given, is h(x), kept as it is.
         """
         if p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {p}")
@@ -105,7 +105,6 @@ class ModelCenter:
             raise CapabilityError(
                 f"model order p={p} exceeds oracle derivative order {oracle.order}"
             )
-        x = as_vector(x, dim=oracle.dim)
         fx = float(oracle.value(x) if fx is None else fx)
         if not isfinite(fx):
             raise OracleFailure(f"F(x) is non-finite at x = {x!r}")

@@ -38,7 +38,7 @@ def test_as_vector_returns_a_float_vector_as_it_is():
 
 
 def test_as_vector_rejects_bad_input():
-    for form in (list, np.array):  # a float array takes the fast path
+    for form in (list, np.array):  # a float array is checked as a list is
         with pytest.raises(ValueError):
             as_vector(form([[1.0, 2.0]]))
         for bad in (np.nan, np.inf, -np.inf):

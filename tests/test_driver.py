@@ -1,5 +1,6 @@
 """Outer loop: reference sequence, acceptance rule, adaptive M, full runs."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 from math import factorial
@@ -14,6 +15,7 @@ from nhota import (
     ModelCenter,
     OracleFailure,
     RunConfig,
+    core,
     diag_quad_problem,
     exact_solution_diag,
     gen_diag_quad_l1,
@@ -597,6 +599,47 @@ def test_trace_csv_row_roundtrip():
     assert float(cells[2]) == row.R
     assert float(cells[5]) == row.stationarity
     assert int(cells[6]) == row.inner_iters
+
+
+# ------------------------------------------------------- boundary checks
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "wrong length", "2-D"])
+def test_run_rejects_a_bad_x0_before_any_callback(bad):
+    # x0 is the one array a run takes from its caller, and this is its only
+    # check: nothing behind it checks the solver's arrays again
+    plain, _, x0 = gen_diag_quad_l1(4, seed=0)
+    prob, calls = with_callback_counts(plain)
+    x0 = {"nan": np.where(np.arange(4) == 1, np.nan, x0),
+          "inf": np.where(np.arange(4) == 2, -np.inf, x0),
+          "wrong length": x0[:3],
+          "2-D": x0.reshape(2, 2)}[bad]
+    with pytest.raises(ValueError):
+        nhota_run(prob, x0, RunConfig())
+    assert not calls
+
+
+def test_arguments_are_validated_once_per_run(monkeypatch):
+    # one as_vector call per run, on x0; the callbacks and the model centers
+    # take the solver's own arrays as given.  The problems are built first:
+    # a known optimum is checked at construction, once per problem
+    problems = [gen_diag_quad_l1(20, seed=seed) for seed in (0, 1)]
+    problems += [gen_phase_retrieval(8, 32, seed=seed, noise_scale=1.0) for seed in (0, 1)]
+    checked, as_vector = [], core.as_vector
+
+    def counting(*args, **kwargs):
+        checked.append(1)
+        return as_vector(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nhota") and getattr(module, "as_vector", None) is as_vector:
+            monkeypatch.setattr(module, "as_vector", counting)
+    runs = 0
+    for prob, _, x0 in problems:
+        for p in (1, 2):
+            assert nhota_run(prob, x0, RunConfig(p=p, u=0.5, max_outer=20)).iterations() > 0
+            runs += 1
+            assert len(checked) == runs
 
 
 # ------------------------------------------------------- work per step

@@ -49,6 +49,15 @@ def test_phase_noiseless_signal_is_global_minimum():
     assert abs(prob.f(data.z) - lam * np.abs(data.z).sum()) <= 1e-15
 
 
+def test_objective_checks_its_point():
+    # f is a public entry point: the callbacks behind it take x unchecked
+    prob, data, _ = gen_phase_retrieval(6, 30, seed=0, noise_scale=1.0)
+    assert prob.f(data.z.tolist()) == prob.f(data.z)
+    for bad in (data.z[:5], np.full(6, np.nan)):
+        with pytest.raises(ValueError):
+            prob.f(bad)
+
+
 def test_phase_draw_order_is_frozen():
     # one PCG64 stream per instance: A, then z, then noise, then x0
     n, m, seed, noise_scale = 7, 21, 11, 0.8
