@@ -28,8 +28,8 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
-from math import factorial, isfinite, isnan
+from dataclasses import dataclass, field, fields, replace
+from math import factorial, inf, isfinite, isnan
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -60,9 +60,9 @@ class LineSearchFailure(RuntimeError):
         self.x = x
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one solver run.
+    """Knobs for one solver run; immutable, a changed copy comes from ``replace``.
 
     ``u`` is either a constant in (u_min, 1] or a callable k -> u_k giving
     the reference weight used when forming R_k.  ``stop_f`` and ``stop_stat``
@@ -71,8 +71,9 @@ class RunConfig:
     iterations of one solve, whose step size needs no knob: each solve
     finds it by backtracking from 1 and carries it between iterations.
 
-    The ranges of p, M0, Mtilde, theta and u are checked here and in
-    ``u_at``, once; the helpers that use them (``accept_test``,
+    The ranges of p, M0, Mtilde, theta and a constant u (kept as a float)
+    are checked here, once, ``replace`` included; ``u_at`` checks what a
+    callable u returns.  The helpers that use them (``accept_test``,
     ``update_reference``) take them as given.
     """
 
@@ -100,7 +101,7 @@ class RunConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not callable(self.u):
-            self._check_u(float(self.u))
+            object.__setattr__(self, "u", self._check_u(float(self.u)))
 
     def _check_u(self, u: float) -> float:
         if not self.u_min < u <= 1.0:
@@ -108,9 +109,8 @@ class RunConfig:
         return u
 
     def u_at(self, k: int) -> float:
-        """The reference weight u_k, validated against (u_min, 1]."""
-        u = self.u(k) if callable(self.u) else self.u
-        return self._check_u(float(u))
+        """The reference weight u_k; a callable's value is checked against (u_min, 1]."""
+        return self._check_u(float(self.u(k))) if callable(self.u) else self.u
 
 
 def update_reference(R: float, f_new: float, u: float) -> float:
@@ -164,9 +164,9 @@ class Trial:
     That is the inner solve from the center at M, the raises of M before it
     and the step's inner iterations up to and including it, and, for a
     candidate, everything the acceptance test and the next step read: F(y),
-    f(y), the remainder estimate a rejection raises M by, and the
-    certificate's h(y) and grad T_p(y; x), from which the driver forms the
-    next center and the next step's secant M.  A ``stationary`` trial's
+    f(y) and the certificate, from whose step norm and T_p(y; x) - F(x) a
+    rejection forms the M it raises to, and from whose h(y) and grad T_p(y; x)
+    the driver forms the next center and secant M.  A ``stationary`` trial's
     certificate keeps the working-precision resolution the run
     reports.  None of it needs the center's Hessian again, so a trial can
     be replayed from a center whose Hessian was never formed.
@@ -183,31 +183,37 @@ class Trial:
     # F(y) + h(y) and F(y) alone; NaN unless the outcome is a candidate
     f_cand: float = np.nan
     F_cand: float = np.nan
-    needed: float = 0.0  # remainder_estimate of a candidate
 
 
 def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
               config: RunConfig, doublings: int, prior_iters: int) -> Trial:
     """One trial: the inner solve from the center at M, after ``doublings``
     raises of M and ``prior_iters`` inner iterations in this step; see
-    ``try_step`` for what each outcome means.  A candidate costs one F(y):
-    h(y) and the Taylor terms at y come with the certificate."""
+    ``try_step`` for what each outcome means.  A candidate costs one F(y),
+    checked here: NaN or -inf f(y) raises ``OracleFailure``, +inf fails
+    every acceptance test.  h(y) and y's Taylor terms come with the
+    certificate.  An overflow in the solve (``OverflowError`` from a float
+    power, ``FloatingPointError`` from numpy under this ``errstate``)
+    raises ``OracleFailure``: one guard per solve, none in the model kernel."""
     try:
-        y, cert, witness = solve_subproblem(problem, center, M, config.theta,
-                                            max_inner=config.max_inner)
+        with np.errstate(over="raise"):
+            y, cert, witness = solve_subproblem(problem, center, M, config.theta,
+                                                max_inner=config.max_inner)
     except InnerSolveFailure as exc:
         return Trial(TRIAL_FAILED, M, doublings, prior_iters + exc.iterations)
+    except (OverflowError, FloatingPointError) as exc:
+        raise OracleFailure(
+            f"the model or its step overflowed in the inner solve at M = {M:.3e}, from a "
+            f"center with ||x|| = {center.x_norm:.3e}, ||grad F(x)|| = {center.g_norm:.3e}: {exc}"
+        ) from exc
     step_iters = prior_iters + cert.inner_iters
     if cert.resolution is not None:
         return Trial(TRIAL_STATIONARY, M, doublings, step_iters, y, cert, witness)
     F_cand = float(problem.smooth.value(y))
     f_cand = F_cand + cert.h_value
-    if isnan(f_cand):
-        raise OracleFailure(f"f is NaN at candidate with ||y - x|| = {cert.step_norm:.3e}")
-    needed = remainder_estimate(F_cand - center.fx, cert.taylor_change, cert.step_norm,
-                                center.p, config.Mtilde)
-    return Trial(TRIAL_CANDIDATE, M, doublings, step_iters, y, cert, witness, f_cand,
-                 F_cand, needed)
+    if isnan(f_cand) or f_cand == -inf:
+        raise OracleFailure(f"f is {f_cand} at candidate with ||y - x|| = {cert.step_norm:.3e}")
+    return Trial(TRIAL_CANDIDATE, M, doublings, step_iters, y, cert, witness, f_cand, F_cand)
 
 
 @dataclass
@@ -215,7 +221,7 @@ class StepRecord:
     """What the runs on ``problem`` inside one ``shared_steps`` block share.
 
     ``centers`` maps (x, p) to F(x), grad F(x) and h(x); ``trials`` maps (x, M at
-    the start of a step, the ``RunConfig`` fields a step reads) to the
+    the start of a step, the run's ``RunConfig`` with u set aside) to the
     trials run from there, in order.  Every entry is O(n) floats; no
     Hessian is kept.
     """
@@ -236,11 +242,12 @@ def shared_steps(problem: CompositeProblem) -> Iterator[None]:
     only in u, started at the same point and M, propose the same candidates
     until their acceptance tests disagree.  Inside the block a center's
     value and gradient and a step's trials (``Trial``) are recorded by the
-    first run that computes them; a later run at the same center and M
-    replays the trials, running only the acceptance test with its own R,
-    and solves live from where the record ends.  Only runs on this very
-    problem object take part; the record is dropped on exit, so runs on any
-    other problem, or outside the block, share nothing.
+    first run that computes them; a later run at the same center and M, with
+    a ``RunConfig`` equal but for u, replays the trials, running only the
+    acceptance test with its own R, and solves live from where the record
+    ends.  Only runs on this very problem object take part; the record is
+    dropped on exit, so runs on any other problem, or outside the block,
+    share nothing.
     """
     token = _SHARED.set(StepRecord(problem))
     try:
@@ -281,8 +288,7 @@ def _recorded_trials(problem: CompositeProblem, center: ModelCenter, M_in: float
     record = _record(problem)
     if record is None:
         return []
-    key = (center.x.tobytes(), M_in, config.p, config.M0, config.Mtilde, config.theta,
-           config.max_inner, config.max_doublings)
+    key = (center.x.tobytes(), M_in, replace(config, u=1.0))
     return record.trials.setdefault(key, [])
 
 
@@ -299,9 +305,9 @@ def try_step(
     Each trial (``run_trial``) runs the certified inner solve from the
     center at the current M and retries at a larger M when the candidate is
     not acceptable.  An inner failure doubles M.  A candidate rejected by
-    the acceptance test tells how much M it needed (``remainder_estimate``,
-    the trial's ``needed``): M becomes that estimate, but at least 2M and at
-    most ``MAX_M_RAISE`` * M (``raised_M``).
+    the acceptance test tells how much M it needed (``remainder_estimate``
+    of the trial's F(y) and certificate): M becomes that estimate, but at
+    least 2M and at most ``MAX_M_RAISE`` * M (``raised_M``).
 
     A solve that stalled at the floating-point floor or returned a
     collapsed step (``cert.stalled``) forces a decision, which the inner
@@ -317,15 +323,20 @@ def try_step(
 
     Only ``accept_test`` reads R, so the sequence of trials from a center
     and M_in does not depend on it.  Inside ``shared_steps`` the trials are
-    recorded, and a later step from the same center and M_in replays them,
+    recorded, and a later step from the same center and M_in, under a
+    config equal but for u (``replace(config, u=1.0)`` keys it), replays them,
     testing each candidate against its own R, until one passes or the
     record ends; from there it runs trials live and appends them.
-    Raises ``LineSearchFailure`` after ``config.max_doublings`` raises of M.
+    Raises ``LineSearchFailure`` after ``config.max_doublings`` raises of M,
+    and ``OracleFailure`` at a live trial whose M overflowed to inf.
     """
     trials = _recorded_trials(problem, center, M_in, config)
     M = M_in
     for i in range(config.max_doublings + 1):
         if i == len(trials):
+            if not isfinite(M):
+                raise OracleFailure(f"M is {M} at trial {i} of a step from M_in = {M_in:.3e}: "
+                                    "the secant or raised M overflowed")
             prior_iters = trials[-1].step_iters if trials else 0
             trials.append(run_trial(problem, center, M, config, i, prior_iters))
         trial = trials[i]
@@ -335,7 +346,8 @@ def try_step(
               or accept_test(R, trial.f_cand, trial.cert.step_norm, config.Mtilde, config.p)):
             return trial
         else:
-            M = raised_M(M, trial.needed)
+            M = raised_M(M, remainder_estimate(trial.F_cand - center.fx, trial.cert.taylor_change,
+                                               trial.cert.step_norm, center.p, config.Mtilde))
     raise LineSearchFailure(
         f"no acceptable step after {config.max_doublings} doublings "
         f"(M reached {M:.3e} from {M_in:.3e})",
@@ -569,8 +581,6 @@ def nhota_steps(
             break
 
         f_new = step.f_cand
-        if not isfinite(f_new):
-            raise OracleFailure(f"f is not finite at accepted iterate k={k + 1}")
         R_new = update_reference(R, f_new, config.u_at(k + 1))
         next_center = _model_center(problem, y, config.p, cert.h_value, fx=step.F_cand)
         taylor_err = taylor_grad_error(step, next_center)

@@ -1,5 +1,6 @@
 """Config parsing, file outputs, determinism, and process exit codes."""
 
+import os
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from nhota.cli import (
     run_experiment,
     sweep_u,
 )
-from nhota.driver import TRACE_HEADER, RunConfig
+from nhota.driver import TRACE_HEADER, IterateTrace, RunConfig, TraceRow
 from nhota.problems import data_hash, load_phase_retrieval
 from support import asymmetric_hessian, nan_hessian, with_hessian_calls, with_oracle_calls
 
@@ -298,6 +299,17 @@ def test_sweeps_share_nothing_with_each_other(tmp_path, monkeypatch):
     assert len(made) == 1 and counts[0] == counts[1] and counts[0][1] > 0
 
 
+def test_fitted_slope_is_nan_when_the_series_cannot_be_fit():
+    # eight finite points, but the running minimum reaches 0, which has no log
+    row = TraceRow(k=0, f=1.0, R=1.0, M=1.0, step_norm=1.0, stationarity=0.0,
+                   inner_iters=1, backtracks=0, wall_millis=0.0)
+    trace = IterateTrace(rows=[replace(row, k=k) for k in range(8)], stat_initial=1.0)
+    assert np.isnan(cli._fitted_slope(trace))
+    trace = IterateTrace(rows=[replace(row, k=k, stationarity=2.0**-k) for k in range(8)],
+                         stat_initial=1.0)
+    assert np.isfinite(cli._fitted_slope(trace))
+
+
 def test_gen_data_round_trips_phase_instances(tmp_path):
     text = "problem = phase_retrieval\nn = 6\nm = 24\nseed = 9\n"
     cfg = parse_config(write(tmp_path, text))
@@ -415,6 +427,27 @@ def test_main_solver_failure_exit_two(tmp_path, capsys):
     path = write(tmp_path, text)
     assert cli.main(["run", str(path)]) == 2
     assert "run failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("warnings", ["default", "error"])
+def test_overflowing_phase_instance_exits_two_with_a_summary(tmp_path, warnings):
+    # gen_variance = 1e20 overflows the p = 2 model in the first inner solve:
+    # a Python float power raised OverflowError, and under -W error numpy's
+    # overflow warning in a matrix product raised first.  Either way the run
+    # must fail as documented, in a fresh interpreter as users run it
+    text = ("problem = phase_retrieval\nn = 20\nm = 200\ngen_variance = 1e20\np = 2\n"
+            f"out_dir = {tmp_path / 'out'}\n")
+    path = write(tmp_path, text)
+    src = str(Path(nhota.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", warnings, "-m", "nhota.cli", "run", str(path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("run failure: the model or its step overflowed")
+    assert "Traceback" not in done.stderr
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary.startswith("status=failed:OracleFailure\niterations=0\n")
 
 
 def test_main_large_scale_phase_instance_ends_with_a_summary(tmp_path, capsys):

@@ -169,6 +169,10 @@ def test_composite_validates_known_opt():
             nonsmooth=l1_term(0.2),
             known_opt=(np.array([1.0, 1.0]), 1.4),
         )
+    for f_star in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="f_star is not finite"):
+            CompositeProblem(smooth=quad_oracle(2), nonsmooth=l1_term(0.2),
+                             known_opt=(np.zeros(2), f_star))
 
 
 def test_smooth_oracle_validation():

@@ -2,7 +2,7 @@
 
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from math import factorial
 
 import numpy as np
@@ -26,6 +26,7 @@ from nhota import (
 )
 from nhota.core import OracleContractError
 from nhota.driver import (
+    LineSearchFailure,
     STATUS_CRITERION,
     STATUS_MAX_ITERS,
     STATUS_PRECISION_FLOOR,
@@ -112,6 +113,17 @@ def test_run_config_u_schedule():
         bad.u_at(0)
 
 
+def test_run_config_is_frozen_and_replace_checks_it_again():
+    cfg = RunConfig(u=1)
+    assert type(cfg.u) is float and cfg.u_at(7) == 1.0
+    with pytest.raises(FrozenInstanceError):
+        cfg.u = 0.25
+    assert cfg.u == 1.0 and replace(cfg, u=0.25).u_at(7) == 0.25
+    for bad in ({"u": 1.5}, {"u": cfg.u_min}, {"M0": 0.0}, {"p": 3}):
+        with pytest.raises(ValueError):
+            replace(cfg, **bad)
+
+
 # --------------------------------------------------------------- try_step
 
 
@@ -177,6 +189,71 @@ def test_try_step_at_a_stationary_center_evaluates_no_candidate():
     step = try_step(prob, center, R=f_star, M_in=1e-2, config=RunConfig(p=2))
     assert step.outcome == driver.TRIAL_STATIONARY and np.isnan(step.f_cand)
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_a_nan_or_minus_inf_candidate_value_is_an_oracle_failure(bad):
+    # a candidate's f is checked once, where F(y) comes back: a NaN would
+    # fail every acceptance test and a -inf pass every one
+    prob, x0 = quadratic_1d(3.0), np.zeros(1)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    broken = replace(prob, smooth=replace(prob.smooth, value=lambda x: bad))
+    with pytest.raises(OracleFailure, match=f"f is {bad} at candidate"):
+        try_step(broken, center, R=prob.f(x0), M_in=1.0, config=RunConfig(p=2))
+
+
+def test_a_plus_inf_candidate_value_is_a_rejection():
+    # +inf is a candidate no acceptance test passes: each rejection raises M
+    # by the cap MAX_M_RAISE = 4, since its remainder estimate is +inf
+    prob, x0 = quadratic_1d(3.0), np.zeros(1)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    broken = replace(prob, smooth=replace(prob.smooth, value=lambda x: np.inf))
+    with pytest.raises(LineSearchFailure, match=r"M reached 2\.560e\+02 from 1\.000e\+00"):
+        try_step(broken, center, R=prob.f(x0), M_in=1.0,
+                 config=RunConfig(p=2, max_doublings=3))
+
+
+def test_an_infinite_f_at_x0_is_an_oracle_failure():
+    prob = quadratic_1d(3.0)
+    broken = replace(prob, nonsmooth=replace(prob.nonsmooth, value=lambda x: np.inf))
+    with pytest.raises(OracleFailure, match=r"f\(x0\) is not finite"):
+        nhota_run(broken, np.zeros(1), RunConfig(p=2))
+
+
+def _corrupted_at_call(fn, j):
+    """fn, but its j-th call returns its value times 1e300."""
+    calls = [0]
+
+    def call(*args):
+        calls[0] += 1
+        return fn(*args) * 1e300 if calls[0] == j else fn(*args)
+    return call
+
+
+@pytest.mark.parametrize("j", [2, 5])
+def test_an_overflowing_secant_M_is_an_oracle_failure(j):
+    # a gradient times 1e300 at p = 1 with an opaque h: the secant M of the
+    # next step overflows to inf, whose prox step 1/M = 0 raised ValueError.
+    # numpy warns of the overflow in ||grad F|| on the way, as it does under
+    # default warnings
+    plain, _, x0 = gen_diag_quad_l1(20, 1)
+    prob = without_subdiff(plain)
+    prob = replace(prob, smooth=replace(prob.smooth, grad=_corrupted_at_call(prob.smooth.grad, j)))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(OracleFailure, match="M is inf at trial 0"):
+            nhota_run(prob, x0, RunConfig(p=1))
+
+
+@pytest.mark.parametrize("j", [3, 5])
+def test_an_overflowing_prox_point_is_an_oracle_failure(j):
+    # a prox point times 1e300 in the diagonal p = 2 closed form: ||y - x||
+    # overflows in the root search, which made the root NaN and the prox
+    # step 1/a NaN; the solve's overflow guard raises first
+    prob, _, x0 = gen_diag_quad_l1(20, 1)
+    h = prob.nonsmooth
+    prob = replace(prob, nonsmooth=replace(h, prox=_corrupted_at_call(h.prox, j)))
+    with pytest.raises(OracleFailure, match="overflowed in the inner solve"):
+        nhota_run(prob, x0, RunConfig(p=2))
 
 
 # ------------------------------------------------------------ shared steps

@@ -37,6 +37,12 @@ def test_phase_value_and_gradient_at_origin():
     assert np.array_equal(prob.smooth.grad(zero), np.zeros(12))
 
 
+def test_phase_oracle_rejects_an_order_above_two():
+    _, data, x0 = gen_phase_retrieval(4, 12, seed=0, noise_scale=1.0)
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        phase_oracle(data, x0, 3)
+
+
 def test_phase_measurement_formula():
     prob, data, _ = gen_phase_retrieval(9, 45, seed=1, noise_scale=0.7)
     assert np.array_equal(data.y, (data.A @ data.z) ** 2 + data.noise)
@@ -321,6 +327,11 @@ def test_data_hash_is_sha256_of_the_array_bytes():
     _, diag, _ = gen_diag_quad_l1(6, seed=1)
     expected = hashlib.sha256(diag.d.tobytes() + diag.c.tobytes()).hexdigest()
     assert data_hash(diag) == expected
+
+
+def test_data_hash_rejects_other_data():
+    with pytest.raises(TypeError, match="unsupported data type"):
+        data_hash({"A": np.zeros((2, 2))})
 
 
 def test_data_hash_distinguishes_instances():

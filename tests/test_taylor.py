@@ -80,6 +80,14 @@ def test_from_oracle_rejects_order_mismatch():
         ModelCenter.from_oracle(first_order, np.zeros(1), p=2)
     # p = 1 against the same oracle is fine
     ModelCenter.from_oracle(first_order, np.zeros(1), p=1)
+    with pytest.raises(ValueError, match="p must be 1 or 2"):
+        ModelCenter.from_oracle(first_order, np.zeros(1), p=3)
+
+
+def test_from_oracle_rejects_a_gradient_of_another_shape():
+    long_grad = SmoothOracle(dim=1, order=1, value=lambda x: 0.0, grad=lambda x: np.zeros(2))
+    with pytest.raises(OracleContractError, match=r"gradient shape \(2,\) != point shape"):
+        ModelCenter.from_oracle(long_grad, np.zeros(1), p=1)
 
 
 def _oracle_with_hessian(n: int, H) -> SmoothOracle:
@@ -172,3 +180,12 @@ def test_model_requires_positive_M():
         model_value(center, np.array([1.1]), 0.0)
     with pytest.raises(ValueError):
         model_grad(center, np.array([1.1]), -1.0)
+
+
+def test_model_rejects_a_point_of_another_shape():
+    # the public model functions check y; the solver's own _model does not
+    center = ModelCenter.from_oracle(quartic_1d().smooth, np.array([1.0]), p=2)
+    with pytest.raises(ValueError, match="point shape"):
+        taylor_value(center, np.array([1.0, 1.1]))
+    with pytest.raises(ValueError, match="point shape"):
+        model_grad(center, np.array([[1.1]]), 1.0)
