@@ -8,13 +8,15 @@ raising M until the candidate passes the acceptance test
 against a reference value R_k >= f(x_k).  A candidate that fails the test
 shows how much M it needed, Mtilde + (p+1)! (F(y) - T_p(y)) / ||y - x_k||^(p+1),
 and M jumps to that estimate, clipped to between 2 and ``MAX_M_RAISE`` times
-M; an inner solve that fails doubles M.  Each step starts at the secant M of
-the step just taken, s = x_{k+1} - x_k:
+M; an inner solve that fails doubles M.  Each later step starts at the secant
+M of the step just taken, s = x_{k+1} - x_k:
 
     M_{k+1} = max(M0, ||grad F(x_{k+1}) - grad T_p(x_{k+1}; x_k)|| / (p! ||s||^p)),
 
-the spectral step of Birgin, Martinez & Raydan (2000) at p = 1.  The driver
-then pulls the reference toward the new objective value:
+the spectral step of Birgin, Martinez & Raydan (2000) at p = 1.  The first
+step starts at M0 at p = 2 and at max(M0, ||grad F(x_0)|| / ||x_0||) at
+p = 1, the curvature scale of the start.  The driver then pulls the
+reference toward the new objective value:
 
     R_{k+1} = (1 - u_{k+1}) R_k + u_{k+1} f(x_{k+1}),   u_{k+1} in (u_min, 1].
 
@@ -70,6 +72,9 @@ class RunConfig:
     stop_stat < 0 to disable them.  ``max_inner`` bounds the p = 2 inner
     iterations of one solve, whose step size needs no knob: each solve
     finds it by backtracking from 1 and carries it between iterations.
+
+    M0 is the floor of M at every step and the M a p = 2 run, or a p = 1
+    run from x0 = 0, starts at (``start_M``).
 
     The ranges of p, M0, Mtilde, theta and a constant u (kept as a float)
     are checked here, once, ``replace`` included; ``u_at`` checks what a
@@ -487,6 +492,23 @@ def secant_M(grad_err: float, step_norm: float, p: int, M0: float) -> float:
     return max(M0, grad_err / scale) if scale > 0 else M0
 
 
+def start_M(center: ModelCenter, config: RunConfig) -> float:
+    """The M the first step starts at: at p = 1, max(M0, ||grad F(x0)|| / ||x0||),
+    from the scales the center holds; M0 at p = 2, at x0 = 0, or where the
+    ratio is not finite.
+
+    At p = 1 M is the model's only curvature, and this ratio is one: the M
+    whose gradient step -grad F(x0) / M has the length of x0.  It scales as
+    a^-2 under x -> a x, as M0 must for the run to be scale-free.  At p = 2
+    the Hessian carries the curvature.
+    """
+    if config.p == 1 and center.x_norm > 0:
+        ratio = center.g_norm / center.x_norm
+        if isfinite(ratio):
+            return max(config.M0, ratio)
+    return config.M0
+
+
 def _stationarity_bound(taylor_err: float, cert: StepCertificate, M: float,
                         p: int) -> float:
     """Computable upper bound on dist(0, df(x_{k+1})) from the certificate.
@@ -507,11 +529,13 @@ def nhota_steps(
 ) -> Iterator[tuple[ModelCenter, Trial]]:
     """The outer loop, one accepted step at a time, recorded into ``trace``.
 
-    Starts with R_0 = f(x_0) and M = M0; each iteration takes a certified,
-    accepted step (``try_step``), updates the reference with weight
-    u_{k+1}, records one trace row (handing it to ``row_sink`` when given)
-    and yields the step with the center it was taken from.  Each later step
-    starts at the secant M of the step just taken (``secant_M``),
+    Starts with R_0 = f(x_0) and M = ``start_M``: M0 at p = 2, and
+    max(M0, ||grad F(x_0)|| / ||x_0||) at p = 1, from the norms the first
+    center holds.  Each iteration takes a certified, accepted step
+    (``try_step``), updates the reference with weight u_{k+1}, records one
+    trace row (handing it to ``row_sink`` when given) and yields the step
+    with the center it was taken from.  Each later step starts at the
+    secant M of the step just taken (``secant_M``),
 
         max(M0, ||grad F(y) - grad T_p(y; x)|| / (p! ||s||^p)),
 
@@ -522,8 +546,9 @@ def nhota_steps(
     derivative on [x, y], the estimate is at most L_p / (p!)^2 <= L_p; within
     a step M grows only on a rejected candidate or a failed solve, by a
     factor of at most ``MAX_M_RAISE`` (``try_step``).  So M_k >= M0 and
-    sup M_k <= max(M0, MAX_M_RAISE * (Mtilde + L_p)), apart from
-    inner-failure doublings: the bounded M_k the rates need.
+    sup M_k <= max(M_start, MAX_M_RAISE * (Mtilde + L_p)), with M_start the
+    first step's M, apart from inner-failure doublings: the bounded M_k the
+    rates need.
 
     Stops when f <= stop_f ("stopped-by-criterion"), the stationarity
     measure drops to stop_stat ("stationary"), the current point is
@@ -552,7 +577,7 @@ def nhota_steps(
     trace.stat_initial = stat
     trace.x_final, trace.f_final, trace.R_final, trace.stat_final = x, fk, R, stat
 
-    M = config.M0
+    M = start_M(center, config)
     status = STATUS_MAX_ITERS
     for k in range(config.max_outer + 1):
         if fk <= config.stop_f:

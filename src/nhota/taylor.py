@@ -72,7 +72,7 @@ class ModelCenter:
     built, and ``hx`` = h(x) when the caller knows it.  The driver does: it
     passes h(x0), and at each accepted candidate y the h(y) its solve
     formed.  A center built without ``hx`` leaves it None, and the solve
-    evaluates h(x) itself.
+    evaluates h(x) itself.  A norm that overflows raises ``OracleFailure``.
     """
 
     x: Vector
@@ -85,8 +85,16 @@ class ModelCenter:
     g_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_norm", norm(self.x))
-        object.__setattr__(self, "g_norm", norm(self.gx))
+        # finite entries can still overflow a norm's sum of squares; under
+        # this errstate numpy raises FloatingPointError where it would warn,
+        # as in the driver's guard around each inner solve
+        try:
+            with np.errstate(over="raise"):
+                object.__setattr__(self, "x_norm", norm(self.x))
+                object.__setattr__(self, "g_norm", norm(self.gx))
+        except FloatingPointError as exc:
+            raise OracleFailure(
+                f"||x|| or ||grad F(x)|| overflowed at a model center: {exc}") from exc
 
     @classmethod
     def from_oracle(cls, oracle: SmoothOracle, x: Vector, p: int,

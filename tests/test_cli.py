@@ -429,25 +429,64 @@ def test_main_solver_failure_exit_two(tmp_path, capsys):
     assert "run failure" in capsys.readouterr().err
 
 
+def python(warnings, *args):
+    """``python -W <warnings> <args>`` in a fresh interpreter that imports
+    this source tree's nhota, as users run it."""
+    src = str(Path(nhota.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", warnings, *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
 @pytest.mark.parametrize("warnings", ["default", "error"])
 def test_overflowing_phase_instance_exits_two_with_a_summary(tmp_path, warnings):
     # gen_variance = 1e20 overflows the p = 2 model in the first inner solve:
     # a Python float power raised OverflowError, and under -W error numpy's
     # overflow warning in a matrix product raised first.  Either way the run
-    # must fail as documented, in a fresh interpreter as users run it
+    # must fail as documented
     text = ("problem = phase_retrieval\nn = 20\nm = 200\ngen_variance = 1e20\np = 2\n"
             f"out_dir = {tmp_path / 'out'}\n")
-    path = write(tmp_path, text)
-    src = str(Path(nhota.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-W", warnings, "-m", "nhota.cli", "run", str(path)],
-                          capture_output=True, text=True, timeout=120, env=env)
+    done = python(warnings, "-m", "nhota.cli", "run", str(write(tmp_path, text)))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("run failure: the model or its step overflowed")
     assert "Traceback" not in done.stderr
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert summary.startswith("status=failed:OracleFailure\niterations=0\n")
+
+
+@pytest.mark.parametrize("warnings", ["default", "error"])
+def test_p1_run_at_gen_variance_1e40_ends_at_the_precision_floor(tmp_path, warnings):
+    # gen_variance = 1e40 at p = 1: climbing 4x a step from M0 = 1e-2, M
+    # reached 5.3e34 after 60 raises and the run failed (exit 2), while
+    # under -W error F(y) = +inf overflowed r @ r in the phase value with a
+    # traceback.  Started at ||grad F(x0)|| / ||x0||, no F(y) overflows
+    text = ("problem = phase_retrieval\nn = 20\nm = 200\ngen_variance = 1e40\np = 1\n"
+            f"out_dir = {tmp_path / 'out'}\n")
+    done = python(warnings, "-m", "nhota.cli", "run", str(write(tmp_path, text)))
+    assert done.returncode == 4, done.stderr
+    assert "Traceback" not in done.stderr
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary.startswith("status=precision-floor\n")
+
+
+def test_overflowing_gradient_norm_fails_with_no_warning_under_default_warnings():
+    # numpy warned of the overflowing ||grad F(x)|| and the run went on with
+    # it at inf; the center now refuses it
+    script = ("from dataclasses import replace\n"
+              "from nhota import RunConfig, gen_phase_retrieval, nhota_run\n"
+              "prob, _, x0 = gen_phase_retrieval(10, 100, 1, 1.0)\n"
+              "grad, calls = prob.smooth.grad, []\n"
+              "def big(x):\n"
+              "    calls.append(1)\n"
+              "    return grad(x) * (1e300 if len(calls) >= 2 else 1.0)\n"
+              "prob = replace(prob, smooth=replace(prob.smooth, grad=big))\n"
+              "nhota_run(prob, x0, RunConfig(p=1))\n")
+    done = python("default", "-c", script)
+    assert done.returncode == 1
+    assert "Warning" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith(
+        "nhota.core.OracleFailure: ||x|| or ||grad F(x)|| overflowed at a model center")
 
 
 def test_main_large_scale_phase_instance_ends_with_a_summary(tmp_path, capsys):

@@ -230,18 +230,25 @@ def _corrupted_at_call(fn, j):
     return call
 
 
-@pytest.mark.parametrize("j", [2, 5])
-def test_an_overflowing_secant_M_is_an_oracle_failure(j):
-    # a gradient times 1e300 at p = 1 with an opaque h: the secant M of the
-    # next step overflows to inf, whose prox step 1/M = 0 raised ValueError.
-    # numpy warns of the overflow in ||grad F|| on the way, as it does under
-    # default warnings
-    plain, _, x0 = gen_diag_quad_l1(20, 1)
-    prob = without_subdiff(plain)
-    prob = replace(prob, smooth=replace(prob.smooth, grad=_corrupted_at_call(prob.smooth.grad, j)))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(OracleFailure, match="M is inf at trial 0"):
-            nhota_run(prob, x0, RunConfig(p=1))
+@pytest.mark.parametrize("p", [1, 2])
+def test_an_overflowing_gradient_norm_is_an_oracle_failure(p):
+    # a finite gradient times 1e300 at the first accepted point: its norm's
+    # sum of squares overflows when the center is built.  numpy only warned
+    # of it (an error under pytest's warning filter), and under default
+    # warnings the run went on with ||grad F|| = inf to fail later, in h
+    prob, _, x0 = gen_phase_retrieval(10, 100, 1, 1.0)
+    prob = replace(prob, smooth=replace(prob.smooth, grad=_corrupted_at_call(prob.smooth.grad, 2)))
+    with pytest.raises(OracleFailure, match=r"\|\|grad F\(x\)\|\| overflowed at a model center"):
+        nhota_run(prob, x0, RunConfig(p=p))
+
+
+def test_try_step_refuses_a_non_finite_M():
+    # an M that overflowed to inf would make the p = 1 prox step 1/M = 0,
+    # which raised ValueError in the prox
+    prob, x0 = quadratic_1d(3.0), np.zeros(1)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=1)
+    with pytest.raises(OracleFailure, match="M is inf at trial 0"):
+        try_step(prob, center, R=prob.f(x0), M_in=np.inf, config=RunConfig(p=1))
 
 
 @pytest.mark.parametrize("j", [3, 5])
@@ -422,11 +429,17 @@ def record_start_Ms(monkeypatch, problem, x0, cfg):
 @pytest.mark.parametrize("p", [1, 2])
 def test_each_step_starts_at_the_secant_M_of_the_step_before(monkeypatch, p):
     # M_{k+1} = max(M0, ||grad F(y) - grad T_p(y; x)|| / (p! ||s||^p)),
-    # recomputed here from a fresh gradient
+    # recomputed here from a fresh gradient; the first step starts at
+    # max(M0, ||grad F(x0)|| / ||x0||) at p = 1 and at M0 at p = 2
     prob, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
     cfg = RunConfig(p=p, max_outer=60, stop_f=-np.inf, stop_stat=1e-6)
     started, steps, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
-    assert started[0] == cfg.M0 and min(started) >= cfg.M0
+    if p == 1:
+        first = np.linalg.norm(prob.smooth.grad(x0)) / np.linalg.norm(x0)
+        assert first > cfg.M0 and started[0] == pytest.approx(first, rel=1e-12)
+    else:
+        assert started[0] == cfg.M0
+    assert min(started) >= cfg.M0
     assert len(steps) == len(trace.rows) >= 5
     for (center, step), M_in in zip(steps, started[1:]):
         s = step.y - center.x
@@ -441,12 +454,16 @@ def test_each_step_starts_at_the_secant_M_of_the_step_before(monkeypatch, p):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_p1_start_M_on_a_diagonal_quadratic_stays_within_its_curvature(monkeypatch, seed):
     # grad F(y) - grad F(x) = D s, so the p = 1 secant estimate is a Rayleigh
-    # quotient of D: never above max d
+    # quotient of D: never above max d.  The first step starts at
+    # ||D (x0 - c)|| / ||x0||, which is no Rayleigh quotient and lies above
+    # max d on these seeds
     prob, data, x0 = gen_diag_quad_l1(20, seed=seed)
     cfg = RunConfig(p=1, stop_f=-np.inf, stop_stat=1e-9)
     started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     assert len(trace.rows) >= 10
-    assert max(started) <= max(cfg.M0, float(np.max(data.d)))
+    first = np.linalg.norm(data.d * (x0 - data.c)) / np.linalg.norm(x0)
+    assert started[0] == pytest.approx(max(cfg.M0, first), rel=1e-12)
+    assert max(started[1:]) <= max(cfg.M0, float(np.max(data.d)))
 
 
 def test_p2_steps_on_a_diagonal_quadratic_start_at_M0(monkeypatch):
@@ -460,6 +477,46 @@ def test_p2_steps_on_a_diagonal_quadratic_start_at_M0(monkeypatch):
     started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     assert len(trace.rows) >= 3
     assert started == [cfg.M0] * len(started)
+
+
+@pytest.mark.parametrize("d_range", [None, (0.5, 5.0), (1e-3, 1.0), (1.0, 1e3)],
+                         ids=["phase", "diag-0.5-5", "diag-1e-3-1", "diag-1-1e3"])
+def test_p1_first_step_passes_at_its_start_M(d_range):
+    # max(M0, ||grad F(x0)|| / ||x0||) is the curvature scale of the start:
+    # from M0 = 1e-2 the first step took 3 to 10 raises of M on each of these
+    # runs, each with one F(y) and one inner solve
+    cfg = RunConfig(p=1)
+    raised = []
+    for seed in range(10):
+        if d_range is None:
+            prob, _, x0 = gen_phase_retrieval(50, 500, seed, 1.0)
+        else:
+            prob, _, x0 = gen_diag_quad_l1(50, seed, d_range=d_range)
+        for scale in (0.1, 1.0, 10.0):
+            _, step = next(nhota_steps(prob, scale * x0, cfg, IterateTrace()))
+            if step.doublings:
+                raised.append((seed, scale, step.doublings))
+    assert raised == []
+
+
+def test_p1_run_from_the_origin_starts_at_M0(monkeypatch):
+    # ||grad F(0)|| / ||0|| has no value; the start falls back to M0
+    prob, _, _ = gen_diag_quad_l1(20, seed=0)
+    cfg = RunConfig(p=1)
+    started, _, trace = record_start_Ms(monkeypatch, prob, np.zeros(20), cfg)
+    assert started[0] == cfg.M0 and trace.status == STATUS_STATIONARY
+
+
+def test_p1_start_whose_ratio_overflows_starts_at_M0():
+    # ||grad F(x0)|| = 1e150 over ||x0|| = 1e-160 is inf; starting there
+    # would fail the run at once with "M is inf"
+    data = DiagQuadL1Data(d=np.ones(1), c=np.array([-1e150]), lam=0.1)
+    prob, x0 = diag_quad_problem(data), np.array([1e-160])
+    cfg = RunConfig(p=1)
+    assert driver.start_M(ModelCenter.from_oracle(prob.smooth, x0, p=1), cfg) == cfg.M0
+    trace = nhota_run(prob, x0, cfg)
+    assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
+    assert trace.x_final == pytest.approx(data.c, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -741,8 +798,8 @@ def test_diag_runs_evaluate_h_once_per_trial_and_once_per_run(monkeypatch):
                 totals += calls
                 runs += 1
     assert totals["h_value"] == len(solves) + runs
-    assert dict(totals) == {"value": 220, "grad": 188, "hess": 24,
-                            "h_value": 220, "prox": 312, "subdiff": 392}
+    assert dict(totals) == {"value": 187, "grad": 187, "hess": 24,
+                            "h_value": 187, "prox": 279, "subdiff": 358}
 
 
 def _nan_from_call(fn, first):
