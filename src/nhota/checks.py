@@ -227,8 +227,8 @@ def closed_form_against_loop(problem, x0, M: float,
     diagonal Hessian as its vector, and by the proximal-gradient loop, with
     it as the dense matrix (``with_dense_hessian``).
 
-    The closed form must certify without falling back to the loop; each
-    step must re-certify from scratch (``certify``: model decrease, residual
+    The closed form must certify (it raises ``InnerSolveFailure`` where it
+    does not); each step must re-certify from scratch (``certify``: model decrease, residual
     at most theta*||s||^2 + ``residual_floor``); and the closed form's model
     value plus h, the subproblem's objective, must be at most the loop's
     plus its rounding.  Returns (the closed form's model value less the
@@ -236,8 +236,6 @@ def closed_form_against_loop(problem, x0, M: float,
     """
     center = ModelCenter.from_oracle(problem.smooth, x0, 2)
     closed = _solve_closed_form(problem, center, M, theta, max_inner=500)
-    if closed is None:
-        return np.nan, ["closed form did not certify"]
     dense = with_dense_hessian(problem)
     loop_center = ModelCenter.from_oracle(dense.smooth, x0, 2)
     loop = solve_subproblem(dense, loop_center, M, theta)

@@ -31,7 +31,7 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
-from math import factorial, inf, isfinite, isnan
+from math import factorial, inf, isfinite, isnan, nan
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -197,20 +197,12 @@ def run_trial(problem: CompositeProblem, center: ModelCenter, M: float,
     ``try_step`` for what each outcome means.  A candidate costs one F(y),
     checked here: NaN or -inf f(y) raises ``OracleFailure``, +inf fails
     every acceptance test.  h(y) and y's Taylor terms come with the
-    certificate.  An overflow in the solve (``OverflowError`` from a float
-    power, ``FloatingPointError`` from numpy under this ``errstate``)
-    raises ``OracleFailure``: one guard per solve, none in the model kernel."""
+    certificate.  ``nhota_steps`` guards the whole step against overflow."""
     try:
-        with np.errstate(over="raise"):
-            y, cert, witness = solve_subproblem(problem, center, M, config.theta,
-                                                max_inner=config.max_inner)
+        y, cert, witness = solve_subproblem(problem, center, M, config.theta,
+                                            max_inner=config.max_inner)
     except InnerSolveFailure as exc:
         return Trial(TRIAL_FAILED, M, doublings, prior_iters + exc.iterations)
-    except (OverflowError, FloatingPointError) as exc:
-        raise OracleFailure(
-            f"the model or its step overflowed in the inner solve at M = {M:.3e}, from a "
-            f"center with ||x|| = {center.x_norm:.3e}, ||grad F(x)|| = {center.g_norm:.3e}: {exc}"
-        ) from exc
     step_iters = prior_iters + cert.inner_iters
     if cert.resolution is not None:
         return Trial(TRIAL_STATIONARY, M, doublings, step_iters, y, cert, witness)
@@ -520,6 +512,18 @@ def _stationarity_bound(taylor_err: float, cert: StepCertificate, M: float,
     return taylor_err + cert.residual + M / factorial(p) * cert.step_norm**p
 
 
+@contextmanager
+def _overflow_fails(k: Optional[int] = None, M: float = nan) -> Iterator[None]:
+    """Under ``np.errstate(over="raise")``, an overflow from numpy or a float
+    power raises ``OracleFailure`` naming step k and M (no k: the start)."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        where = "at the start x0" if k is None else f"in step {k} from M = {M:.3e}"
+        raise OracleFailure(f"floating-point overflow {where}: {exc}") from exc
+
+
 def nhota_steps(
     problem: CompositeProblem,
     x0: Vector,
@@ -557,6 +561,10 @@ def nhota_steps(
     ``trace.resolution``), or max_outer iterations complete ("max_iters"),
     and then sets ``trace.status``.
 
+    The start and each step's body, from ``try_step`` to the secant M, run
+    under the run's one overflow guard (``_overflow_fails``); it never
+    spans the ``yield``, so the caller's code keeps its own float settings.
+
     The trace's final fields always describe the latest iterate, so a run
     cut short by an exception leaves a consistent record of its steps.
     Inside ``shared_steps(problem)`` the centers and the steps' trials are
@@ -567,17 +575,18 @@ def nhota_steps(
     exact_stat = h.subdiff_dist is not None
     trace.stationarity_kind = "exact" if exact_stat else "bound"
 
-    hx = float(h.value(x))
-    center = _model_center(problem, x, config.p, hx)
-    fk = center.fx + hx
-    if not isfinite(fk):
-        raise OracleFailure("f(x0) is not finite")
+    with _overflow_fails():
+        hx = float(h.value(x))
+        center = _model_center(problem, x, config.p, hx)
+        fk = center.fx + hx
+        if not isfinite(fk):
+            raise OracleFailure("f(x0) is not finite")
+        stat: Optional[float] = center_stationarity(problem, center) if exact_stat else None
+        M = start_M(center, config)
     R = fk
-    stat: Optional[float] = center_stationarity(problem, center) if exact_stat else None
     trace.stat_initial = stat
     trace.x_final, trace.f_final, trace.R_final, trace.stat_final = x, fk, R, stat
 
-    M = start_M(center, config)
     status = STATUS_MAX_ITERS
     for k in range(config.max_outer + 1):
         if fk <= config.stop_f:
@@ -591,26 +600,27 @@ def nhota_steps(
             break
 
         t0 = time.perf_counter()
-        try:
-            step = try_step(problem, center, R, M, config)
-        except LineSearchFailure as exc:
-            exc.k = k
-            raise
-        y, cert = step.y, step.cert
+        with _overflow_fails(k, M):
+            try:
+                step = try_step(problem, center, R, M, config)
+            except LineSearchFailure as exc:
+                exc.k = k
+                raise
+            y, cert = step.y, step.cert
+            if step.outcome == TRIAL_STATIONARY:
+                # the stop_stat test above did not fire, so the point is
+                # stationary only to working precision
+                status = STATUS_PRECISION_FLOOR
+                trace.resolution = cert.resolution
+                break
 
-        if step.outcome == TRIAL_STATIONARY:
-            # the stop_stat test above did not fire, so the point is
-            # stationary only to working precision
-            status = STATUS_PRECISION_FLOOR
-            trace.resolution = cert.resolution
-            break
-
-        f_new = step.f_cand
-        R_new = update_reference(R, f_new, config.u_at(k + 1))
-        next_center = _model_center(problem, y, config.p, cert.h_value, fx=step.F_cand)
-        taylor_err = taylor_grad_error(step, next_center)
-        new_stat = (center_stationarity(problem, next_center) if exact_stat
-                    else _stationarity_bound(taylor_err, cert, step.M, config.p))
+            f_new = step.f_cand
+            R_new = update_reference(R, f_new, config.u_at(k + 1))
+            next_center = _model_center(problem, y, config.p, cert.h_value, fx=step.F_cand)
+            taylor_err = taylor_grad_error(step, next_center)
+            new_stat = (center_stationarity(problem, next_center) if exact_stat
+                        else _stationarity_bound(taylor_err, cert, step.M, config.p))
+            M_next = secant_M(taylor_err, cert.step_norm, config.p, config.M0)
         wall = (time.perf_counter() - t0) * 1000.0
 
         row = TraceRow(
@@ -624,8 +634,7 @@ def nhota_steps(
         trace.x_final, trace.f_final, trace.R_final, trace.stat_final = y, f_new, R_new, new_stat
         yield center, step
 
-        center, fk, R, stat = next_center, f_new, R_new, new_stat
-        M = secant_M(taylor_err, cert.step_norm, config.p, config.M0)
+        center, fk, R, stat, M = next_center, f_new, R_new, new_stat, M_next
 
     trace.status = status
 

@@ -278,17 +278,17 @@ def _solve_closed_form(problem: CompositeProblem, center: ModelCenter, M: float,
     phi(r) = ||y(r) - x|| - r decreases in r (a larger a shortens the step),
     so the exact step is y(r) at phi's single root, bracketed by
     [0, ||y(0) - x||] and found by Illinois regula falsi to working
-    precision.  Both end through ``_finish``; the witness a(x - y) - g,
-    which the prox optimality condition puts in dh(y), comes back only when
-    h has no ``subdiff_dist``.  An uncertified p = 1 step raises
-    ``InnerSolveFailure``; a p = 2 step returns None when some H_i <= 0 or
-    the root does not certify.
+    precision.  Both end through ``_finish``; the witness a(v - y), which
+    the prox optimality condition puts in dh(y) for the point v = x - g/a
+    as the prox received it, comes back only when h has no
+    ``subdiff_dist`` (its exact-arithmetic equal a(x - y) - g makes the
+    residual vanish even where y rounds onto a non-stationary x).  An
+    uncertified step raises ``InnerSolveFailure``.
     """
     x, g, p, h = center.x, center.gx, center.p, problem.nonsmooth
     a = H = M if p == 1 else center.Hx  # a at r = 0; H is read only at p = 2
-    if p == 2 and not H.min() > 0.0:
-        return None
-    y = _prox(problem, x - g / a, 1.0 / a)
+    v = x - g / a
+    y = _prox(problem, v, 1.0 / a)
     iters = 1
     if p == 2:
         f = hi = norm(y - x)
@@ -298,7 +298,8 @@ def _solve_closed_form(problem: CompositeProblem, center: ModelCenter, M: float,
         r, side = hi, 0  # side: which end the last point replaced, +1 lo, -1 hi
         while abs(f) > tol and hi - lo > _EPS * hi and iters < max_inner:
             a = H + (0.5 * M) * r
-            y = _prox(problem, x - g / a, 1.0 / a)
+            v = x - g / a
+            y = _prox(problem, v, 1.0 / a)
             f = norm(y - x) - r
             iters += 1
             if f > 0.0:
@@ -312,14 +313,13 @@ def _solve_closed_form(problem: CompositeProblem, center: ModelCenter, M: float,
                     f_lo *= 0.5
                 side = -1
             r = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-    witness = None if h.subdiff_dist is not None else a * (x - y) - g
+    witness = None if h.subdiff_dist is not None else a * (v - y)
     model_y = _model(center, y, M)
     h_y = float(h.value(y))
     decrease_ok = model_y[0] + h_y <= _h_center(problem, center)
     res = _residual(problem, model_y[1], y, witness)
-    why = "closed-form prox step not certified" if p == 1 else None  # p = 2 falls back
     return _finish(problem, center, M, y, model_y, h_y, res, theta * model_y[2]**p, iters,
-                   witness, decrease_ok, why)
+                   witness, decrease_ok, "closed-form prox step not certified")
 
 
 def solve_subproblem(
@@ -337,9 +337,8 @@ def solve_subproblem(
     metric diag(a), a = M for p = 1, and for p = 2 one per evaluation of the
     secular equation, at most ``max_inner`` of them; the prox calls are the
     certificate's inner iterations.  It ends through the same stopping rule
-    as below.  An uncertified p = 1 step raises ``InnerSolveFailure``; when a
-    p = 2 step does not certify, or some H_i <= 0, the iteration below
-    solves it instead.
+    as below, and an uncertified step, at either p, raises
+    ``InnerSolveFailure``: the driver doubles M, as for any failed solve.
 
     Otherwise, for p = 2, proximal gradient on the regularized model until
     certified.  Starts at y0 = x, where m(x) = f(x), at every M.  Each
@@ -387,10 +386,8 @@ def solve_subproblem(
     if not M > 0:
         raise ValueError(f"M must be positive, got {M}")
     p, h = center.p, problem.nonsmooth
-    if p == 1 or (h.subdiff_dist is not None and center.Hx.ndim == 1):
-        out = _solve_closed_form(problem, center, M, theta, max_inner)
-        if out is not None:
-            return out
+    if p == 1 or (h.subdiff_dist is not None and center.Hx.ndim == 1 and center.Hx.min() > 0):
+        return _solve_closed_form(problem, center, M, theta, max_inner)
     # y0 = x with its model terms, h(y) and m(y) - F(x); model values are
     # relative to F(x) (``_model``), so m(x) - F(x) = h(x)
     y = center.x.copy()

@@ -449,7 +449,7 @@ def test_overflowing_phase_instance_exits_two_with_a_summary(tmp_path, warnings)
             f"out_dir = {tmp_path / 'out'}\n")
     done = python(warnings, "-m", "nhota.cli", "run", str(write(tmp_path, text)))
     assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("run failure: the model or its step overflowed")
+    assert done.stderr.startswith("run failure: floating-point overflow in step 0 from M = ")
     assert "Traceback" not in done.stderr
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert summary.startswith("status=failed:OracleFailure\niterations=0\n")
@@ -472,7 +472,7 @@ def test_p1_run_at_gen_variance_1e40_ends_at_the_precision_floor(tmp_path, warni
 
 def test_overflowing_gradient_norm_fails_with_no_warning_under_default_warnings():
     # numpy warned of the overflowing ||grad F(x)|| and the run went on with
-    # it at inf; the center now refuses it
+    # it at inf; the step's overflow guard now refuses it
     script = ("from dataclasses import replace\n"
               "from nhota import RunConfig, gen_phase_retrieval, nhota_run\n"
               "prob, _, x0 = gen_phase_retrieval(10, 100, 1, 1.0)\n"
@@ -486,7 +486,7 @@ def test_overflowing_gradient_norm_fails_with_no_warning_under_default_warnings(
     assert done.returncode == 1
     assert "Warning" not in done.stderr
     assert done.stderr.splitlines()[-1].startswith(
-        "nhota.core.OracleFailure: ||x|| or ||grad F(x)|| overflowed at a model center")
+        "nhota.core.OracleFailure: floating-point overflow in step 0 from M = ")
 
 
 def test_main_large_scale_phase_instance_ends_with_a_summary(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Outer loop: reference sequence, acceptance rule, adaptive M, full runs."""
 
 import sys
+import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from math import factorial
@@ -15,6 +16,7 @@ from nhota import (
     ModelCenter,
     OracleFailure,
     RunConfig,
+    cli,
     core,
     diag_quad_problem,
     exact_solution_diag,
@@ -22,6 +24,7 @@ from nhota import (
     gen_phase_retrieval,
     driver,
     l1_term,
+    metrics,
     nhota_run,
 )
 from nhota.core import OracleContractError
@@ -238,7 +241,7 @@ def test_an_overflowing_gradient_norm_is_an_oracle_failure(p):
     # warnings the run went on with ||grad F|| = inf to fail later, in h
     prob, _, x0 = gen_phase_retrieval(10, 100, 1, 1.0)
     prob = replace(prob, smooth=replace(prob.smooth, grad=_corrupted_at_call(prob.smooth.grad, 2)))
-    with pytest.raises(OracleFailure, match=r"\|\|grad F\(x\)\|\| overflowed at a model center"):
+    with pytest.raises(OracleFailure, match="floating-point overflow in step 0 from M = "):
         nhota_run(prob, x0, RunConfig(p=p))
 
 
@@ -255,12 +258,63 @@ def test_try_step_refuses_a_non_finite_M():
 def test_an_overflowing_prox_point_is_an_oracle_failure(j):
     # a prox point times 1e300 in the diagonal p = 2 closed form: ||y - x||
     # overflows in the root search, which made the root NaN and the prox
-    # step 1/a NaN; the solve's overflow guard raises first
+    # step 1/a NaN; the step's overflow guard raises first
     prob, _, x0 = gen_diag_quad_l1(20, 1)
     h = prob.nonsmooth
     prob = replace(prob, nonsmooth=replace(h, prox=_corrupted_at_call(h.prox, j)))
-    with pytest.raises(OracleFailure, match="overflowed in the inner solve"):
+    with pytest.raises(OracleFailure, match="floating-point overflow in step "):
         nhota_run(prob, x0, RunConfig(p=2))
+
+
+def test_an_opaque_p1_step_that_rounds_onto_x_is_no_stationary_stop():
+    # late in this run grad F(x) / M falls below the rounding of x, so the
+    # step collapses onto x.  The witness M(x - y) - g read a residual of
+    # 0 there, and the run stopped "stationary" on a bound of 0 at a point
+    # whose stationarity is 3.6e20; formed from the prox input as rounded,
+    # the witness reads ||grad F(x)||
+    exact, _, x0 = gen_phase_retrieval(10, 100, 0, 1.0, gen_variance=1e10)
+    trace = nhota_run(without_subdiff(exact), x0, RunConfig(p=1, max_outer=200))
+    assert trace.status == STATUS_PRECISION_FLOOR
+    assert metrics.stationarity(exact, trace.x_final) <= trace.stat_final
+
+
+def _run_end(problem, x0, config, warning_filter):
+    """One run under ``warnings.simplefilter(warning_filter)``: its trace, or
+    the type of the run failure it raised.  Any other exception propagates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter)
+        try:
+            return nhota_run(problem, x0, config)
+        except cli._RUN_FAILURES as exc:
+            return type(exc)
+
+
+@settings(max_examples=48, deadline=None, derandomize=True, database=None)
+@given(variance=st.sampled_from([1.0, 1e20, 1e40, 1e80]),
+       x0_scale=st.sampled_from([1e-6, 1.0, 1e6]), p=st.sampled_from([1, 2]),
+       exact_h=st.booleans(), max_outer=st.integers(1, 150))
+def test_far_scaled_runs_end_alike_under_any_warning_filter(variance, x0_scale, p, exact_h,
+                                                            max_outer):
+    # M and the iterates are unbounded, so far-scaled instances overflow
+    # somewhere in a run: in F(y), a norm or a float power.  Every such run
+    # must end as a documented run failure, the same whether numpy's
+    # overflow warnings are ignored or errors, and a run that completes must
+    # report the objective and stationarity of the point it returns
+    exact, _, x0 = gen_phase_retrieval(10, 100, 0, 1.0, gen_variance=variance)
+    prob, x0 = (exact if exact_h else without_subdiff(exact)), x0 * x0_scale
+    cfg = RunConfig(p=p, max_outer=max_outer)
+    quiet, loud = [_run_end(prob, x0, cfg, f) for f in ("ignore", "error")]
+    if isinstance(quiet, type):
+        assert loud is quiet
+        return
+    assert not isinstance(loud, type), loud
+    assert (loud.status, loud.iterations()) == (quiet.status, quiet.iterations())
+    assert quiet.f_final == pytest.approx(prob.f(quiet.x_final), rel=1e-9)
+    if quiet.status == STATUS_STATIONARY:
+        true_stat = metrics.stationarity(exact, quiet.x_final)
+        if exact_h:
+            assert quiet.stat_final == true_stat
+        assert true_stat <= quiet.stat_final * (1.0 + 1e-9) and quiet.stat_final <= cfg.stop_stat
 
 
 # ------------------------------------------------------------ shared steps

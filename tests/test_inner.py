@@ -379,6 +379,20 @@ def test_closed_form_falls_back_to_the_loop_on_a_nonpositive_curvature():
     assert certify(prob, center, y, M=1.0, theta=0.1).valid
 
 
+def test_an_uncertified_closed_form_p2_step_fails_without_the_loop():
+    # a subdiff_dist that reports 1.0 everywhere: no step certifies.  The
+    # closed form is the only solve for this input, so it raises, and no
+    # scalar-tau prox call of the loop follows it
+    plain, _, x0 = gen_diag_quad_l1(5, 0)
+    plain = replace(plain, nonsmooth=replace(plain.nonsmooth, subdiff_dist=lambda g, x: 1.0),
+                    known_opt=None)
+    prob, calls = with_prox_counter(plain)
+    center = ModelCenter.from_oracle(prob.smooth, x0, p=2)
+    with pytest.raises(InnerSolveFailure, match="closed-form prox step not certified"):
+        solve_subproblem(prob, center, M=1.0, theta=0.1)
+    assert calls and all(tau.shape == (5,) for tau in calls)
+
+
 @pytest.mark.parametrize("exact_h", [True, False])
 @pytest.mark.parametrize("M", [1e-3, 0.1, 1e3])
 def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
@@ -397,11 +411,11 @@ def test_first_order_step_is_one_prox_call_to_the_exact_minimizer(M, exact_h):
     assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
     assert cert.valid and not cert.stalled and cert.inner_iters == 1
     # the step's arithmetic, pinned bit for bit: one prox at x - g/M with
-    # threshold 1/M, and the witness M(x - y) - g only where h is opaque
-    assert np.array_equal(y, prob.nonsmooth.prox(x0 - center.gx / M, 1.0 / M))
+    # threshold 1/M, and the witness M(v - y) only where h is opaque
+    assert np.array_equal(y, prob.nonsmooth.prox(v, 1.0 / M))
     assert (witness is None) == exact_h
     if not exact_h:
-        assert np.array_equal(witness, M * (x0 - y) - center.gx)
+        assert np.array_equal(witness, M * (v - y))
     fresh = certify(prob, center, y, M=M, theta=theta, witness_p=witness)
     assert fresh.valid and fresh.decrease_ok
 
