@@ -43,7 +43,6 @@ from .taylor import ModelCenter
 STATUS_STATIONARY = "stationary"
 STATUS_PRECISION_FLOOR = "precision-floor"
 STATUS_MAX_ITERS = "max_iters"
-STATUS_CRITERION = "stopped-by-criterion"
 
 # Largest factor by which one rejection by the acceptance test raises M: the
 # new M is max(2M, min(est, MAX_M_RAISE * M)) for the remainder estimate est
@@ -67,11 +66,12 @@ class RunConfig:
     """Knobs for one solver run; immutable, a changed copy comes from ``replace``.
 
     ``u`` is either a constant in (u_min, 1] or a callable k -> u_k giving
-    the reference weight used when forming R_k.  ``stop_f`` and ``stop_stat``
-    are objective / stationarity stopping thresholds; set stop_f = -inf and
-    stop_stat < 0 to disable them.  ``max_inner`` bounds the p = 2 inner
-    iterations of one solve, whose step size needs no knob: each solve
-    finds it by backtracking from 1 and carries it between iterations.
+    the reference weight used when forming R_k.  ``stop_stat`` is the one
+    stopping threshold, on stationarity (below 0 disables it); no bound on f
+    stops a run, as the rates are in stationarity and f has no fixed scale.
+    ``max_inner`` bounds the p = 2 inner iterations of one solve, whose step
+    size needs no knob: each solve finds it by backtracking from 1 and
+    carries it between iterations.
 
     M0 is the floor of M at every step and the M a p = 2 run, or a p = 1
     run from x0 = 0, starts at (``start_M``).
@@ -89,7 +89,6 @@ class RunConfig:
     u: Union[float, Callable[[int], float]] = 0.5
     u_min: float = 1e-3
     max_outer: int = 1000
-    stop_f: float = 1e-3
     stop_stat: float = 1e-3
     max_inner: int = 500
     max_doublings: int = 60
@@ -554,12 +553,12 @@ def nhota_steps(
     first step's M, apart from inner-failure doublings: the bounded M_k the
     rates need.
 
-    Stops when f <= stop_f ("stopped-by-criterion"), the stationarity
-    measure drops to stop_stat ("stationary"), the current point is
-    stationary to working precision while its stationarity is above
-    stop_stat ("precision-floor", with the resolution kept in
-    ``trace.resolution``), or max_outer iterations complete ("max_iters"),
-    and then sets ``trace.status``.
+    Stops when the stationarity measure drops to stop_stat ("stationary"),
+    the current point is stationary to working precision while its
+    stationarity is above stop_stat ("precision-floor", with the resolution
+    kept in ``trace.resolution``), or max_outer iterations complete
+    ("max_iters"), and then sets ``trace.status``; a run failure raises
+    instead.
 
     The start and each step's body, from ``try_step`` to the secant M, run
     under the run's one overflow guard (``_overflow_fails``); it never
@@ -589,9 +588,6 @@ def nhota_steps(
 
     status = STATUS_MAX_ITERS
     for k in range(config.max_outer + 1):
-        if fk <= config.stop_f:
-            status = STATUS_CRITERION
-            break
         if stat is not None and stat <= config.stop_stat:
             status = STATUS_STATIONARY
             break

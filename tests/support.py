@@ -39,6 +39,13 @@ def times(problem: CompositeProblem, lam: float, c: float) -> CompositeProblem:
     return replace(problem, smooth=smooth, nonsmooth=l1_term(c * lam), known_opt=None)
 
 
+def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
+    """Same problem with C added to F: same minimizers, larger |f|."""
+    s = problem.smooth
+    return replace(problem, smooth=replace(s, value=lambda x: s.value(x) + C),
+                   known_opt=None)
+
+
 def without_subdiff(problem: CompositeProblem) -> CompositeProblem:
     """Same problem, but h no longer reports exact subdifferential distances."""
     return replace(problem, nonsmooth=replace(problem.nonsmooth, subdiff_dist=None))

@@ -33,7 +33,7 @@ from nhota.checks import (
     subdiff_grid_gap,
 )
 
-DISABLED = dict(stop_f=-np.inf, stop_stat=0.0)
+DISABLED = dict(stop_stat=0.0)
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -239,7 +239,7 @@ def test_criterion_5_desk_scale_reproduction():
     parts, ok = [], True
     for u in (0.05, 0.25, 0.5, 0.75, 1.0):
         t0 = time.time()
-        cfg = RunConfig(p=2, u=u, max_outer=500, stop_f=1e-3, stop_stat=1e-3)
+        cfg = RunConfig(p=2, u=u, max_outer=500, stop_stat=1e-3)
         trace = nhota_run(problem, x0, cfg)
         wall = time.time() - t0
         reached = trace.f_final <= 1e-3 or trace.stat_final <= 1e-3

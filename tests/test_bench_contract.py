@@ -20,7 +20,7 @@ def test_tracer_patches_the_solver_and_restores_it(monkeypatch):
     before = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in patches._targets]
     problem, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
     with patches:
-        trace = driver.nhota_run(problem, x0, RunConfig(p=2, max_outer=3, stop_f=-np.inf))
+        trace = driver.nhota_run(problem, x0, RunConfig(p=2, max_outer=3))
     assert trace.iterations() == 3
     assert tr.calls["inner.solve"] >= 3 and st.inner_iters > 0
     assert tr.calls["driver.try_step"] == 3 and tr.calls["taylor.from_oracle"] == 4

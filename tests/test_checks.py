@@ -1,7 +1,6 @@
 """Every quick-scale check of ``nhota check`` runs here as its own test, plus
 tests that the checks' oracles follow the solver they check."""
 
-import numpy as np
 import pytest
 
 from nhota import checks, driver
@@ -18,7 +17,7 @@ def test_named_check_passes(name):
 def test_recertify_run_checks_every_step_the_solver_takes():
     # the diag and phase instances behind certificate_soundness
     for problem, x0, p in checks._small_instances(30, seed=101):
-        cfg = RunConfig(p=p, stop_f=-np.inf, stop_stat=-1.0, max_outer=3)
+        cfg = RunConfig(p=p, stop_stat=-1.0, max_outer=3)
         assert checks.recertify_run(problem, x0, cfg)[0] == nhota_run(problem, x0, cfg).iterations()
 
 

@@ -8,7 +8,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nhota import (
     DiagQuadL1Data,
@@ -30,7 +30,6 @@ from nhota import (
 from nhota.core import OracleContractError
 from nhota.driver import (
     LineSearchFailure,
-    STATUS_CRITERION,
     STATUS_MAX_ITERS,
     STATUS_PRECISION_FLOOR,
     STATUS_STATIONARY,
@@ -48,6 +47,7 @@ from support import (
     asymmetric_hessian,
     nan_hessian,
     quadratic_1d,
+    shifted,
     times,
     with_callback_counts,
     with_dense_hessian,
@@ -223,13 +223,14 @@ def test_an_infinite_f_at_x0_is_an_oracle_failure():
         nhota_run(broken, np.zeros(1), RunConfig(p=2))
 
 
-def _corrupted_at_call(fn, j):
-    """fn, but its j-th call returns its value times 1e300."""
+def _corrupted_at_call(fn, j, corrupt=lambda out: out * 1e300):
+    """fn, but its j-th call returns ``corrupt`` of its value (times 1e300
+    unless told otherwise)."""
     calls = [0]
 
     def call(*args):
         calls[0] += 1
-        return fn(*args) * 1e300 if calls[0] == j else fn(*args)
+        return corrupt(fn(*args)) if calls[0] == j else fn(*args)
     return call
 
 
@@ -317,6 +318,63 @@ def test_far_scaled_runs_end_alike_under_any_warning_filter(variance, x0_scale, 
         assert true_stat <= quiet.stat_final * (1.0 + 1e-9) and quiet.stat_final <= cfg.stop_stat
 
 
+class InjectedFault(Exception):
+    """Raised by a callback corrupted to raise."""
+
+
+def _raise_injected(out):
+    raise InjectedFault
+
+
+_CORRUPTIONS = {
+    "nan": lambda out: np.full_like(out, np.nan, dtype=float),
+    "+inf": lambda out: np.full_like(out, np.inf, dtype=float),
+    "-inf": lambda out: np.full_like(out, -np.inf, dtype=float),
+    "x1e300": lambda out: out * 1e300,
+    "short": lambda out: out[:-1],
+    "raise": _raise_injected,
+}
+# callback -> (problem part, attribute)
+_CALLBACKS = {"F": ("smooth", "value"), "grad": ("smooth", "grad"), "hess": ("smooth", "hess"),
+              "h": ("nonsmooth", "value"), "prox": ("nonsmooth", "prox"),
+              "subdiff_dist": ("nonsmooth", "subdiff_dist")}
+# an array one entry short is a fault only of the callbacks that return arrays
+_FAULTS = [(callback, kind) for callback in _CALLBACKS for kind in _CORRUPTIONS
+           if kind != "short" or callback in ("grad", "hess", "prox")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(diag=st.booleans(), exact_h=st.booleans(), p=st.sampled_from([1, 2]),
+       fault=st.sampled_from(_FAULTS), j=st.sampled_from([1, 2, 5]))
+def test_injected_faults_end_alike_under_any_warning_filter(diag, exact_h, p, fault, j):
+    # one callback corrupted at its j-th call: the run completes, ends in a
+    # run failure or raises the injected exception, and ends the same way
+    # whether numpy's warnings are ignored or errors
+    callback, kind = fault
+    assume(exact_h or callback != "subdiff_dist")
+    part, attr = _CALLBACKS[callback]
+    prob, _, x0 = gen_diag_quad_l1(20, 1) if diag else gen_phase_retrieval(10, 100, 1, 1.0)
+    prob = replace(prob, known_opt=None)  # its check would spend the first calls
+    prob = prob if exact_h else without_subdiff(prob)
+    cfg = RunConfig(p=p, max_outer=60)
+
+    def end(warning_filter):
+        oracle = getattr(prob, part)
+        bad = _corrupted_at_call(getattr(oracle, attr), j, _CORRUPTIONS[kind])
+        try:
+            return _run_end(replace(prob, **{part: replace(oracle, **{attr: bad})}), x0, cfg,
+                            warning_filter)
+        except InjectedFault:
+            return InjectedFault
+
+    quiet, loud = end("ignore"), end("error")
+    if isinstance(quiet, type):
+        assert loud is quiet
+        return
+    assert not isinstance(loud, type), loud
+    assert (loud.status, loud.iterations()) == (quiet.status, quiet.iterations())
+
+
 # ------------------------------------------------------------ shared steps
 
 
@@ -339,7 +397,7 @@ def test_runs_outside_shared_steps_share_nothing():
     # two runs on one problem object, outside any shared_steps block, make
     # the same oracle calls: nothing is kept from one run to the next
     problem, calls, hess, x0 = _phase_counted(1)
-    cfg = RunConfig(p=2, stop_f=-np.inf)
+    cfg = RunConfig(p=2)
     _, first = _counted_run(problem, calls, hess, x0, cfg)
     _, second = _counted_run(problem, calls, hess, x0, cfg)
     assert first == second and min(first) > 0
@@ -352,7 +410,7 @@ def _rows(trace):
 
 def test_shared_steps_replay_a_repeated_run_without_oracle_calls():
     problem, calls, hess, x0 = _phase_counted(1)
-    cfg, other = RunConfig(p=2, stop_f=-np.inf), RunConfig(p=2, stop_f=-np.inf, u=0.05)
+    cfg, other = RunConfig(p=2), RunConfig(p=2, u=0.05)
     with shared_steps(problem):
         first, counts = _counted_run(problem, calls, hess, x0, cfg)
         again, replayed = _counted_run(problem, calls, hess, x0, cfg)
@@ -371,7 +429,7 @@ def test_shared_steps_share_nothing_with_another_problem_object():
     # but distinct problem object makes the oracle calls of a run outside
     # any block, and a repeat on the named problem still replays
     problem, calls, hess, x0 = _phase_counted(1)
-    cfg = RunConfig(p=2, stop_f=-np.inf)
+    cfg = RunConfig(p=2)
     alone, counts = _counted_run(problem, calls, hess, x0, cfg)
     with shared_steps(problem):
         _counted_run(problem, calls, hess, x0, cfg)
@@ -404,7 +462,7 @@ def test_x_scaled_runs_end_where_the_unscaled_run_does(log_a, p, family, seed):
         prob, data, x0 = gen_diag_quad_l1(20, seed=seed)
     else:
         prob, data, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=1.0)
-    cfg = RunConfig(p=p, stop_f=-np.inf, stop_stat=1e-6)
+    cfg = RunConfig(p=p, stop_stat=1e-6)
     base = nhota_run(prob, x0, cfg)
     k = a ** -(p + 1)
     scaled_cfg = replace(cfg, M0=k * cfg.M0, Mtilde=k * cfg.Mtilde, theta=k * cfg.theta,
@@ -429,7 +487,7 @@ def test_diagonal_hessian_as_a_vector_runs_as_the_dense_matrix(n, seed, lam, p, 
     # (test_inner's closed-form property compares that step with the loop)
     prob, _, x0 = gen_diag_quad_l1(n, seed=seed, lam=lam)
     prob = without_subdiff(prob)
-    cfg = RunConfig(p=p, u=u, stop_f=-np.inf, stop_stat=10.0 ** -stop_exp)
+    cfg = RunConfig(p=p, u=u, stop_stat=10.0 ** -stop_exp)
     diag = nhota_run(prob, x0, cfg)
     dense = nhota_run(with_dense_hessian(prob), x0, cfg)
     assert _rows(diag) == _rows(dense)
@@ -454,7 +512,7 @@ def test_run_evaluates_F_once_per_visited_point(monkeypatch, make, p):
     monkeypatch.setattr(driver, "accept_test",
                         lambda *args: tested.append(1) or accept_test(*args))
     trace = IterateTrace()
-    cfg = RunConfig(p=p, max_outer=40, stop_f=-np.inf)
+    cfg = RunConfig(p=p, max_outer=40)
     iterates = [center.x for center, _ in nhota_steps(prob, x0, cfg, trace)]
     iterates.append(trace.x_final)
     rows = trace.iterations()
@@ -486,7 +544,7 @@ def test_each_step_starts_at_the_secant_M_of_the_step_before(monkeypatch, p):
     # recomputed here from a fresh gradient; the first step starts at
     # max(M0, ||grad F(x0)|| / ||x0||) at p = 1 and at M0 at p = 2
     prob, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
-    cfg = RunConfig(p=p, max_outer=60, stop_f=-np.inf, stop_stat=1e-6)
+    cfg = RunConfig(p=p, max_outer=60, stop_stat=1e-6)
     started, steps, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     if p == 1:
         first = np.linalg.norm(prob.smooth.grad(x0)) / np.linalg.norm(x0)
@@ -512,7 +570,7 @@ def test_p1_start_M_on_a_diagonal_quadratic_stays_within_its_curvature(monkeypat
     # ||D (x0 - c)|| / ||x0||, which is no Rayleigh quotient and lies above
     # max d on these seeds
     prob, data, x0 = gen_diag_quad_l1(20, seed=seed)
-    cfg = RunConfig(p=1, stop_f=-np.inf, stop_stat=1e-9)
+    cfg = RunConfig(p=1, stop_stat=1e-9)
     started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     assert len(trace.rows) >= 10
     first = np.linalg.norm(data.d * (x0 - data.c)) / np.linalg.norm(x0)
@@ -527,7 +585,7 @@ def test_p2_steps_on_a_diagonal_quadratic_start_at_M0(monkeypatch):
     # than the closed form's two
     prob, _, x0 = gen_diag_quad_l1(20, seed=0)
     prob = with_dense_hessian(prob)
-    cfg = RunConfig(p=2, stop_f=-np.inf)
+    cfg = RunConfig(p=2)
     started, _, trace = record_start_Ms(monkeypatch, prob, x0, cfg)
     assert len(trace.rows) >= 3
     assert started == [cfg.M0] * len(started)
@@ -601,7 +659,7 @@ def test_scaled_objective_runs_end_stationary_or_at_the_floor(log_c, p, family, 
         prob, data, x0 = gen_diag_quad_l1(20, seed=seed)
     else:
         prob, data, x0 = gen_phase_retrieval(8, 32, seed=seed, noise_scale=1.0)
-    cfg = RunConfig(p=p, stop_f=-np.inf, stop_stat=1e-9 * c)
+    cfg = RunConfig(p=p, stop_stat=1e-9 * c)
     trace = nhota_run(times(prob, data.lam, c), x0, cfg)
     assert trace.status in (STATUS_STATIONARY, STATUS_PRECISION_FLOOR)
     assert (trace.stat_final <= cfg.stop_stat) == (trace.status == STATUS_STATIONARY)
@@ -613,7 +671,7 @@ def test_p2_run_on_a_flat_objective_keeps_its_inner_solves_short():
     # max_inner and one row spent 2500 inner iterations.  The dense Hessian
     # keeps the run on the proximal-gradient loop
     prob, data, x0 = gen_diag_quad_l1(20, seed=0)
-    cfg = RunConfig(p=2, stop_f=-np.inf, stop_stat=1e-12)
+    cfg = RunConfig(p=2, stop_stat=1e-12)
     trace = nhota_run(with_dense_hessian(times(prob, data.lam, 1e-3)), x0, cfg)
     assert trace.status == STATUS_PRECISION_FLOOR
     assert len(trace.rows) <= 50
@@ -637,7 +695,7 @@ def test_p1_run_past_its_resolution_ends_at_the_precision_floor():
 def test_run_converges_on_diagonal_instance():
     prob, data, x0 = gen_diag_quad_l1(10, seed=0)
     _, f_star = exact_solution_diag(data)
-    cfg = RunConfig(p=2, u=0.5, max_outer=50, stop_f=-np.inf, stop_stat=0.0)
+    cfg = RunConfig(p=2, u=0.5, max_outer=50, stop_stat=0.0)
     trace = nhota_run(prob, x0, cfg)
     assert min(trace.f_values()) - f_star <= 1e-8
     assert trace.check_invariants(cfg) == []
@@ -663,7 +721,7 @@ def test_run_stops_at_a_center_stationary_to_its_floor():
     # must stop at x0, at the precision floor, rather than record max_outer
     # zero-length steps
     prob = replace(quadratic_1d(200.0), nonsmooth=l1_term(100.0))
-    cfg = RunConfig(p=2, stop_stat=-1.0, stop_f=-np.inf, max_outer=20)
+    cfg = RunConfig(p=2, stop_stat=-1.0, max_outer=20)
     trace = nhota_run(prob, np.array([100.0 + 5e-10]), cfg)
     assert trace.status == STATUS_PRECISION_FLOOR and len(trace.rows) == 0
     assert trace.stat_final <= trace.resolution
@@ -676,7 +734,7 @@ def test_run_stops_on_a_step_one_ulp_from_the_minimizer(seed):
     # ||x||, so the run still stops there, at the precision floor
     prob, _, _ = gen_diag_quad_l1(8, seed=seed)
     x_star, _ = prob.known_opt
-    cfg = RunConfig(p=2, stop_stat=-1.0, stop_f=-np.inf, max_outer=10)
+    cfg = RunConfig(p=2, stop_stat=-1.0, max_outer=10)
     trace = nhota_run(without_subdiff(prob), x_star, cfg)
     assert trace.status == STATUS_PRECISION_FLOOR and len(trace.rows) == 0
     assert trace.resolution is not None
@@ -697,25 +755,37 @@ def test_run_started_at_the_minimizer_ends_at_the_precision_floor(n, seed, lam, 
     x_star, _ = prob.known_opt
     if not exact_h:
         prob = without_subdiff(prob)
-    cfg = RunConfig(p=p, stop_stat=-1.0, stop_f=-np.inf, max_outer=10)
+    cfg = RunConfig(p=p, stop_stat=-1.0, max_outer=10)
     trace = nhota_run(prob, x_star, cfg)
     assert trace.status == STATUS_PRECISION_FLOOR and trace.resolution is not None
 
 
 def test_run_respects_max_outer():
     prob, _, x0 = gen_phase_retrieval(8, 40, seed=3, noise_scale=1.0)
-    cfg = RunConfig(p=1, max_outer=4, stop_f=-np.inf, stop_stat=0.0)
+    cfg = RunConfig(p=1, max_outer=4, stop_stat=0.0)
     trace = nhota_run(prob, x0, cfg)
     assert trace.status == STATUS_MAX_ITERS and len(trace.rows) == 4
 
 
-def test_run_stop_f_is_honored():
-    prob, data, x0 = gen_diag_quad_l1(10, seed=2)
-    _, f_star = exact_solution_diag(data)
-    cfg = RunConfig(p=2, stop_f=f_star + 1.0, stop_stat=0.0, max_outer=100)
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_run_near_f_zero_stops_only_when_stationary(p):
+    # noiseless, so f* = 0 and f falls below any small absolute bound well
+    # before the point is stationary: only stop_stat may end the run
+    prob, _, x0 = gen_phase_retrieval(20, 200, 0, 0.0)
+    cfg = RunConfig(p=p)
     trace = nhota_run(prob, x0, cfg)
-    assert trace.status == STATUS_CRITERION
-    assert trace.f_final <= f_star + 1.0
+    assert trace.status == STATUS_STATIONARY and trace.stat_final <= cfg.stop_stat
+
+
+@settings(max_examples=32, deadline=None, derandomize=True, database=None)
+@given(diag=st.booleans(), seed=st.integers(0, 3), p=st.sampled_from([1, 2]),
+       C=st.sampled_from([1e3, -1e3, 1e6, -1e6, 1e14, -1e14]))
+def test_a_constant_shift_of_F_leaves_the_run_alike(diag, seed, p, C):
+    # F + C moves f and R by C but no stationarity, so the run stops alike
+    prob, _, x0 = gen_diag_quad_l1(20, seed) if diag else gen_phase_retrieval(20, 200, seed, 1.0)
+    cfg = RunConfig(p=p)
+    plain, lifted = nhota_run(prob, x0, cfg), nhota_run(shifted(prob, C), x0, cfg)
+    assert (lifted.status, lifted.iterations()) == (plain.status, plain.iterations())
 
 
 def test_run_forms_no_hessian_where_it_stops():

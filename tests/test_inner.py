@@ -26,7 +26,7 @@ from nhota import (
 from nhota.checks import closed_form_against_loop
 from nhota.inner import center_stationarity, residual_floor, stationarity_resolution
 from nhota.taylor import _model, model_value
-from support import quadratic_1d, times, with_dense_hessian, without_subdiff
+from support import quadratic_1d, shifted, times, with_dense_hessian, without_subdiff
 
 
 def test_quadratic_reaches_exact_minimizer():
@@ -158,7 +158,7 @@ def test_stalled_p2_solve_returns_before_the_budget(monkeypatch):
     # first such solve used to run to max_inner) and return a point that
     # certifies its model decrease from scratch
     prob, _, x0 = gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0)
-    cfg = RunConfig(p=2, stop_stat=1e-9, stop_f=-np.inf, max_inner=100)
+    cfg = RunConfig(p=2, stop_stat=1e-9, max_inner=100)
     solves = []
 
     def recording(problem, center, M, theta, **kwargs):
@@ -205,7 +205,7 @@ def test_stall_verdict_follows_the_center_stationarity(monkeypatch):
     # dense Hessian keeps the run on the proximal-gradient loop
     prob, _, x0 = gen_diag_quad_l1(20, seed=0)
     prob = with_dense_hessian(prob)
-    cfg = RunConfig(p=2, stop_stat=1e-12, stop_f=-np.inf, max_inner=100)
+    cfg = RunConfig(p=2, stop_stat=1e-12, max_inner=100)
     stalled = []
 
     def recording(problem, center, M, theta, **kwargs):
@@ -225,13 +225,6 @@ def test_stall_verdict_follows_the_center_stationarity(monkeypatch):
     assert verdicts == [False, True] and trace.resolution == stalled[-1][2].resolution
 
 
-def shifted(problem: CompositeProblem, C: float) -> CompositeProblem:
-    """Same problem with C added to F: same minimizers, larger |f|."""
-    s = problem.smooth
-    return replace(problem, smooth=replace(s, value=lambda x: s.value(x) + C),
-                   known_opt=None)
-
-
 @pytest.mark.parametrize("make, C, stop_stat", [
     (lambda: gen_diag_quad_l1(50, seed=0), 1e6, 1e-3),
     (lambda: gen_phase_retrieval(8, 32, seed=0, noise_scale=1.0), 1e3, 1e-5),
@@ -246,7 +239,7 @@ def test_large_objective_value_does_not_end_the_run_early(make, C, stop_stat):
     # test fired at eps*|F(x)|: F + 1e7 ended at the precision floor after
     # 7 rows at 3.4e-3, F + 1e8 after 6 rows at 0.28
     prob, _, x0 = make()
-    cfg = RunConfig(p=2, stop_stat=stop_stat, stop_f=-np.inf)
+    cfg = RunConfig(p=2, stop_stat=stop_stat)
     plain = nhota_run(prob, x0, cfg)
     lifted = nhota_run(shifted(prob, C), x0, cfg)
     assert len(lifted.rows) == len(plain.rows)

@@ -118,7 +118,7 @@ def test_kl_probe_stops_at_the_positive_floor():
 
 def test_kl_probe_accepts_full_traces():
     prob, data, x0 = gen_diag_quad_l1(20, seed=2)
-    cfg = RunConfig(p=1, u=0.5, max_outer=200, stop_f=-np.inf, stop_stat=0.0)
+    cfg = RunConfig(p=1, u=0.5, max_outer=200, stop_stat=0.0)
     trace = nhota_run(prob, x0, cfg)
     probe = kl_probe(trace, f_star=prob.known_opt[1])
     assert probe.kind == "linear"

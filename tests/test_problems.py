@@ -169,7 +169,7 @@ def test_phase_hessian_block_is_formed_once_per_problem_and_never_at_p1(monkeypa
     monkeypatch.setattr(problems, "_hessian_block", lambda data: formed.append(1) or form(data))
     prob, _, x0 = gen_phase_retrieval(10, 50, seed=3, noise_scale=1.0)
     prob, calls = with_callback_counts(prob)
-    cfg = RunConfig(stop_stat=1e-9, stop_f=-np.inf, max_outer=30)
+    cfg = RunConfig(stop_stat=1e-9, max_outer=30)
     nhota_run(prob, x0, replace(cfg, p=1))
     assert not formed and calls["hess"] == 0 and calls["grad"] > 1
     nhota_run(prob, x0, replace(cfg, p=2))
@@ -214,7 +214,7 @@ def test_phase_product_cache_keeps_traces_byte_identical(p, family, seed, u, lam
     else:
         prob, _, x0 = gen_diag_quad_l1(12, seed=seed, lam=lam)
         problems = (prob, prob)
-    cfg = RunConfig(p=p, u=u, stop_stat=1e-9, stop_f=-np.inf, max_outer=60)
+    cfg = RunConfig(p=p, u=u, stop_stat=1e-9, max_outer=60)
     runs = [nhota_run(problem, x0, cfg) for problem in problems]
     lines = [[format_trace_row(replace(row, wall_millis=0.0)) for row in run.rows]
              for run in runs]
